@@ -401,12 +401,16 @@ def exp_element(
 ) -> CliffordElement:
     """exp(u) by scaling-and-squaring over the power series.
 
-    Always computed in float mode (the series is not rational).
+    Always computed in float mode (the series is not rational).  Raises
+    ValueError when a coefficient is not finite or the norm overflows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     u = u.to_float()
-    n = u.norm()
+    with np.errstate(over="ignore"):
+        n = u.norm()
+    if not math.isfinite(n):
+        raise ValueError(f"exp_element needs finite coefficients with a finite norm, got norm {n}")
     squarings = max(0, int(math.ceil(math.log2(n)))) if n > 1.0 else 0
     v = u * (0.5**squarings)
     total = E

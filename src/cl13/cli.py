@@ -59,6 +59,8 @@ def _load_config(args) -> ScenarioConfig:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ConfigError("config file must hold a JSON object")
     obj["suite"] = args.suite
     if args.seed is not None:
         obj["seed"] = args.seed

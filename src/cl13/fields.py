@@ -35,8 +35,10 @@ to solutions of the second; ``reduce_to_two_yang_mills`` implements it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -83,7 +85,7 @@ class DerivativeMode:
 EXACT = DerivativeMode()
 
 
-def fd_mode(step: float, richardson: bool = False) -> DerivativeMode:
+def fd_mode(step: float, richardson: bool) -> DerivativeMode:
     return DerivativeMode("fd", step, richardson)
 
 
@@ -278,6 +280,11 @@ def field_commutator(f: CliffordField, g: CliffordField) -> CliffordField:
     return SumField((ProductField(f, g), ScaledField(-1.0, ProductField(g, f))))
 
 
+def _total(terms) -> CliffordElement:
+    """Left-to-right sum of a non-empty sequence of elements."""
+    return reduce(operator.add, terms)
+
+
 def fd_derivative(func, x, mu: int, step: float, richardson: bool = True):
     """Central difference of a point function of x along axis mu.
 
@@ -341,9 +348,7 @@ class FieldFamily:
             if not self.factors:
                 f = ConstantField(E)
             else:
-                f = ExpField(*self.factors[0])
-                for v, s in self.factors[1:]:
-                    f = ProductField(f, ExpField(v, s))
+                f = reduce(ProductField, (ExpField(v, s) for v, s in self.factors))
             self._cache["field"] = f
         return f
 
@@ -353,10 +358,7 @@ class FieldFamily:
             if not self.factors:
                 f = ConstantField(E)
             else:
-                v0, s0 = self.factors[-1]
-                f = ExpField(-v0, s0)
-                for v, s in reversed(self.factors[:-1]):
-                    f = ProductField(f, ExpField(-v, s))
+                f = reduce(ProductField, (ExpField(-v, s) for v, s in reversed(self.factors)))
             self._cache["inverse"] = f
         return f
 
@@ -411,10 +413,7 @@ def random_family(
     factors = []
     for j in range(n_factors):
         weights = rng.uniform(-scale, scale, basis.dim)
-        v = None
-        for wgt, b in zip(weights, basis.basis):
-            part = b * float(wgt)
-            v = part if v is None else v + part
+        v = _total(b * float(wgt) for wgt, b in zip(weights, basis.basis))
         if trig and j % 2 == 1:
             shape: Shape = TrigShape(
                 "sin",
@@ -462,10 +461,6 @@ def _random_span_field(
 
 
 # -- field sets ----------------------------------------------------------------
-
-
-def _as_field_tuple(fields) -> tuple[CliffordField, ...]:
-    return tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -627,79 +622,80 @@ def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
 
 
 # -- residual evaluation ---------------------------------------------------------
+#
+# Every residual is built from three covariant operators of a potential P,
+# evaluated at one point x: the curvature, the covariant derivative and the
+# metric-signed divergence.  ``pv`` holds the values P_mu(x).
 
 
 def _values(fields, x):
     return [f.value(x) for f in fields]
 
 
-def _dirac_residual(phi, dphi, h_vals, pot_vals, a_vals, mass_term):
-    total = None
-    for mu in range(4):
-        inner = dphi[mu] + phi * a_vals[mu] - pot_vals[mu] * phi
-        term = (1j * h_vals[mu]) * inner
-        total = term if total is None else total + term
-    if mass_term is not None:
-        total = total - mass_term
-    return total
+def _curvature(x, deriv, pot, pv, mu, nu) -> CliffordElement:
+    """d_mu P_nu - d_nu P_mu - [P_mu, P_nu]."""
+    d1 = _field_partial(pot[nu], x, mu, deriv)
+    d2 = _field_partial(pot[mu], x, nu, deriv)
+    return d1 - d2 - commutator(pv[mu], pv[nu])
 
 
-def _curvature_residuals(x, pot_fields, strength_vals, deriv):
-    out = {}
-    pot_vals = _values(pot_fields, x)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            d1 = _field_partial(pot_fields[nu], x, mu, deriv)
-            d2 = _field_partial(pot_fields[mu], x, nu, deriv)
-            r = d1 - d2 - commutator(pot_vals[mu], pot_vals[nu]) - strength_vals[mu][nu]
-            out[(mu, nu)] = r
-    return out
+def _covariant(x, deriv, pv, mu, f) -> CliffordElement:
+    """d_mu f - [P_mu, f]."""
+    return _field_partial(f, x, mu, deriv) - commutator(pv[mu], f.value(x))
 
 
-def _divergence_residuals(x, pot_fields, strength_fields, rhs_vals, deriv):
-    """d_mu X^{mu nu} - [P_mu, X^{mu nu}] - rhs^nu for lower-index strength fields."""
-    out = {}
-    pot_vals = _values(pot_fields, x)
-    for nu in range(4):
-        total = None
-        for mu in range(4):
-            sign = METRIC_DIAG[mu] * METRIC_DIAG[nu]
-            d = _field_partial(strength_fields[mu][nu], x, mu, deriv) * sign
-            up = strength_fields[mu][nu].value(x) * sign
-            term = d - commutator(pot_vals[mu], up)
-            total = term if total is None else total + term
-        out[(nu,)] = total - rhs_vals[nu]
-    return out
+def _divergence(x, deriv, pv, strength, nu) -> CliffordElement:
+    """d_mu X^{mu nu} - [P_mu, X^{mu nu}] for a lower-index strength X_{mu nu}."""
+    return _total(
+        _covariant(x, deriv, pv, mu, strength[mu][nu]) * (METRIC_DIAG[mu] * METRIC_DIAG[nu])
+        for mu in range(4)
+    )
+
+
+def _yang_mills_pair(x, deriv, pot, strength, rhs):
+    """Curvature and sourced divergence residuals of one potential/strength pair."""
+    pv = _values(pot, x)
+    curvature = {
+        (mu, nu): _curvature(x, deriv, pot, pv, mu, nu) - strength[mu][nu].value(x)
+        for mu in range(4)
+        for nu in range(mu + 1, 4)
+    }
+    source = {(nu,): _divergence(x, deriv, pv, strength, nu) - rhs[nu] for nu in range(4)}
+    return curvature, source
+
+
+def _dirac(fs, x, deriv, hv, pv) -> CliffordElement:
+    """i h^mu (d_mu phi + phi A_mu - P_mu phi), summed over mu."""
+    phi = fs.phi.value(x)
+    return _total(
+        (1j * hv[mu])
+        * (_field_partial(fs.phi, x, mu, deriv) + phi * fs.a[mu].value(x) - pv[mu] * phi)
+        for mu in range(4)
+    )
+
+
+def current_vector(phi: CliffordElement, h_vals) -> list[CliffordElement]:
+    """i J^mu = phi^dag beta i h^mu phi, returned as the four iJ values."""
+    return [phi.herm_conj() * BETA * (1j * h_vals[mu]) * phi for mu in range(4)]
 
 
 def model_residual_components(
     fs: ModelFieldSet, x, deriv: DerivativeMode = EXACT
 ) -> dict[str, dict[tuple, CliffordElement]]:
     x = np.asarray(x, dtype=float)
-    h_vals = _values(fs.h, x)
-    c_vals = _values(fs.c, x)
-    a_vals = _values(fs.a, x)
-    f_vals = [[fs.f[mu][nu].value(x) for nu in range(4)] for mu in range(4)]
+    hv = _values(fs.h, x)
+    cv = _values(fs.c, x)
     phi = fs.phi.value(x)
-    dphi = [_field_partial(fs.phi, x, mu, deriv) for mu in range(4)]
-
-    dirac = _dirac_residual(phi, dphi, h_vals, c_vals, a_vals, phi * fs.mass)
-
-    source = [
-        (phi.herm_conj() * BETA) * (1j * h_vals[nu]) * phi for nu in range(4)
-    ]
-
-    transport = {}
-    for mu in range(4):
-        for nu in range(4):
-            d = _field_partial(fs.h[nu], x, mu, deriv)
-            transport[(mu, nu)] = d - commutator(c_vals[mu], h_vals[nu])
-
+    curvature_a, source_a = _yang_mills_pair(x, deriv, fs.a, fs.f, current_vector(phi, hv))
     return {
-        "dirac": {(): dirac},
-        "curvature_a": _curvature_residuals(x, fs.a, f_vals, deriv),
-        "source_a": _divergence_residuals(x, fs.a, fs.f, source, deriv),
-        "h_transport": transport,
+        "dirac": {(): _dirac(fs, x, deriv, hv, cv) - phi * fs.mass},
+        "curvature_a": curvature_a,
+        "source_a": source_a,
+        "h_transport": {
+            (mu, nu): _covariant(x, deriv, cv, mu, fs.h[nu])
+            for mu in range(4)
+            for nu in range(4)
+        },
     }
 
 
@@ -707,28 +703,19 @@ def two_yang_mills_residual_components(
     fs: TwoYangMillsFieldSet, x, deriv: DerivativeMode = EXACT
 ) -> dict[str, dict[tuple, CliffordElement]]:
     x = np.asarray(x, dtype=float)
-    h_vals = _values(fs.h, x)
-    b_vals = _values(fs.b, x)
-    a_vals = _values(fs.a, x)
-    f_vals = [[fs.f[mu][nu].value(x) for nu in range(4)] for mu in range(4)]
-    g_vals = [[fs.g[mu][nu].value(x) for nu in range(4)] for mu in range(4)]
+    hv = _values(fs.h, x)
     phi = fs.phi.value(x)
-    dphi = [_field_partial(fs.phi, x, mu, deriv) for mu in range(4)]
-
-    dirac = _dirac_residual(phi, dphi, h_vals, b_vals, a_vals, None)
-
-    source_a = [
-        (phi.herm_conj() * BETA) * (1j * h_vals[nu]) * phi for nu in range(4)
-    ]
     m3 = SOURCE_COUPLING * fs.mass**3
-    source_b = [h_vals[nu] * (1j * m3) for nu in range(4)]
-
+    curvature_a, source_a = _yang_mills_pair(x, deriv, fs.a, fs.f, current_vector(phi, hv))
+    curvature_b, source_b = _yang_mills_pair(
+        x, deriv, fs.b, fs.g, [hv[nu] * (1j * m3) for nu in range(4)]
+    )
     return {
-        "dirac": {(): dirac},
-        "curvature_a": _curvature_residuals(x, fs.a, f_vals, deriv),
-        "source_a": _divergence_residuals(x, fs.a, fs.f, source_a, deriv),
-        "curvature_b": _curvature_residuals(x, fs.b, g_vals, deriv),
-        "source_b": _divergence_residuals(x, fs.b, fs.g, source_b, deriv),
+        "dirac": {(): _dirac(fs, x, deriv, hv, _values(fs.b, x))},
+        "curvature_a": curvature_a,
+        "source_a": source_a,
+        "curvature_b": curvature_b,
+        "source_b": source_b,
     }
 
 
@@ -824,22 +811,14 @@ def check_h_identities(h_vals) -> dict[str, float]:
             clifford = max(clifford, r.norm())
 
     h_lower = [h_vals[mu] * METRIC_DIAG[mu] for mu in range(4)]
-    contraction = None
-    for mu in range(4):
-        term = h_vals[mu] * h_lower[mu]
-        contraction = term if contraction is None else contraction + term
+    contraction = _total(h_vals[mu] * h_lower[mu] for mu in range(4))
     quarter = Fraction(1, 4) if contraction.exact else 0.25
     contraction_res = (contraction * quarter - e).norm()
 
     sandwich = 0.0
     for nu in range(4):
-        left = None
-        right = None
-        for mu in range(4):
-            t1 = h_vals[mu] * h_vals[nu] * h_lower[mu]
-            t2 = h_lower[mu] * h_vals[nu] * h_vals[mu]
-            left = t1 if left is None else left + t1
-            right = t2 if right is None else right + t2
+        left = _total(h_vals[mu] * h_vals[nu] * h_lower[mu] for mu in range(4))
+        right = _total(h_lower[mu] * h_vals[nu] * h_vals[mu] for mu in range(4))
         target = h_vals[nu] * (-2)
         sandwich = max(sandwich, (left - target).norm(), (right - target).norm())
 
@@ -863,38 +842,25 @@ def check_reduction_identities(
 
     def components(x):
         x = np.asarray(x, dtype=float)
-        h_vals = _values(fs.h, x)
-        b_vals = _values(fs.b, x)
-        ih = [h_vals[mu] * 1j for mu in range(4)]
+        bv = _values(fs.b, x)
+        ih = [f.value(x) * 1j for f in fs.h]
         ih_lower = [ih[mu] * METRIC_DIAG[mu] for mu in range(4)]
-
-        transport = {}
-        for mu in range(4):
-            for nu in range(4):
-                d = _field_partial(fs.h[nu], x, mu, deriv) * 1j
-                lhs = d - commutator(b_vals[mu], ih[nu])
-                rhs = commutator(ih_lower[mu], ih[nu]) * m4
-                transport[(mu, nu)] = lhs - rhs
-
-        curvature = {}
-        for mu in range(4):
-            for nu in range(mu + 1, 4):
-                d1 = _field_partial(fs.b[nu], x, mu, deriv)
-                d2 = _field_partial(fs.b[mu], x, nu, deriv)
-                lhs = d1 - d2 - commutator(b_vals[mu], b_vals[nu])
-                rhs = commutator(ih_lower[mu], ih_lower[nu]) * (-(m4**2))
-                curvature[(mu, nu)] = lhs - rhs
-
-        conservation = None
-        for mu in range(4):
-            d = _field_partial(fs.h[mu], x, mu, deriv)
-            term = d - commutator(b_vals[mu], h_vals[mu])
-            conservation = term if conservation is None else conservation + term
-
+        transport = [
+            [_covariant(x, deriv, bv, mu, fs.h[nu]) for nu in range(4)] for mu in range(4)
+        ]
         return {
-            "h_b_transport": transport,
-            "b_curvature_consistency": curvature,
-            "h_conservation": {(): conservation},
+            "h_b_transport": {
+                (mu, nu): transport[mu][nu] * 1j - commutator(ih_lower[mu], ih[nu]) * m4
+                for mu in range(4)
+                for nu in range(4)
+            },
+            "b_curvature_consistency": {
+                (mu, nu): _curvature(x, deriv, fs.b, bv, mu, nu)
+                - commutator(ih_lower[mu], ih_lower[nu]) * (-(m4**2))
+                for mu in range(4)
+                for nu in range(mu + 1, 4)
+            },
+            "h_conservation": {(): _total(transport[mu][mu] for mu in range(4))},
         }
 
     return _aggregate(components, points, {"derivatives": deriv.describe()})
@@ -907,9 +873,9 @@ def bianchi_current_check(
 
     F is defined from the potential by its curvature equation, the current
     by i J^nu = d_mu F^{mu nu} - [A_mu, F^{mu nu}]; antisymmetry of F then
-    forces  d_nu J^nu - [A_nu, J^nu] = 0, which is evaluated here.
+    forces  d_nu J^nu - [A_nu, J^nu] = 0, which is evaluated here.  F and J
+    are built as field trees, since J is differentiated once more.
     """
-    a_fields = _as_field_tuple(a_fields)
     f_fields: list[list[CliffordField]] = [[ZERO_FIELD] * 4 for _ in range(4)]
     for mu in range(4):
         for nu in range(4):
@@ -935,12 +901,8 @@ def bianchi_current_check(
 
     def components(x):
         x = np.asarray(x, dtype=float)
-        a_vals = _values(a_fields, x)
-        total = None
-        for nu in range(4):
-            d = _field_partial(current[nu], x, nu, deriv)
-            term = d - commutator(a_vals[nu], current[nu].value(x))
-            total = term if total is None else total + term
+        av = _values(a_fields, x)
+        total = _total(_covariant(x, deriv, av, nu, current[nu]) for nu in range(4))
         return {"current_conservation": {(): total}}
 
     return _aggregate(components, points, {"derivatives": deriv.describe()})

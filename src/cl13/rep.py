@@ -14,8 +14,6 @@ inverse map  coeff_A(M) = tr(rep(blade_A)^dagger M) / 4.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .algebra import (
@@ -92,56 +90,10 @@ def rep_rank(u: CliffordElement, tol: float = 1e-9) -> int:
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def _jacobi_eigenvalues(mat: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Cyclic Jacobi eigenvalues of a Hermitian matrix, ascending.
-
-    Each (p,q) step phases the off-diagonal entry real and applies the
-    classical symmetric rotation; off-diagonal mass is strictly reduced.
-    """
-    a = np.array(mat, dtype=complex)
-    a = 0.5 * (a + a.conj().T)
-    n = a.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = math.sqrt(
-            sum(abs(a[p, q]) ** 2 for p in range(n) for q in range(p + 1, n))
-        )
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                g = abs(apq)
-                if g <= 1e-18 * scale:
-                    continue
-                w = apq / g
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * g)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp + s * np.conj(w) * colq
-                a[:, q] = -s * w * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp + s * w * rowq
-                a[q, :] = -s * np.conj(w) * rowp + c * rowq
-    diag = np.diag(a)
-    if np.max(np.abs(diag.imag)) > 1e-10:
-        raise NotHermitianError("Jacobi diagonal kept a non-real entry")
-    return np.sort(diag.real)
-
-
 def hermitian_eigenvalues(
     u: CliffordElement, herm_tol: float = 1e-10
 ) -> np.ndarray:
-    """Eigenvalues of rep(u) for Hermitian u, ascending, via cyclic Jacobi."""
+    """Eigenvalues of rep(u) for Hermitian u, ascending."""
     if (u - u.herm_conj()).norm() > herm_tol:
         raise NotHermitianError("element is not Hermitian within tolerance")
-    return _jacobi_eigenvalues(gamma_rep(u))
+    return np.linalg.eigvalsh(gamma_rep(u))

@@ -18,6 +18,7 @@ blade); bases come out of a dense row reduction with partial pivoting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .algebra import (
     GRADES,
     N_BLADES,
     CliffordElement,
-    E,
     E_EXACT,
     J,
     J_EXACT,
@@ -203,32 +203,28 @@ def is_hermitian_idempotent(
     return ok, residuals
 
 
+@cache
+def _idempotent_table(exact: bool) -> dict[str, CliffordElement]:
+    """The reference idempotents t1..t4, built once per mode from the exact table."""
+    if not exact:
+        return {label: t.to_float() for label, t in _idempotent_table(True).items()}
+    e = E_EXACT
+    e0 = CliffordElement.from_blade("e0", RC_ONE, exact=True)
+    e12 = CliffordElement.from_blade("e12", RC_ONE, exact=True)
+    e012 = CliffordElement.from_blade("e012", RC_ONE, exact=True)
+    quarter = RationalComplex(1) / RationalComplex(4)
+    half = RationalComplex(1) / RationalComplex(2)
+    return {
+        "t1": ((e + e0) * (e + RC_I * e12)) * quarter,
+        "t2": (e + e0) * half,
+        "t3": (e * 3 + e0 + RC_I * e12 - RC_I * e012) * quarter,
+        "t4": e,
+    }
+
+
 def fixed_idempotent(label: str, exact: bool = False) -> HermitianIdempotent:
     """One of the four reference idempotents t1..t4."""
-    if exact:
-        e = E_EXACT
-        e0 = CliffordElement.from_blade("e0", RC_ONE, exact=True)
-        e12 = CliffordElement.from_blade("e12", RC_ONE, exact=True)
-        e012 = CliffordElement.from_blade("e012", RC_ONE, exact=True)
-        quarter = RationalComplex(1) / RationalComplex(4)
-        half = RationalComplex(1) / RationalComplex(2)
-        table = {
-            "t1": ((e + e0) * (e + RC_I * e12)) * quarter,
-            "t2": (e + e0) * half,
-            "t3": (e * 3 + e0 + RC_I * e12 - RC_I * e012) * quarter,
-            "t4": e,
-        }
-    else:
-        e = E
-        e0 = CliffordElement.from_blade("e0")
-        e12 = CliffordElement.from_blade("e12")
-        e012 = CliffordElement.from_blade("e012")
-        table = {
-            "t1": ((e + e0) * (e + 1j * e12)) * 0.25,
-            "t2": (e + e0) * 0.5,
-            "t3": (e * 3 + e0 + 1j * e12 - 1j * e012) * 0.25,
-            "t4": e,
-        }
+    table = _idempotent_table(exact)
     if label not in table:
         raise ValueError(f"unknown idempotent label {label!r}")
     return HermitianIdempotent(table[label], label)

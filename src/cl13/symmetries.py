@@ -23,8 +23,11 @@ configuration solves the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 from .algebra import (
     BETA,
@@ -39,7 +42,6 @@ from .fields import (
     CliffordField,
     ConstantField,
     DerivativeMode,
-    EquationResidual,
     FieldFamily,
     MappedField,
     ProductField,
@@ -47,8 +49,10 @@ from .fields import (
     ScaledField,
     SumField,
     TwoYangMillsFieldSet,
-    _point_key,
+    _aggregate,
+    _total,
     bianchi_current_check,
+    current_vector,
     two_yang_mills_residual_components,
 )
 from .rep import inverse
@@ -135,6 +139,23 @@ def _conjugate_by(uinv: CliffordField, f: CliffordField, u: CliffordField) -> Cl
     return ProductField(ProductField(uinv, f), u)
 
 
+def _gauge_action(u, uinv, pot, strength):
+    """P_mu -> U^{-1} P_mu U - U^{-1} d_mu U and X_{mu nu} -> U^{-1} X_{mu nu} U."""
+    p = tuple(
+        SumField(
+            (
+                _conjugate_by(uinv, pot[mu], u),
+                ScaledField(-1.0, ProductField(uinv, u.partial(mu))),
+            )
+        )
+        for mu in range(4)
+    )
+    x = tuple(
+        tuple(_conjugate_by(uinv, strength[mu][nu], u) for nu in range(4)) for mu in range(4)
+    )
+    return p, x
+
+
 def apply_transformation(
     fs: TwoYangMillsFieldSet, spec: TransformationSpec
 ) -> TwoYangMillsFieldSet:
@@ -142,86 +163,45 @@ def apply_transformation(
     kind = spec.kind
     if kind in ("global_unitary", "gauge_unitary"):
         u, uinv = spec.payload_fields()
-        phi = ProductField(fs.phi, u)
-        a = tuple(
-            SumField(
-                (
-                    _conjugate_by(uinv, fs.a[mu], u),
-                    ScaledField(-1.0, ProductField(uinv, u.partial(mu))),
-                )
-            )
-            for mu in range(4)
-        )
-        f = tuple(
-            tuple(_conjugate_by(uinv, fs.f[mu][nu], u) for nu in range(4))
-            for mu in range(4)
-        )
+        a, f = _gauge_action(u, uinv, fs.a, fs.f)
+        t_new = fs.t
         if kind == "global_unitary":
             u0 = spec.family.value((0.0, 0.0, 0.0, 0.0))
             t_new = HermitianIdempotent(inverse(u0) * fs.t.element * u0, None)
-        else:
-            t_new = fs.t
-        return TwoYangMillsFieldSet(
-            mass=fs.mass, t=t_new, phi=phi, h=fs.h, a=a, f=f, b=fs.b, g=fs.g
-        )
+        return replace(fs, t=t_new, phi=ProductField(fs.phi, u), a=a, f=f)
 
     if kind == "gauge_symplectic":
         w, winv = spec.payload_fields()
-        phi = ProductField(winv, fs.phi)
+        b, g = _gauge_action(w, winv, fs.b, fs.g)
         h = tuple(_conjugate_by(winv, fs.h[mu], w) for mu in range(4))
-        b = tuple(
-            SumField(
-                (
-                    _conjugate_by(winv, fs.b[mu], w),
-                    ScaledField(-1.0, ProductField(winv, w.partial(mu))),
-                )
-            )
-            for mu in range(4)
-        )
-        g = tuple(
-            tuple(_conjugate_by(winv, fs.g[mu][nu], w) for nu in range(4))
-            for mu in range(4)
-        )
-        return TwoYangMillsFieldSet(
-            mass=fs.mass, t=fs.t, phi=phi, h=h, a=fs.a, f=fs.f, b=b, g=g
-        )
+        return replace(fs, phi=ProductField(winv, fs.phi), h=h, b=b, g=g)
 
+    # conjugation and discrete_J conjugate every coefficient; discrete_J then
+    # twists phi, A and F by J.
+    conj = _conj_field
+    phi, a, f = conj(fs.phi), fs.a, fs.f
+    t_new = fs.t
     if kind == "conjugation":
-        conj = _conj_field
         t_new = HermitianIdempotent(fs.t.element.conj(), fs.t.label)
-        return TwoYangMillsFieldSet(
-            mass=fs.mass,
-            t=t_new,
-            phi=conj(fs.phi),
-            h=tuple(ScaledField(-1.0, conj(fs.h[mu])) for mu in range(4)),
-            a=tuple(conj(fs.a[mu]) for mu in range(4)),
-            f=tuple(tuple(conj(fs.f[mu][nu]) for nu in range(4)) for mu in range(4)),
-            b=tuple(conj(fs.b[mu]) for mu in range(4)),
-            g=tuple(tuple(conj(fs.g[mu][nu]) for nu in range(4)) for mu in range(4)),
+        a = tuple(conj(a[mu]) for mu in range(4))
+        f = tuple(tuple(conj(f[mu][nu]) for nu in range(4)) for mu in range(4))
+    else:
+        phi = ProductField(phi, _J_FIELD)
+        a = tuple(_conjugate_by(_JINV_FIELD, conj(a[mu]), _J_FIELD) for mu in range(4))
+        f = tuple(
+            tuple(_conjugate_by(_JINV_FIELD, conj(f[mu][nu]), _J_FIELD) for nu in range(4))
+            for mu in range(4)
         )
-
-    if kind == "discrete_J":
-        conj = _conj_field
-        return TwoYangMillsFieldSet(
-            mass=fs.mass,
-            t=fs.t,
-            phi=ProductField(conj(fs.phi), _J_FIELD),
-            h=tuple(ScaledField(-1.0, conj(fs.h[mu])) for mu in range(4)),
-            a=tuple(
-                _conjugate_by(_JINV_FIELD, conj(fs.a[mu]), _J_FIELD) for mu in range(4)
-            ),
-            f=tuple(
-                tuple(
-                    _conjugate_by(_JINV_FIELD, conj(fs.f[mu][nu]), _J_FIELD)
-                    for nu in range(4)
-                )
-                for mu in range(4)
-            ),
-            b=tuple(conj(fs.b[mu]) for mu in range(4)),
-            g=tuple(tuple(conj(fs.g[mu][nu]) for nu in range(4)) for mu in range(4)),
-        )
-
-    raise ValueError(f"unknown transformation kind {kind!r}")
+    return replace(
+        fs,
+        t=t_new,
+        phi=phi,
+        h=tuple(ScaledField(-1.0, conj(fs.h[mu])) for mu in range(4)),
+        a=a,
+        f=f,
+        b=tuple(conj(fs.b[mu]) for mu in range(4)),
+        g=tuple(tuple(conj(fs.g[mu][nu]) for nu in range(4)) for mu in range(4)),
+    )
 
 
 def expected_residual_transform(
@@ -273,28 +253,26 @@ def covariance_check(
     configuration so solution and non-solution runs are distinguishable.
     """
     transformed = apply_transformation(fs, spec)
-    equations: dict[str, EquationResidual] = {}
     before_scale = 0.0
-    for x in points:
+
+    def mismatch(x):
+        nonlocal before_scale
         before = two_yang_mills_residual_components(fs, x, deriv)
         after = two_yang_mills_residual_components(transformed, x, deriv)
-        for eq, comps in before.items():
-            for idx, r_before in comps.items():
-                before_scale = max(before_scale, r_before.norm())
-                expected = expected_residual_transform(spec, eq, r_before, x)
-                mismatch = (after[eq][idx] - expected).norm()
-                cur = equations.get(eq)
-                if cur is None or mismatch > cur.max_residual:
-                    equations[eq] = EquationResidual(mismatch, _point_key(x))
-    return ResidualRecord(
-        equations,
-        {
-            "kind": spec.kind,
-            "points": len(points),
-            "original_residual_scale": before_scale,
-            "derivatives": deriv.describe(),
-        },
-    )
+        before_scale = max(
+            before_scale, *(r.norm() for comps in before.values() for r in comps.values())
+        )
+        return {
+            eq: {
+                idx: after[eq][idx] - expected_residual_transform(spec, eq, r, x)
+                for idx, r in comps.items()
+            }
+            for eq, comps in before.items()
+        }
+
+    rec = _aggregate(mismatch, points, {"kind": spec.kind, "derivatives": deriv.describe()})
+    rec.metadata["original_residual_scale"] = before_scale
+    return rec
 
 
 # -- bilinear covariants --------------------------------------------------------
@@ -324,18 +302,12 @@ def _permutations_with_sign(items: tuple[int, ...]):
 
 def antisymmetrized_product(h_vals, indices: tuple[int, ...]) -> CliffordElement:
     """h^{[mu1} ... h^{muk]} with 1/k! normalization."""
-    k = len(indices)
     exact = all(h.exact for h in h_vals)
-    total = None
-    for sign, perm in _permutations_with_sign(tuple(indices)):
-        prod = None
-        for mu in perm:
-            prod = h_vals[mu] if prod is None else prod * h_vals[mu]
-        term = prod * sign
-        total = term if total is None else total + term
-    fact = 1
-    for j in range(2, k + 1):
-        fact *= j
+    total = _total(
+        reduce(operator.mul, (h_vals[mu] for mu in perm)) * sign
+        for sign, perm in _permutations_with_sign(tuple(indices))
+    )
+    fact = math.factorial(len(indices))
     scale = Fraction(1, fact) if exact else 1.0 / fact
     return total * scale
 
@@ -360,13 +332,6 @@ def bilinear_form(
     return BilinearForm(k, tuple(indices), core * factor)
 
 
-def current_vector(phi: CliffordElement, h_vals) -> list[CliffordElement]:
-    """i J^mu = phi^dag beta i h^mu phi, returned as the four iJ values."""
-    return [
-        phi.herm_conj() * BETA * (1j * h_vals[mu]) * phi for mu in range(4)
-    ]
-
-
 def check_current_conservation(
     fs: TwoYangMillsFieldSet, points, deriv: DerivativeMode = EXACT
 ) -> ResidualRecord:
@@ -378,16 +343,15 @@ def check_current_conservation(
     """
     phi_scale = max(fs.phi.value(x).norm() for x in points)
     if phi_scale <= 1e-14:
-        worst = 0.0
-        at = _point_key(points[0])
-        for x in points:
-            j_vals = current_vector(fs.phi.value(x), [f.value(x) for f in fs.h])
-            worst = max(worst, max(v.norm() for v in j_vals))
-        rec = ResidualRecord(
-            {"current_conservation": EquationResidual(worst, at)},
-            {"trivial": True, "points": len(points)},
+        return _aggregate(
+            lambda x: {
+                "current_conservation": dict(
+                    enumerate(current_vector(fs.phi.value(x), [f.value(x) for f in fs.h]))
+                )
+            },
+            points,
+            {"trivial": True},
         )
-        return rec
     rec = bianchi_current_check(fs.a, points, deriv)
     rec.metadata["trivial"] = False
     return rec

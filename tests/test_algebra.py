@@ -153,6 +153,13 @@ def test_exp_basics():
         exp_element(E, tol=0.0)
 
 
+@pytest.mark.parametrize("coeff", [np.inf, -np.inf, np.nan, 1e300])
+def test_exp_rejects_non_finite_input(coeff):
+    # 1e300 is finite, but its squared norm overflows.
+    with pytest.raises(ValueError, match="finite"):
+        exp_element(blade("e12", coeff))
+
+
 def test_exp_additivity_on_commuting(rng):
     # e12 and e03 commute (disjoint even blades).
     u = blade("e12") * 0.7

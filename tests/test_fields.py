@@ -1,5 +1,7 @@
 """Field families, pure-gauge construction, residuals and the reduction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,29 @@ def test_random_nonsolution_has_order_one_residuals(t2):
     pts = sample_points(3, 4)
     rec = two_yang_mills_residuals(fs, pts)
     assert rec.max_residual > 1e-2
+
+
+def test_each_two_yang_mills_equation_detects_a_nonsolution(t2):
+    # A shared operator that zeroed one equation would hide behind the
+    # others in the maximum, so every equation is checked on its own.
+    fs = random_two_yang_mills_set(31, t2, 1.0)
+    rec = two_yang_mills_residuals(fs, sample_points(3, 4))
+    assert set(rec.equations) == {
+        "dirac", "curvature_a", "source_a", "curvature_b", "source_b"
+    }
+    for eq, res in rec.equations.items():
+        assert res.max_residual > 1e-2, eq
+
+
+def test_each_reduction_identity_detects_a_bumped_potential(reduced, points):
+    bump = ConstantField(CliffordElement.from_blade("e12", 0.1))
+    bumped = replace(reduced, b=(SumField((reduced.b[0], bump)),) + reduced.b[1:])
+    rec = check_reduction_identities(bumped, points[:4])
+    assert set(rec.equations) == {
+        "h_b_transport", "b_curvature_consistency", "h_conservation"
+    }
+    for eq, res in rec.equations.items():
+        assert res.max_residual > 1e-2, eq
 
 
 def test_trig_family_reduction(t2):

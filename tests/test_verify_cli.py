@@ -140,3 +140,34 @@ def test_family_json_config(family):
     cfg = ScenarioConfig(suite="convergence", family=family.to_json_obj(), seed=3)
     fams = cfg.resolve_families()
     assert len(fams) == 1
+
+
+def test_cli_config_top_level_must_be_object(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    assert main(["verify", "idempotents", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_malformed_family_file(tmp_path):
+    # The poly term carries its powers but no coefficient.
+    fam = {
+        "factors": [
+            {
+                "generator": {"e12": [0.5, 0.0]},
+                "shape": {"type": "poly", "coeffs": [[[1, 0, 0, 0]]]},
+            }
+        ]
+    }
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(fam))
+    assert main(["verify", "reduction", "--family", str(fam_path)]) == 2
+
+
+def test_cli_nan_tolerance():
+    assert main(["verify", "idempotents", "--tol", "nan"]) == 2
+
+
+def test_cli_negative_exact_tolerance(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tolerances": {"exact": -1.0}}))
+    assert main(["verify", "idempotents", "--config", str(cfg_path)]) == 2
