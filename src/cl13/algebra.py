@@ -7,10 +7,12 @@ basis blades are ordered lexicographically by mask:
 
     e, e0, e1, e01, e2, e02, e12, e012, e3, e03, e13, e013, e23, e023, e123, e0123
 
-An element carries 16 complex coefficients, either as a numpy complex128
-vector (float mode) or as a tuple of RationalComplex (exact mode).  Float
-mode is for field evaluation; exact mode certifies algebraic identities
-with zero rounding.
+A float element is stored as its Dirac matrix (see ``BLADE_REPS``): shape
+(4, 4), or (N, 4, 4) for a stack of N values such as a field over a point
+set, so the product is a matrix product.  Blade coefficients are read off
+by the trace formula only where they are needed.  An exact element
+carries 16 RationalComplex coefficients and certifies algebraic
+identities with zero rounding; it is the oracle of the float mode.
 
 Involutions:
   * pseudo-Hermitian conjugation ``pseudo_conj`` fixes each generator,
@@ -23,7 +25,9 @@ Involutions:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -97,27 +101,73 @@ for _a in range(N_BLADES):
         _SIGNS[_a, _b] = _s
         _PROD_MASK[_a, _b] = _m
 
-# 256 x 16 scatter matrix so a float-mode product is one matrix multiply:
-# coeffs(UV) = outer(coeffs(U), coeffs(V)).ravel() @ _MUL_MATRIX
-_MUL_MATRIX = np.zeros((N_BLADES * N_BLADES, N_BLADES))
-for _a in range(N_BLADES):
-    for _b in range(N_BLADES):
-        _MUL_MATRIX[_a * N_BLADES + _b, _PROD_MASK[_a, _b]] = _SIGNS[_a, _b]
 
-_REV_SIGNS_F = np.array(REVERSION_SIGNS, dtype=float)
+# -- the Dirac representation ------------------------------------------------
+#
+# rep(e0) = diag(+1, +1, -1, -1) and rep(ek) = [[0, sigma_k], [-sigma_k, 0]].
+# rep(e0) is self-adjoint and rep(ek) skew-adjoint, so the conjugate
+# transpose of rep(U) is rep(herm_conj(U)).  Blade matrices are unitary and
+# pairwise trace-orthogonal, so coeff_A(M) = tr(rep(blade_A)^dagger M) / 4
+# and |coeffs| = |M|_F / 2.
+
+_SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+_GAMMA = [np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)]
+for _k in range(3):
+    _g = np.zeros((4, 4), dtype=complex)
+    _g[:2, 2:] = _SIGMA[_k]
+    _g[2:, :2] = -_SIGMA[_k]
+    _GAMMA.append(_g)
+
+BLADE_REPS = np.zeros((N_BLADES, 4, 4), dtype=complex)
+for _mask in range(N_BLADES):
+    _rep = np.eye(4, dtype=complex)
+    for _a in _bits(_mask):
+        _rep = _rep @ _GAMMA[_a]
+    BLADE_REPS[_mask] = _rep
+
+# coefficients (..., 16) @ _TO_MATRIX -> flattened matrices (..., 16), and back
+_TO_MATRIX = BLADE_REPS.reshape(N_BLADES, 16)
+_TO_COEFFS = _TO_MATRIX.conj().T / 4
+# pseudo_conj is gamma0 M^dagger gamma0, an entrywise sign since gamma0 is diagonal
+_GAMMA0_SIGNS = np.outer(np.diag(_GAMMA[0]), np.diag(_GAMMA[0]))
+# complex_conj is C conj(M) C^-1 with C = rep(e013): C commutes with the real
+# matrices rep(e0), rep(e1), rep(e3) and anticommutes with the imaginary rep(e2)
+_CONJ = BLADE_REPS[label_to_mask("e013")]
+_CONJ_INV = _CONJ.conj().T
+_IDENTITY = BLADE_REPS[0]
 
 
 def _coerce_scalar_exact(value) -> RationalComplex:
     return RationalComplex.from_value(value)
 
 
-class CliffordElement:
-    """A value of Cl(1,3): 16 coefficients over the blade basis.
+def _mask_of(blade) -> int:
+    mask = label_to_mask(blade) if isinstance(blade, str) else int(blade)
+    if not 0 <= mask < N_BLADES:
+        raise ValueError(f"blade mask out of range: {mask}")
+    return mask
 
-    Immutable. ``exact`` selects rational-coefficient arithmetic.
+
+def _frobenius_half(mat):
+    """|M|_F / 2 over the last two axes: the coefficient norm of a float element."""
+    return np.linalg.norm(mat, axis=(-2, -1)) / 2
+
+
+class CliffordElement:
+    """A value of Cl(1,3) over the 16-blade basis.
+
+    Immutable. ``exact`` selects rational-coefficient arithmetic; a float
+    element holds its Dirac matrix, or a stack of them (then norms and
+    coefficients carry the same leading axis).
     """
 
-    __slots__ = ("_coeffs", "exact")
+    __slots__ = ("_coeffs", "_mat", "exact")
+    __array_ufunc__ = None  # array * element defers to __rmul__
 
     def __init__(self, coeffs, exact: bool = False):
         if exact:
@@ -127,14 +177,26 @@ class CliffordElement:
             object.__setattr__(self, "_coeffs", data)
         else:
             arr = np.asarray(
-                [complex(c) for c in coeffs] if not isinstance(coeffs, np.ndarray) else coeffs,
+                coeffs if isinstance(coeffs, np.ndarray) else [complex(c) for c in coeffs],
                 dtype=complex,
-            ).copy()
-            if arr.shape != (N_BLADES,):
+            )
+            if arr.shape[-1:] != (N_BLADES,):
                 raise ValueError("need exactly 16 coefficients")
-            arr.flags.writeable = False
-            object.__setattr__(self, "_coeffs", arr)
+            if not np.isfinite(arr).all():
+                raise ValueError("a float element needs finite coefficients")
+            mat = (arr @ _TO_MATRIX).reshape(arr.shape[:-1] + (4, 4))
+            mat.flags.writeable = False
+            object.__setattr__(self, "_mat", mat)
         object.__setattr__(self, "exact", exact)
+
+    @classmethod
+    def _from_matrix(cls, mat: np.ndarray) -> "CliffordElement":
+        """The float element whose Dirac matrix (or stack of them) is mat."""
+        out = object.__new__(cls)
+        mat.flags.writeable = False
+        object.__setattr__(out, "_mat", mat)
+        object.__setattr__(out, "exact", False)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordElement is immutable")
@@ -143,45 +205,41 @@ class CliffordElement:
 
     @classmethod
     def zero(cls, exact: bool = False) -> "CliffordElement":
-        if exact:
-            return cls([RationalComplex(0)] * N_BLADES, exact=True)
-        return cls(np.zeros(N_BLADES, dtype=complex))
+        return cls.from_coeff_map({}, exact)
 
     @classmethod
     def from_blade(cls, blade, coeff=1, exact: bool = False) -> "CliffordElement":
-        mask = label_to_mask(blade) if isinstance(blade, str) else int(blade)
-        if not 0 <= mask < N_BLADES:
-            raise ValueError(f"blade mask out of range: {mask}")
-        if exact:
-            coeffs = [RationalComplex(0)] * N_BLADES
-            coeffs[mask] = _coerce_scalar_exact(coeff)
-            return cls(coeffs, exact=True)
-        arr = np.zeros(N_BLADES, dtype=complex)
-        arr[mask] = complex(coeff)
-        return cls(arr)
+        return cls.from_coeff_map({blade: coeff}, exact)
 
     @classmethod
     def from_coeff_map(cls, mapping, exact: bool = False) -> "CliffordElement":
         """Build from {blade label or mask: coefficient}."""
-        out = cls.zero(exact)
+        coeffs = [RationalComplex(0) if exact else 0j] * N_BLADES
         for blade, coeff in mapping.items():
-            out = out + cls.from_blade(blade, coeff, exact)
-        return out
+            mask = _mask_of(blade)
+            add = _coerce_scalar_exact(coeff) if exact else complex(coeff)
+            coeffs[mask] = coeffs[mask] + add
+        return cls(coeffs, exact)
 
     # -- mode handling -----------------------------------------------------
 
     def to_float(self) -> "CliffordElement":
         if not self.exact:
             return self
-        return CliffordElement(np.array([complex(c) for c in self._coeffs]), exact=False)
+        return CliffordElement([complex(c) for c in self._coeffs])
 
     def coefficient(self, blade):
-        mask = label_to_mask(blade) if isinstance(blade, str) else int(blade)
-        return self._coeffs[mask]
+        if self.exact:
+            return self._coeffs[_mask_of(blade)]
+        return self.coefficients()[..., _mask_of(blade)]
 
     def coefficients(self):
-        """The 16 coefficients in mask order (numpy array in float mode)."""
-        return self._coeffs
+        """The 16 coefficients in mask order (a numpy array in float mode, by
+        the trace formula; shape (N, 16) for a stack)."""
+        if self.exact:
+            return self._coeffs
+        m = self._mat
+        return m.reshape(m.shape[:-2] + (16,)) @ _TO_COEFFS
 
     # -- ring operations ---------------------------------------------------
 
@@ -192,8 +250,7 @@ class CliffordElement:
             return CliffordElement(
                 [a + b for a, b in zip(self._coeffs, other._coeffs)], exact=True
             )
-        a, b = self.to_float(), other.to_float()
-        return CliffordElement(a._coeffs + b._coeffs)
+        return CliffordElement._from_matrix(self.to_float()._mat + other.to_float()._mat)
 
     def __sub__(self, other):
         if not isinstance(other, CliffordElement):
@@ -203,27 +260,28 @@ class CliffordElement:
     def __neg__(self):
         if self.exact:
             return CliffordElement([-c for c in self._coeffs], exact=True)
-        return CliffordElement(-self._coeffs)
+        return CliffordElement._from_matrix(-self._mat)
 
     def _scalar_mul(self, scalar):
+        """Product with a scalar, or in float mode with an array of one
+        scalar per element of a stack."""
         if self.exact and isinstance(scalar, (int, Fraction, RationalComplex)):
             s = _coerce_scalar_exact(scalar)
             return CliffordElement([c * s for c in self._coeffs], exact=True)
-        return CliffordElement(self.to_float()._coeffs * complex(scalar))
+        scalar = scalar[..., None, None] if isinstance(scalar, np.ndarray) else complex(scalar)
+        return CliffordElement._from_matrix(self.to_float()._mat * scalar)
 
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
             if self.exact and other.exact:
                 return _mul_exact(self, other)
-            a, b = self.to_float(), other.to_float()
-            prod = np.outer(a._coeffs, b._coeffs).reshape(-1) @ _MUL_MATRIX
-            return CliffordElement(prod)
-        if isinstance(other, (int, float, complex, Fraction, RationalComplex)):
+            return CliffordElement._from_matrix(self.to_float()._mat @ other.to_float()._mat)
+        if isinstance(other, _SCALARS):
             return self._scalar_mul(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, RationalComplex)):
+        if isinstance(other, _SCALARS):
             return self._scalar_mul(other)
         return NotImplemented
 
@@ -245,51 +303,53 @@ class CliffordElement:
                 for m, c in enumerate(self._coeffs)
             ]
             return CliffordElement(coeffs, exact=True)
-        keep = np.array([GRADES[m] == k for m in range(N_BLADES)])
-        return CliffordElement(np.where(keep, self._coeffs, 0.0))
+        return CliffordElement(np.where(np.array(GRADES) == k, self.coefficients(), 0.0))
 
     # -- involutions ---------------------------------------------------------
 
     def pseudo_conj(self) -> "CliffordElement":
-        """The * operation: antilinear antiautomorphism fixing each e^a."""
+        """The * operation: antilinear antiautomorphism fixing each e^a
+        (gamma0 M^dagger gamma0 on the Dirac matrix)."""
         if self.exact:
             return CliffordElement(
                 [c.conjugate() * REVERSION_SIGNS[m] for m, c in enumerate(self._coeffs)],
                 exact=True,
             )
-        return CliffordElement(self._coeffs.conj() * _REV_SIGNS_F)
+        return CliffordElement._from_matrix(_dagger(self._mat) * _GAMMA0_SIGNS)
 
     def herm_conj(self) -> "CliffordElement":
-        """Hermitian conjugation U -> beta U* beta, beta = e0."""
-        beta = E0_EXACT if self.exact else E0
-        return beta * self.pseudo_conj() * beta
+        """Hermitian conjugation U -> beta U* beta, beta = e0 (M^dagger)."""
+        if self.exact:
+            return E0_EXACT * self.pseudo_conj() * E0_EXACT
+        return CliffordElement._from_matrix(_dagger(self._mat))
 
     def conj(self) -> "CliffordElement":
         """Complex conjugation: coefficients conjugate, blades fixed."""
         if self.exact:
             return CliffordElement([c.conjugate() for c in self._coeffs], exact=True)
-        return CliffordElement(self._coeffs.conj())
+        return CliffordElement._from_matrix(_CONJ @ self._mat.conj() @ _CONJ_INV)
 
     # -- metrics -------------------------------------------------------------
 
-    def norm(self) -> float:
-        """Euclidean norm of the 16 coefficients."""
+    def norm(self):
+        """Euclidean norm of the 16 coefficients (one per element of a stack)."""
         if self.exact:
             s = sum((c.abs_sq() for c in self._coeffs), Fraction(0))
             return math.sqrt(float(s)) if s else 0.0
-        return float(np.linalg.norm(self._coeffs))
+        return _frobenius_half(self._mat)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.exact:
             return all(not c for c in self._coeffs)
-        return bool(np.max(np.abs(self._coeffs)) <= tol)
+        return bool(np.max(np.abs(self.coefficients())) <= tol)
 
     def equals(self, other: "CliffordElement", tol: float = DEFAULT_TOL) -> bool:
-        """Exact equality in exact mode, absolute tolerance otherwise."""
+        """Exact equality in exact mode, absolute tolerance on the
+        coefficients otherwise."""
         if self.exact and other.exact:
             return self._coeffs == other._coeffs
         a, b = self.to_float(), other.to_float()
-        return bool(np.max(np.abs(a._coeffs - b._coeffs)) <= tol)
+        return bool(np.max(np.abs(a.coefficients() - b.coefficients())) <= tol)
 
     def __eq__(self, other):
         if not isinstance(other, CliffordElement):
@@ -298,7 +358,7 @@ class CliffordElement:
             return False
         if self.exact:
             return self._coeffs == other._coeffs
-        return bool(np.array_equal(self._coeffs, other._coeffs))
+        return bool(np.array_equal(self._mat, other._mat))
 
     __hash__ = None
 
@@ -307,33 +367,39 @@ class CliffordElement:
     def to_json_obj(self) -> dict:
         """JSON object {blade label: [re, im]} over the nonzero coefficients."""
         out = {}
-        for mask in range(N_BLADES):
-            c = complex(self._coeffs[mask])
+        for mask, c in enumerate(self.coefficients()):
+            c = complex(c)
             if c != 0:
                 out[BLADE_LABELS[mask]] = [c.real, c.imag]
         return out
 
     @classmethod
     def from_json_obj(cls, obj: dict, exact: bool = False) -> "CliffordElement":
-        mapping = {}
-        for label, pair in obj.items():
-            re, im = pair
-            if exact:
-                mapping[label] = RationalComplex(Fraction(re), Fraction(im))
-            else:
-                mapping[label] = complex(re, im)
-        return cls.from_coeff_map(mapping, exact)
+        def coeff(re, im):
+            return RationalComplex(Fraction(re), Fraction(im)) if exact else complex(re, im)
+
+        return cls.from_coeff_map({label: coeff(*pair) for label, pair in obj.items()}, exact)
 
     def __repr__(self):
+        if not self.exact and self._mat.ndim > 2:
+            return f"<stack of {len(self._mat)} float elements>"
         terms = []
-        for mask in range(N_BLADES):
-            c = self._coeffs[mask]
+        for mask, c in enumerate(self.coefficients()):
             if (not c) if self.exact else c == 0:
                 continue
             terms.append(f"({c})*{BLADE_LABELS[mask]}")
         body = " + ".join(terms) if terms else "0"
         mode = "exact" if self.exact else "float"
         return f"<{body} [{mode}]>"
+
+
+# Scalars an element multiplies by; an array holds one scalar per element
+# of a float stack.
+_SCALARS = (int, float, complex, Fraction, RationalComplex, np.ndarray)
+
+
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mat, -1, -2).conj()
 
 
 def _mul_exact(u: CliffordElement, v: CliffordElement) -> CliffordElement:
@@ -361,11 +427,7 @@ def linear_combine(terms) -> CliffordElement:
     terms = list(terms)
     if not terms:
         return CliffordElement.zero()
-    out = None
-    for scalar, elem in terms:
-        part = elem * scalar
-        out = part if out is None else out + part
-    return out
+    return reduce(operator.add, (elem * scalar for scalar, elem in terms))
 
 
 def grade_project(u: CliffordElement, k: int) -> CliffordElement:
@@ -392,41 +454,44 @@ def anticommutator(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     return u * v + v * u
 
 
-def norm(u: CliffordElement) -> float:
+def norm(u: CliffordElement):
     return u.norm()
 
 
 def exp_element(
     u: CliffordElement, tol: float = 1e-15, max_terms: int = 200
 ) -> CliffordElement:
-    """exp(u) by scaling-and-squaring over the power series.
+    """exp(u) by scaling-and-squaring over the power series of the matrix.
 
-    Always computed in float mode (the series is not rational).  Raises
-    ValueError when a coefficient is not finite or the norm overflows.
+    Always computed in float mode (the series is not rational); a stack is
+    exponentiated element by element, each with its own scaling.  Raises
+    ValueError when the norm of u or the exponential overflows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     u = u.to_float()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         n = u.norm()
-    if not math.isfinite(n):
+    if not np.all(np.isfinite(n)):
         raise ValueError(f"exp_element needs finite coefficients with a finite norm, got norm {n}")
-    squarings = max(0, int(math.ceil(math.log2(n)))) if n > 1.0 else 0
-    v = u * (0.5**squarings)
-    total = E
-    term = E
+    squarings = np.where(n > 1.0, np.ceil(np.log2(np.maximum(n, 1.0))), 0.0).astype(int)
+    v = u._mat * (0.5**squarings)[..., None, None]
+    total = term = _IDENTITY
     for k in range(1, max_terms + 1):
-        term = term * v * (1.0 / k)
+        term = term @ v * (1.0 / k)
         total = total + term
-        if term.norm() < tol:
+        if np.max(_frobenius_half(term)) < tol:
             break
     else:
         raise ExpConvergenceError(
             f"exp series did not reach tol={tol} within {max_terms} terms"
         )
-    for _ in range(squarings):
-        total = total * total
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(int(np.max(squarings))):
+            total = np.where((j < squarings)[..., None, None], total @ total, total)
+    if not np.all(np.isfinite(total)):
+        raise ValueError(f"exp_element overflows: exp of an element of norm {np.max(n):g} is not finite")
+    return CliffordElement._from_matrix(total)
 
 
 def random_element(rng: np.random.Generator, scale: float = 1.0) -> CliffordElement:

@@ -47,6 +47,7 @@ from .algebra import (
     E,
     METRIC_DIAG,
     CliffordElement,
+    anticommutator,
     commutator,
     exp_element,
     generators,
@@ -92,33 +93,54 @@ def fd_mode(step: float, richardson: bool) -> DerivativeMode:
 # -- differentiable Clifford-valued fields ------------------------------------
 
 
-def _point_key(x) -> tuple:
-    return (float(x[0]), float(x[1]), float(x[2]), float(x[3]))
+class PointSet:
+    """One point (shape (4,)) or N points (shape (N, 4)), and the value of
+    every field node evaluated on them so far.
+
+    One pass (a residual or identity call) owns one PointSet, so a node
+    shared by its equations is evaluated once; no node holds point values.
+    """
+
+    __slots__ = ("x", "values", "_shifts")
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=float)
+        self.values: dict[CliffordField, CliffordElement] = {}
+        self._shifts: dict[tuple[int, float], PointSet] = {}
+
+    def shifted(self, mu: int, h: float) -> "PointSet":
+        """The same points moved by h along axis mu, built once per pass."""
+        out = self._shifts.get((mu, h))
+        if out is None:
+            x = self.x.copy()
+            x[..., mu] += h
+            out = self._shifts[(mu, h)] = PointSet(x)
+        return out
+
+
+def _as_points(x) -> PointSet:
+    return x if isinstance(x, PointSet) else PointSet(x)
 
 
 class CliffordField:
     """Clifford-valued field on R^{1,3} with structural exact derivatives.
 
-    Values are memoized per point (small capped cache); ``partial`` nodes
-    are built once and shared, so repeated evaluation across equations
-    reuses subexpressions.
+    ``value`` takes one point, an (N, 4) array of points or a PointSet and
+    returns one element or a stack of N; values are memoized in the
+    PointSet.  ``partial`` nodes are built once and shared, so repeated
+    evaluation across equations reuses subexpressions.
     """
 
-    __slots__ = ("_partials", "_cache")
+    __slots__ = ("_partials",)
 
     def __init__(self):
         self._partials: dict[int, CliffordField] = {}
-        self._cache: dict[tuple, CliffordElement] = {}
 
     def value(self, x) -> CliffordElement:
-        key = _point_key(x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        val = self._evaluate(np.asarray(x, dtype=float))
-        if len(self._cache) > 64:
-            self._cache.clear()
-        self._cache[key] = val
+        points = _as_points(x)
+        val = points.values.get(self)
+        if val is None:
+            val = points.values[self] = self._evaluate(points)
         return val
 
     def partial(self, mu: int) -> "CliffordField":
@@ -128,7 +150,7 @@ class CliffordField:
             self._partials[mu] = f
         return f
 
-    def _evaluate(self, x: np.ndarray) -> CliffordElement:
+    def _evaluate(self, points: PointSet) -> CliffordElement:
         raise NotImplementedError
 
     def _differentiate(self, mu: int) -> "CliffordField":
@@ -158,7 +180,7 @@ class ConstantField(CliffordField):
         super().__init__()
         self.element = element.to_float()
 
-    def _evaluate(self, x):
+    def _evaluate(self, points):
         return self.element
 
     def _differentiate(self, mu):
@@ -175,8 +197,8 @@ class ShapeField(CliffordField):
         self.shape = shape
         self.element = element.to_float()
 
-    def _evaluate(self, x):
-        return self.element * self.shape.value(x)
+    def _evaluate(self, points):
+        return self.element * self.shape.value(points.x)
 
     def _differentiate(self, mu):
         return ShapeField(self.shape.deriv(mu), self.element)
@@ -189,11 +211,8 @@ class SumField(CliffordField):
         super().__init__()
         self.parts = tuple(parts)
 
-    def _evaluate(self, x):
-        total = self.parts[0].value(x)
-        for p in self.parts[1:]:
-            total = total + p.value(x)
-        return total
+    def _evaluate(self, points):
+        return _total(p.value(points) for p in self.parts)
 
     def _differentiate(self, mu):
         return SumField(tuple(p.partial(mu) for p in self.parts))
@@ -207,8 +226,8 @@ class ScaledField(CliffordField):
         self.factor = complex(factor)
         self.inner = inner
 
-    def _evaluate(self, x):
-        return self.inner.value(x) * self.factor
+    def _evaluate(self, points):
+        return self.inner.value(points) * self.factor
 
     def _differentiate(self, mu):
         return ScaledField(self.factor, self.inner.partial(mu))
@@ -222,8 +241,8 @@ class ProductField(CliffordField):
         self.left = left
         self.right = right
 
-    def _evaluate(self, x):
-        return self.left.value(x) * self.right.value(x)
+    def _evaluate(self, points):
+        return self.left.value(points) * self.right.value(points)
 
     def _differentiate(self, mu):
         return SumField(
@@ -244,8 +263,8 @@ class ExpField(CliffordField):
         self.generator = generator.to_float()
         self.shape = shape
 
-    def _evaluate(self, x):
-        return exp_element(self.generator * self.shape.value(x))
+    def _evaluate(self, points):
+        return exp_element(self.generator * self.shape.value(points.x))
 
     def _differentiate(self, mu):
         # v commutes with exp(v s), so d_mu exp(v s) = (d_mu s) v exp(v s).
@@ -262,8 +281,8 @@ class MappedField(CliffordField):
         self.inner = inner
         self.op = op
 
-    def _evaluate(self, x):
-        return self.op(self.inner.value(x))
+    def _evaluate(self, points):
+        return self.op(self.inner.value(points))
 
     def _differentiate(self, mu):
         return MappedField(self.inner.partial(mu), self.op)
@@ -286,21 +305,18 @@ def _total(terms) -> CliffordElement:
 
 
 def fd_derivative(func, x, mu: int, step: float, richardson: bool = True):
-    """Central difference of a point function of x along axis mu.
+    """Central difference along axis mu of a field's ``value`` at a point or
+    point set x (the whole set is shifted at once).
 
     With one Richardson level (steps h and h/2) the error is O(h^4) for
     smooth fields; without it, O(h^2).
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float)
+    points = _as_points(x)
 
     def central(h):
-        xp = x.copy()
-        xm = x.copy()
-        xp[mu] += h
-        xm[mu] -= h
-        return (func(xp) - func(xm)) * (0.5 / h)
+        return (func(points.shifted(mu, h)) - func(points.shifted(mu, -h))) * (0.5 / h)
 
     d1 = central(step)
     if not richardson:
@@ -327,14 +343,16 @@ class FieldFamily:
     """
 
     factors: tuple[tuple[CliffordElement, Shape], ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields: tuple[CliffordField, CliffordField] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "factors",
-            tuple((v.to_float(), s) for v, s in self.factors),
-        )
+        factors = tuple((v.to_float(), s) for v, s in self.factors)
+        object.__setattr__(self, "factors", factors)
+        # W and W^-1 are built once, so every use of the family shares their nodes.
+        w = [ExpField(v, s) for v, s in factors]
+        winv = [ExpField(-v, s) for v, s in reversed(factors)]
+        trees = (reduce(ProductField, t) if t else ConstantField(E) for t in (w, winv))
+        object.__setattr__(self, "_fields", tuple(trees))
 
     def validate_symplectic(self, tol: float = 1e-9) -> None:
         for v, _ in self.factors:
@@ -343,24 +361,10 @@ class FieldFamily:
                 raise ValueError(f"family generator leaves sp(cl(1,3)): residual {r:.3e}")
 
     def group_field(self) -> CliffordField:
-        f = self._cache.get("field")
-        if f is None:
-            if not self.factors:
-                f = ConstantField(E)
-            else:
-                f = reduce(ProductField, (ExpField(v, s) for v, s in self.factors))
-            self._cache["field"] = f
-        return f
+        return self._fields[0]
 
     def inverse_field(self) -> CliffordField:
-        f = self._cache.get("inverse")
-        if f is None:
-            if not self.factors:
-                f = ConstantField(E)
-            else:
-                f = reduce(ProductField, (ExpField(-v, s) for v, s in reversed(self.factors)))
-            self._cache["inverse"] = f
-        return f
+        return self._fields[1]
 
     def value(self, x) -> CliffordElement:
         return self.group_field().value(x)
@@ -394,6 +398,7 @@ def eval_family(family: FieldFamily, x, order: int = 0):
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     w = family.group_field()
+    x = _as_points(x)
     out = [w.value(x)]
     if order >= 1:
         out.append([w.partial(mu).value(x) for mu in range(4)])
@@ -624,8 +629,8 @@ def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
 # -- residual evaluation ---------------------------------------------------------
 #
 # Every residual is built from three covariant operators of a potential P,
-# evaluated at one point x: the curvature, the covariant derivative and the
-# metric-signed divergence.  ``pv`` holds the values P_mu(x).
+# evaluated over a PointSet x at once: the curvature, the covariant
+# derivative and the metric-signed divergence.  ``pv`` holds the values P_mu(x).
 
 
 def _values(fields, x):
@@ -682,7 +687,7 @@ def current_vector(phi: CliffordElement, h_vals) -> list[CliffordElement]:
 def model_residual_components(
     fs: ModelFieldSet, x, deriv: DerivativeMode = EXACT
 ) -> dict[str, dict[tuple, CliffordElement]]:
-    x = np.asarray(x, dtype=float)
+    x = _as_points(x)
     hv = _values(fs.h, x)
     cv = _values(fs.c, x)
     phi = fs.phi.value(x)
@@ -702,7 +707,7 @@ def model_residual_components(
 def two_yang_mills_residual_components(
     fs: TwoYangMillsFieldSet, x, deriv: DerivativeMode = EXACT
 ) -> dict[str, dict[tuple, CliffordElement]]:
-    x = np.asarray(x, dtype=float)
+    x = _as_points(x)
     hv = _values(fs.h, x)
     phi = fs.phi.value(x)
     m3 = SOURCE_COUPLING * fs.mass**3
@@ -749,17 +754,23 @@ class ResidualRecord:
         }
 
 
+def _peak(norms):
+    """Elementwise maximum of a non-empty sequence of norms (per point for a set)."""
+    return reduce(np.maximum, norms)
+
+
 def _aggregate(component_fn, points, metadata_extra=None) -> ResidualRecord:
+    """Evaluate the components once over the whole point set and keep, per
+    equation, the largest residual norm and the first point reaching it."""
+    points = _as_points(points)
+    n = len(points.x)
     equations: dict[str, EquationResidual] = {}
-    for x in points:
-        comps = component_fn(x)
-        for eq, by_index in comps.items():
-            worst = max(r.norm() for r in by_index.values())
-            cur = equations.get(eq)
-            if cur is None or worst > cur.max_residual:
-                equations[eq] = EquationResidual(worst, _point_key(x))
+    for eq, by_index in component_fn(points).items():
+        worst = np.broadcast_to(_peak(r.norm() for r in by_index.values()), n)
+        i = int(np.argmax(worst))
+        equations[eq] = EquationResidual(float(worst[i]), tuple(float(c) for c in points.x[i]))
     meta = dict(metadata_extra or {})
-    meta["points"] = len(points)
+    meta["points"] = n
     return ResidualRecord(equations, meta)
 
 
@@ -783,11 +794,11 @@ def two_yang_mills_residuals(
     )
     # Certify the sourced equation is non-trivial: record the right-hand
     # side norm scale (3/16)|m|^3 * |i h^nu| at the first sample point.
-    if len(points):
-        x0 = points[0]
-        m3 = SOURCE_COUPLING * abs(fs.mass) ** 3
-        rhs = max((fs.h[nu].value(x0) * (1j * m3)).norm() for nu in range(4))
-        rec.metadata["source_b_rhs_norm"] = rhs
+    x0 = _as_points(points).x[0]
+    m3 = SOURCE_COUPLING * abs(fs.mass) ** 3
+    rec.metadata["source_b_rhs_norm"] = max(
+        (fs.h[nu].value(x0) * (1j * m3)).norm() for nu in range(4)
+    )
     return rec
 
 
@@ -795,32 +806,31 @@ def two_yang_mills_residuals(
 
 
 def check_h_identities(h_vals) -> dict[str, float]:
-    """Residuals of the three h identities at one point.
+    """Residuals of the three h identities at one point (per point for stacks).
 
     h^mu h^nu + h^nu h^mu = 2 eta^{mu nu} e ; (1/4) h^mu h_mu = e ;
     h^mu h^nu h_mu = h_mu h^nu h^mu = -2 h^nu (sum over mu).
     """
     e = unit(h_vals[0].exact)
-    clifford = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            target = e * (2 * METRIC_DIAG[mu]) if mu == nu else None
-            r = h_vals[mu] * h_vals[nu] + h_vals[nu] * h_vals[mu]
-            if target is not None:
-                r = r - target
-            clifford = max(clifford, r.norm())
+    clifford = _peak(
+        (anticommutator(h_vals[mu], h_vals[nu]) - e * (2 * METRIC_DIAG[mu] * (mu == nu))).norm()
+        for mu in range(4)
+        for nu in range(4)
+    )
 
     h_lower = [h_vals[mu] * METRIC_DIAG[mu] for mu in range(4)]
     contraction = _total(h_vals[mu] * h_lower[mu] for mu in range(4))
     quarter = Fraction(1, 4) if contraction.exact else 0.25
     contraction_res = (contraction * quarter - e).norm()
 
-    sandwich = 0.0
-    for nu in range(4):
-        left = _total(h_vals[mu] * h_vals[nu] * h_lower[mu] for mu in range(4))
-        right = _total(h_lower[mu] * h_vals[nu] * h_vals[mu] for mu in range(4))
-        target = h_vals[nu] * (-2)
-        sandwich = max(sandwich, (left - target).norm(), (right - target).norm())
+    sandwich = _peak(
+        (side - h_vals[nu] * (-2)).norm()
+        for nu in range(4)
+        for side in (
+            _total(h_vals[mu] * h_vals[nu] * h_lower[mu] for mu in range(4)),
+            _total(h_lower[mu] * h_vals[nu] * h_vals[mu] for mu in range(4)),
+        )
+    )
 
     return {
         "h_clifford": clifford,
@@ -841,7 +851,6 @@ def check_reduction_identities(
     m4 = fs.mass / 4.0
 
     def components(x):
-        x = np.asarray(x, dtype=float)
         bv = _values(fs.b, x)
         ih = [f.value(x) * 1j for f in fs.h]
         ih_lower = [ih[mu] * METRIC_DIAG[mu] for mu in range(4)]
@@ -900,7 +909,6 @@ def bianchi_current_check(
         current.append(SumField(tuple(parts)))
 
     def components(x):
-        x = np.asarray(x, dtype=float)
         av = _values(a_fields, x)
         total = _total(_covariant(x, deriv, av, nu, current[nu]) for nu in range(4))
         return {"current_conservation": {(): total}}

@@ -1,13 +1,12 @@
 """Real scalar shape functions on R^{1,3}, closed under differentiation.
 
-Two closed forms: multivariate polynomials and plane-wave trig profiles
+Two closed forms, evaluated at one point or over an (N, 4) point set:
+multivariate polynomials and plane-wave trig profiles
 amp * sin/cos(k.x + phase).  ``deriv(axis)`` returns another shape, so any
 derivative order of a field built from shapes stays exact.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,14 +27,15 @@ class PolyShape:
                 clean[powers] = clean.get(powers, 0.0) + c
         self.terms = {p: c for p, c in clean.items() if c != 0.0}
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """Value at a point, or one value per row of an (N, 4) point set."""
         x = np.asarray(x, dtype=float)
         total = 0.0
         for powers, c in self.terms.items():
             term = c
             for axis in range(4):
                 if powers[axis]:
-                    term *= x[axis] ** powers[axis]
+                    term *= x[..., axis] ** powers[axis]
             total += term
         return total
 
@@ -76,11 +76,10 @@ class TrigShape:
             raise ValueError("wave vector needs 4 components")
         self.phase = float(phase)
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        arg = float(np.dot(self.wave, x)) + self.phase
-        f = math.sin if self.kind == "sin" else math.cos
-        return self.amplitude * f(arg)
+    def value(self, x):
+        """Value at a point, or one value per row of an (N, 4) point set."""
+        f = np.sin if self.kind == "sin" else np.cos
+        return self.amplitude * f(np.dot(np.asarray(x, dtype=float), self.wave) + self.phase)
 
     def deriv(self, axis: int) -> "TrigShape":
         k = self.wave[axis]

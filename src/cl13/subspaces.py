@@ -84,71 +84,45 @@ def nullspace_basis(rows: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarra
 
 
 def element_to_realvec(u: CliffordElement) -> np.ndarray:
-    c = np.asarray(u.to_float().coefficients())
-    out = np.empty(2 * N_BLADES)
-    out[0::2] = c.real
-    out[1::2] = c.imag
-    return out
+    """The 32 real coordinates (re, im per blade); shape (N, 32) for a stack."""
+    return u.to_float().coefficients().view(float)
 
 
 def realvec_to_element(vec: np.ndarray) -> CliffordElement:
-    vec = np.asarray(vec, dtype=float)
-    return CliffordElement(vec[0::2] + 1j * vec[1::2])
-
-
-def _real_basis_elements() -> list[CliffordElement]:
-    elems = []
-    for r in range(2 * N_BLADES):
-        v = np.zeros(2 * N_BLADES)
-        v[r] = 1.0
-        elems.append(realvec_to_element(v))
-    return elems
+    return CliffordElement(np.ascontiguousarray(vec, dtype=float).view(complex))
 
 
 def _constraint_rows(maps) -> np.ndarray:
     """Stack real-linear maps Cl -> Cl into constraint rows over R^32."""
-    basis = _real_basis_elements()
-    cols = []
-    for b in basis:
-        parts = [element_to_realvec(f(b)) for f in maps]
-        cols.append(np.concatenate(parts))
-    return np.array(cols).T
+    basis = realvec_to_element(np.eye(2 * N_BLADES))  # the 32 real unit vectors
+    return np.concatenate([element_to_realvec(f(basis)) for f in maps], axis=1).T
 
 
 # -- symplectic algebra and group -------------------------------------------
 
+# Real coordinates that vanish on sp(cl(1,3)) = i*(real grade-1) + (real grade-2)
+_SP_ALGEBRA_ZERO = np.array([(k != 2, k != 1) for k in GRADES]).ravel()
+# and on real-even + i*real-odd, the parity class of Sp(cl(1,3)).
+_SP_GROUP_ZERO = np.array([(k % 2 == 1, k % 2 == 0) for k in GRADES]).ravel()
 
-def sp_algebra_residual(u: CliffordElement) -> float:
+
+def _coordinate_norm(u: CliffordElement, which: np.ndarray):
+    return np.sqrt(np.sum(element_to_realvec(u)[..., which] ** 2, axis=-1))
+
+
+def sp_algebra_residual(u: CliffordElement):
     """Distance of u from i*(real grade-1) + (real grade-2)."""
-    c = np.asarray(u.to_float().coefficients())
-    bad = 0.0
-    for mask in range(N_BLADES):
-        k = GRADES[mask]
-        if k == 1:
-            bad += c[mask].real ** 2
-        elif k == 2:
-            bad += c[mask].imag ** 2
-        else:
-            bad += abs(c[mask]) ** 2
-    return float(np.sqrt(bad))
+    return _coordinate_norm(u, _SP_ALGEBRA_ZERO)
 
 
 def in_sp_algebra(u: CliffordElement, tol: float = MEMBERSHIP_TOL) -> bool:
     return sp_algebra_residual(u) <= tol
 
 
-def sp_group_residual(v: CliffordElement) -> float:
+def sp_group_residual(v: CliffordElement):
     """Distance from the defining conditions of Sp(cl(1,3))."""
-    c = np.asarray(v.to_float().coefficients())
-    bad = 0.0
-    for mask in range(N_BLADES):
-        if GRADES[mask] % 2 == 0:
-            bad += c[mask].imag ** 2
-        else:
-            bad += c[mask].real ** 2
-    parity = float(np.sqrt(bad))
     unitary = (v.pseudo_conj() * v - unit(v.exact)).norm()
-    return max(parity, unitary)
+    return np.maximum(_coordinate_norm(v, _SP_GROUP_ZERO), unitary)
 
 
 def in_sp_group(v: CliffordElement, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -240,13 +214,13 @@ def ideal_residual(
     if which == "I":
         return (u - u * tt).norm()
     if which == "K":
-        return max((u - u * tt).norm(), (u - tt * u).norm())
+        return np.maximum((u - u * tt).norm(), (u - tt * u).norm())
     if which == "L":
-        return max(ideal_residual(u, tt, "K"), (u.herm_conj() + u).norm())
+        return np.maximum(ideal_residual(u, tt, "K"), (u.herm_conj() + u).norm())
     if which == "G":
         one = unit(u.exact and tt.exact)
         unitary = (u.herm_conj() * u - one).norm()
-        return max(unitary, ideal_residual(u - one, tt, "K"))
+        return np.maximum(unitary, ideal_residual(u - one, tt, "K"))
     raise ValueError(f"unknown ideal tag {which!r}; expected one of {IDEAL_TAGS}")
 
 
@@ -272,24 +246,6 @@ class SubspaceBasis:
         return np.array([element_to_realvec(b) for b in self.basis])
 
 
-def _sp_algebra_rows() -> np.ndarray:
-    rows = []
-    for mask in range(N_BLADES):
-        k = GRADES[mask]
-        re_row = np.zeros(2 * N_BLADES)
-        im_row = np.zeros(2 * N_BLADES)
-        re_row[2 * mask] = 1.0
-        im_row[2 * mask + 1] = 1.0
-        if k == 1:
-            rows.append(re_row)
-        elif k == 2:
-            rows.append(im_row)
-        else:
-            rows.append(re_row)
-            rows.append(im_row)
-    return np.array(rows)
-
-
 def subspace_basis(
     space: str,
     t: HermitianIdempotent | CliffordElement | None = None,
@@ -297,7 +253,7 @@ def subspace_basis(
 ) -> SubspaceBasis:
     """Real basis of one of the linear subspaces sp_cl, I(t), K(t), L(t)."""
     if space == "sp_cl":
-        rows = _sp_algebra_rows()
+        rows = np.eye(2 * N_BLADES)[_SP_ALGEBRA_ZERO]
     elif space in ("I", "K", "L"):
         if t is None:
             raise ValueError(f"space {space!r} needs an idempotent")

@@ -29,6 +29,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
+
 from .algebra import (
     BETA,
     E0_EXACT,
@@ -50,6 +52,8 @@ from .fields import (
     SumField,
     TwoYangMillsFieldSet,
     _aggregate,
+    _as_points,
+    _peak,
     _total,
     bianchi_current_check,
     current_vector,
@@ -106,18 +110,14 @@ class TransformationSpec:
         """Worst membership residual of the payload over the points."""
         if self.family is None:
             return 0.0
-        u = self.family.group_field()
-        worst = 0.0
-        for x in points:
-            val = u.value(x)
-            if self.kind == "gauge_symplectic":
-                r = sp_group_residual(val)
-            elif self.kind == "gauge_unitary":
-                r = ideal_residual(val, t, "G")
-            else:
-                r = (val.herm_conj() * val - unit()).norm()
-            worst = max(worst, r)
-        return worst
+        val = self.family.group_field().value(points)
+        if self.kind == "gauge_symplectic":
+            r = sp_group_residual(val)
+        elif self.kind == "gauge_unitary":
+            r = ideal_residual(val, t, "G")
+        else:
+            r = (val.herm_conj() * val - unit()).norm()
+        return float(np.max(r))
 
     def to_json_obj(self) -> dict:
         return {
@@ -253,25 +253,22 @@ def covariance_check(
     configuration so solution and non-solution runs are distinguishable.
     """
     transformed = apply_transformation(fs, spec)
-    before_scale = 0.0
-
-    def mismatch(x):
-        nonlocal before_scale
-        before = two_yang_mills_residual_components(fs, x, deriv)
-        after = two_yang_mills_residual_components(transformed, x, deriv)
-        before_scale = max(
-            before_scale, *(r.norm() for comps in before.values() for r in comps.values())
-        )
-        return {
-            eq: {
-                idx: after[eq][idx] - expected_residual_transform(spec, eq, r, x)
-                for idx, r in comps.items()
-            }
-            for eq, comps in before.items()
+    points = _as_points(points)
+    before = two_yang_mills_residual_components(fs, points, deriv)
+    after = two_yang_mills_residual_components(transformed, points, deriv)
+    mismatch = {
+        eq: {
+            idx: after[eq][idx] - expected_residual_transform(spec, eq, r, points)
+            for idx, r in comps.items()
         }
-
-    rec = _aggregate(mismatch, points, {"kind": spec.kind, "derivatives": deriv.describe()})
-    rec.metadata["original_residual_scale"] = before_scale
+        for eq, comps in before.items()
+    }
+    rec = _aggregate(
+        lambda _: mismatch, points, {"kind": spec.kind, "derivatives": deriv.describe()}
+    )
+    rec.metadata["original_residual_scale"] = float(
+        np.max(_peak(r.norm() for comps in before.values() for r in comps.values()))
+    )
     return rec
 
 
@@ -341,7 +338,7 @@ def check_current_conservation(
     reported as such; otherwise it is the antisymmetry-forced identity of
     the induced current, delegated to the Bianchi check on the A fields.
     """
-    phi_scale = max(fs.phi.value(x).norm() for x in points)
+    phi_scale = np.max(fs.phi.value(points).norm())
     if phi_scale <= 1e-14:
         return _aggregate(
             lambda x: {

@@ -19,6 +19,7 @@ from .algebra import (
     GENERATORS,
     GENERATORS_EXACT,
     METRIC_DIAG,
+    N_BLADES,
     CliffordElement,
     E,
     commutator,
@@ -26,8 +27,10 @@ from .algebra import (
     random_element,
     unit,
 )
+from .exactnum import RC_ONE
 from .fields import (
     FieldFamily,
+    PointSet,
     ShapeField,
     bianchi_current_check,
     build_pure_gauge,
@@ -118,8 +121,8 @@ class ScenarioConfig:
             raise ConfigError("sample_count must be positive")
         if any(not np.isfinite(m) for m in self.m_values):
             raise ConfigError("m_values must be finite")
-        if any(s <= 0 for s in self.grid_steps):
-            raise ConfigError("grid steps must be positive")
+        if not all(np.isfinite(s) and s > 0 for s in self.grid_steps):
+            raise ConfigError("grid steps must be positive and finite")
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance class {key!r}")
@@ -127,11 +130,18 @@ class ScenarioConfig:
                 raise ConfigError(f"tolerance {key!r} must be a finite number, got {val!r}")
             if val < 0 or (val == 0 and key != "exact"):
                 raise ConfigError("tolerance overrides must be positive (exact: non-negative)")
+        # A custom idempotent or family is checked here, so a bad one is a
+        # configuration error whichever suite runs.
+        try:
+            self.resolve_idempotent()
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad idempotent: {exc}") from None
         if self.family != "random":
             try:
-                self.resolve_families()
+                for fam in self.resolve_families():
+                    fam.validate_symplectic()
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed family: {exc!r}") from None
+                raise ConfigError(f"bad family: {exc!r}") from None
 
     def tol(self, key: str) -> float:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
@@ -181,13 +191,12 @@ class ScenarioConfig:
         kwargs = dict(obj)
         if "format" in kwargs:
             kwargs["fmt"] = kwargs.pop("format")
-        if "m_values" in kwargs:
-            kwargs["m_values"] = tuple(float(m) for m in kwargs["m_values"])
-        if "grid_steps" in kwargs:
-            kwargs["grid_steps"] = tuple(float(s) for s in kwargs["grid_steps"])
         try:
+            for key in ("m_values", "grid_steps"):
+                if key in kwargs:
+                    kwargs[key] = tuple(float(v) for v in kwargs[key])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -295,16 +304,13 @@ def _suite_algebra(s: _Suite) -> None:
         )
     s.add("algebra/involution-laws", "(UV)* = V* U*, U^dag = beta U* beta", worst, "involution")
 
-    # Representation is a *-homomorphism.
-    worst = 0.0
-    for _ in range(100):
-        u = random_element(rng)
-        v = random_element(rng)
-        worst = max(
-            worst,
-            float(np.max(np.abs(gamma_rep(u * v) - gamma_rep(u) @ gamma_rep(v)))),
-            float(np.max(np.abs(gamma_rep(u).conj().T - gamma_rep(u.herm_conj())))),
-        )
+    # Representation is a *-homomorphism: the float product and Hermitian
+    # conjugation (Dirac matrices) against the exact blade table; by
+    # linearity the 256 blade pairs and 16 blades cover every element.
+    blades = [CliffordElement.from_blade(m, RC_ONE, exact=True) for m in range(N_BLADES)]
+    pairs = [(gamma_rep(u.to_float() * v.to_float()), gamma_rep(u * v)) for u in blades for v in blades]
+    pairs += [(gamma_rep(u).conj().T, gamma_rep(u.herm_conj())) for u in blades]
+    worst = max(float(np.max(np.abs(a - b))) for a, b in pairs)
     s.add("algebra/rep-homomorphism", "rep(UV) = rep(U) rep(V)", worst, "algebra")
 
     # Exponential map: closed form on a rotation plane and group inverses.
@@ -422,10 +428,11 @@ def _suite_reduction(s: _Suite) -> None:
     rhs_floor = np.inf
     for fam in cfg.resolve_families():
         fs = build_pure_gauge(fam, t, cfg.m_values[0])
-        model_worst = max(model_worst, model_residuals(fs, points).max_residual)
-        for x in points:
-            h_vals = [f.value(x) for f in fs.h]
-            h_worst = max(h_worst, max(check_h_identities(h_vals).values()))
+        # The model residuals and the h identities share one pass over the points.
+        pts = PointSet(points)
+        model_worst = max(model_worst, model_residuals(fs, pts).max_residual)
+        h_identities = check_h_identities([f.value(pts) for f in fs.h])
+        h_worst = max(h_worst, *(float(np.max(r)) for r in h_identities.values()))
         for m in cfg.m_values:
             reduced = reduce_to_two_yang_mills(replace(fs, mass=float(m)))
             rec = two_yang_mills_residuals(reduced, points)
@@ -551,11 +558,9 @@ def _suite_symmetries(s: _Suite) -> None:
             "gauge_unitary", compose_unitary_payloads(u1.family, u2.family)
         ),
     )
-    worst = 0.0
-    for x in points:
-        worst = max(worst, (once.phi.value(x) - combined.phi.value(x)).norm())
-        for mu in range(4):
-            worst = max(worst, (once.a[mu].value(x) - combined.a[mu].value(x)).norm())
+    pts = PointSet(points)
+    pairs = [(once.phi, combined.phi), *zip(once.a, combined.a)]
+    worst = max(float(np.max((f.value(pts) - g.value(pts)).norm())) for f, g in pairs)
     s.add(
         "symmetries/gauge-composition",
         "transforming by U1 then U2 equals U1 U2",

@@ -1,5 +1,7 @@
 """Blade products, involutions and the exponential map."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from cl13.algebra import (
     unit,
 )
 from cl13.exactnum import RC_I, RationalComplex
+from cl13.rep import gamma_rep
 from cl13.subspaces import fixed_idempotent
 
 TOL = 1e-12
@@ -158,6 +161,58 @@ def test_exp_rejects_non_finite_input(coeff):
     # 1e300 is finite, but its squared norm overflows.
     with pytest.raises(ValueError, match="finite"):
         exp_element(blade("e12", coeff))
+
+
+def test_exp_raises_when_the_exponential_overflows():
+    # |800 e01| is finite, but exp(800) is not a double.
+    with pytest.raises(ValueError, match="overflow"):
+        exp_element(blade("e01", 800))
+
+
+def test_exp_matches_scipy_expm(rng):
+    expm = pytest.importorskip("scipy.linalg").expm
+    single = random_element(rng, 0.8)
+    stack = CliffordElement(
+        rng.uniform(-0.8, 0.8, (8, 16)) + 1j * rng.uniform(-0.8, 0.8, (8, 16))
+    )
+    for u in (single, stack):
+        got = gamma_rep(exp_element(u))
+        want = expm(gamma_rep(u))
+        err = np.linalg.norm(got - want, axis=(-2, -1))
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(-2, -1)))
+    # each element of a stack is the exponential of that element alone
+    for k in range(8):
+        alone = exp_element(CliffordElement(stack.coefficients()[k]))
+        assert np.max(np.abs(gamma_rep(exp_element(stack))[k] - gamma_rep(alone))) <= 1e-12
+
+
+def eighths(rng):
+    """A random element with coefficients k/8, as an exact and a float copy."""
+    re, im = rng.integers(-16, 17, size=(2, 16))
+    exact = CliffordElement(
+        [RationalComplex(Fraction(int(a), 8), Fraction(int(b), 8)) for a, b in zip(re, im)],
+        exact=True,
+    )
+    return exact, exact.to_float()
+
+
+def test_float_mode_matches_exact_mode(rng):
+    # Oracle: rational arithmetic on the blade table.
+    worst = 0.0
+    for _ in range(50):
+        (u, uf), (v, vf) = eighths(rng), eighths(rng)
+        pairs = [
+            (u * v, uf * vf),
+            (u.pseudo_conj(), uf.pseudo_conj()),
+            (u.herm_conj(), uf.herm_conj()),
+            (u.conj(), uf.conj()),
+            *((u.grade(k), uf.grade(k)) for k in range(5)),
+        ]
+        for exact, flt in pairs:
+            want = np.array([complex(c) for c in exact.coefficients()])
+            worst = max(worst, float(np.max(np.abs(flt.coefficients() - want))))
+        worst = max(worst, abs(u.norm() - uf.norm()))
+    assert worst <= 1e-12
 
 
 def test_exp_additivity_on_commuting(rng):

@@ -31,8 +31,10 @@ from cl13.fields import (
     random_two_yang_mills_set,
     reduce_to_two_yang_mills,
     sample_points,
+    two_yang_mills_residual_components,
     two_yang_mills_residuals,
 )
+from cl13.rep import gamma_rep
 from cl13.shapes import PolyShape, TrigShape, constant_shape, coordinate_shape
 from cl13.subspaces import (
     in_sp_algebra,
@@ -329,3 +331,30 @@ def test_model_components_shape(pure_gauge, points):
     assert set(comps) == {"dirac", "curvature_a", "source_a", "h_transport"}
     assert len(comps["h_transport"]) == 16
     assert len(comps["curvature_a"]) == 6
+
+
+def test_point_set_values_equal_stacked_point_values(family, reduced, t2, points):
+    # Oracle: the same trees evaluated one point at a time.
+    for f in (family.group_field(), reduced.g[0][1].partial(2)):
+        stacked = np.stack([gamma_rep(f.value(x)) for x in points])
+        assert np.max(np.abs(gamma_rep(f.value(points)) - stacked)) <= 1e-12
+    fs = random_two_yang_mills_set(31, t2, 1.0)
+    batch = two_yang_mills_residual_components(fs, points)
+    for i, x in enumerate(points):
+        for eq, comps in two_yang_mills_residual_components(fs, x).items():
+            for idx, r in comps.items():
+                got = np.broadcast_to(gamma_rep(batch[eq][idx]), (len(points), 4, 4))[i]
+                assert np.max(np.abs(got - gamma_rep(r))) <= 1e-12
+
+
+def test_at_point_is_the_per_point_argmax(t2):
+    fs = random_two_yang_mills_set(31, t2, 1.0)
+    pts = sample_points(3, 6)
+    rec = two_yang_mills_residuals(fs, pts)
+    for eq, res in rec.equations.items():
+        per_point = [
+            max(r.norm() for r in two_yang_mills_residual_components(fs, x)[eq].values())
+            for x in pts
+        ]
+        assert res.at_point == tuple(pts[int(np.argmax(per_point))])
+        assert abs(res.max_residual - max(per_point)) <= 1e-12 * max(per_point)

@@ -171,3 +171,40 @@ def test_cli_negative_exact_tolerance(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"tolerances": {"exact": -1.0}}))
     assert main(["verify", "idempotents", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_nan_grid_step():
+    assert main(["verify", "convergence", "--grid-steps", "nan,1e-3,5e-4"]) == 2
+
+
+def test_cli_non_numeric_m_values(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m_values": "abc"}))
+    assert main(["verify", "reduction", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("suite", ["idempotents", "reduction"])
+def test_cli_non_idempotent_custom_idempotent(tmp_path, suite):
+    # (2e + e0)^2 = 5e + 4e0 is not 2e + e0.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"idempotent": {"e": [2, 0], "e0": [1, 0]}}))
+    assert main(["verify", suite, "--config", str(cfg_path)]) == 2
+
+
+def test_cli_unknown_idempotent_label():
+    assert main(["verify", "idempotents", "--idempotent", "t9"]) == 2
+
+
+def test_cli_non_symplectic_family(tmp_path):
+    # The unit e is not in sp(cl(1,3)) = i*(real grade-1) + (real grade-2).
+    fam = {
+        "factors": [
+            {
+                "generator": {"e": [1, 0]},
+                "shape": {"type": "poly", "coeffs": [[[1, 0, 0, 0], 0.5]]},
+            }
+        ]
+    }
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(fam))
+    assert main(["verify", "reduction", "--family", str(fam_path)]) == 2
