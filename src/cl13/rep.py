@@ -26,19 +26,21 @@ def gamma_rep(u: CliffordElement) -> np.ndarray:
 
 
 def rep_inverse(mat: np.ndarray) -> CliffordElement:
-    """Element whose representation is mat (the representation is onto M4(C))."""
+    """Element whose representation is mat (the representation is onto M4(C));
+    a (N, 4, 4) stack gives a stack of N elements."""
     mat = np.array(mat, dtype=complex)
-    if mat.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
+        raise ValueError("expected a 4x4 matrix or a stack of them")
     return CliffordElement._from_matrix(mat)
 
 
 def inverse(u: CliffordElement, cond_cap: float = 1e12) -> CliffordElement:
-    """Multiplicative inverse via the matrix representation (float mode)."""
+    """Multiplicative inverse via the matrix representation (float mode);
+    a stack is inverted element by element and raises if any one is singular."""
     m = gamma_rep(u)
     if not np.all(np.isfinite(m)):
         raise SingularElementError("non-finite representation matrix")
-    if np.linalg.cond(m) > cond_cap:
+    if np.any(np.linalg.cond(m) > cond_cap):
         raise SingularElementError(
             f"representation matrix condition number exceeds {cond_cap:g}"
         )

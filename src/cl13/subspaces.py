@@ -12,7 +12,8 @@ Definitions in force here:
     G(t) = { U : U^dagger U = e, U - e in K(t) }
 
 Linear subspaces are handled over the 32 real coordinates (re, im per
-blade); bases come out of a dense row reduction with partial pivoting.
+blade); bases come out of a dense row reduction with partial pivoting and
+are computed once per process, then shared as read-only arrays.
 """
 
 from __future__ import annotations
@@ -236,14 +237,49 @@ def in_ideal(
 # -- subspace bases -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    basis: tuple[CliffordElement, ...]
-    dim: int
+    """A real basis: ``vectors`` is a read-only (dim, 32) array of row vectors."""
+
+    vectors: np.ndarray
 
     @property
-    def vectors(self) -> np.ndarray:
-        return np.array([element_to_realvec(b) for b in self.basis])
+    def dim(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def basis(self) -> tuple[CliffordElement, ...]:
+        return tuple(realvec_to_element(v) for v in self.vectors)
+
+
+def _basis_key(space: str, t: HermitianIdempotent | CliffordElement | None) -> bytes | None:
+    """The idempotent's float matrix as bytes (None for sp_cl); validates space."""
+    if space == "sp_cl":
+        return None
+    if space not in ("I", "K", "L"):
+        raise ValueError(f"unknown subspace tag {space!r}")
+    if t is None:
+        raise ValueError(f"space {space!r} needs an idempotent")
+    tt = t.element if isinstance(t, HermitianIdempotent) else t
+    return tt.to_float()._mat.tobytes()
+
+
+@cache
+def _basis_vectors(space: str, t_bytes: bytes | None, pivot_tol: float) -> np.ndarray:
+    """Nullspace vectors of one subspace, computed once per (space, t, pivot_tol)."""
+    if space == "sp_cl":
+        rows = np.eye(2 * N_BLADES)[_SP_ALGEBRA_ZERO]
+    else:
+        tt = CliffordElement._from_matrix(np.frombuffer(t_bytes, complex).reshape(4, 4))
+        maps = [lambda u: u - u * tt]
+        if space in ("K", "L"):
+            maps.append(lambda u: u - tt * u)
+        if space == "L":
+            maps.append(lambda u: u.herm_conj() + u)
+        rows = _constraint_rows(maps)
+    vecs = nullspace_basis(rows, pivot_tol)
+    vecs.flags.writeable = False
+    return vecs
 
 
 def subspace_basis(
@@ -252,23 +288,7 @@ def subspace_basis(
     pivot_tol: float = PIVOT_TOL,
 ) -> SubspaceBasis:
     """Real basis of one of the linear subspaces sp_cl, I(t), K(t), L(t)."""
-    if space == "sp_cl":
-        rows = np.eye(2 * N_BLADES)[_SP_ALGEBRA_ZERO]
-    elif space in ("I", "K", "L"):
-        if t is None:
-            raise ValueError(f"space {space!r} needs an idempotent")
-        tt = (t.element if isinstance(t, HermitianIdempotent) else t).to_float()
-        maps = [lambda u, tt=tt: u - u * tt]
-        if space in ("K", "L"):
-            maps.append(lambda u, tt=tt: u - tt * u)
-        if space == "L":
-            maps.append(lambda u: u.herm_conj() + u)
-        rows = _constraint_rows(maps)
-    else:
-        raise ValueError(f"unknown subspace tag {space!r}")
-    vecs = nullspace_basis(rows, pivot_tol)
-    basis = tuple(realvec_to_element(v) for v in vecs)
-    return SubspaceBasis(basis, len(basis))
+    return SubspaceBasis(_basis_vectors(space, _basis_key(space, t), pivot_tol))
 
 
 # -- sampling ------------------------------------------------------------------
@@ -279,22 +299,26 @@ _SAMPLE_SPACES = ("sp_cl", "Sp_cl", "L", "G")
 def sample(
     space: str,
     t: HermitianIdempotent | CliffordElement | None = None,
-    seed: int = 0,
+    seed: int | np.ndarray = 0,
     scale: float = 1.0,
 ) -> CliffordElement:
     """Deterministic random element of an algebra (sp_cl, L) or group (Sp_cl, G).
 
     Group elements are exponentials of algebra samples; the result always
-    passes the matching membership predicate.
+    passes the matching membership predicate.  For a 1-D array of seeds the
+    result is a stack whose i-th entry is the sample for seed i.
     """
     if space not in _SAMPLE_SPACES:
         raise ValueError(f"unknown sample space {space!r}; expected {_SAMPLE_SPACES}")
+    seeds = np.asarray(seed)
+    if seeds.ndim > 1:
+        raise ValueError("seed must be an int or a 1-D array of seeds")
     algebra_space = {"sp_cl": "sp_cl", "Sp_cl": "sp_cl", "L": "L", "G": "L"}[space]
-    sb = subspace_basis(algebra_space, t)
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(-scale, scale, sb.dim)
-    vec = weights @ sb.vectors if sb.dim else np.zeros(2 * N_BLADES)
-    v = realvec_to_element(vec)
+    vectors = _basis_vectors(algebra_space, _basis_key(algebra_space, t), PIVOT_TOL)
+    weights = np.array(
+        [np.random.default_rng(s).uniform(-scale, scale, len(vectors)) for s in seeds.ravel()]
+    ).reshape(seeds.shape + (len(vectors),))
+    v = realvec_to_element(weights @ vectors)
     if space in ("sp_cl", "L"):
         return v
     g = exp_element(v)
@@ -302,9 +326,9 @@ def sample(
         resid = sp_group_residual(g)
     else:
         resid = ideal_residual(g, t, "G")
-    if resid > MEMBERSHIP_TOL:
+    if np.max(resid) > MEMBERSHIP_TOL:
         raise ArithmeticError(
-            f"sampled group element misses membership: residual {resid:.3e}"
+            f"sampled group element misses membership: residual {np.max(resid):.3e}"
         )
     return g
 
@@ -325,8 +349,12 @@ class SymplecticMatrixSpace:
         return self.basis.shape[0]
 
 
+@cache
 def build_matrix_symplectic_space(m: int) -> SymplecticMatrixSpace:
-    """Nullspace of u^T S + S u = 0 by dense row reduction; capped at m = 8."""
+    """Nullspace of u^T S + S u = 0 by dense row reduction; capped at m = 8.
+
+    Built once per m; its arrays are read-only.
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
     if m > 8:
@@ -342,8 +370,8 @@ def build_matrix_symplectic_space(m: int) -> SymplecticMatrixSpace:
             for a in range(n):
                 rows[r, a * n + i] += s[a, j]  # (u^T S)[i, j]
                 rows[r, a * n + j] += s[i, a]  # (S u)[i, j]
-    vecs = nullspace_basis(rows)
-    basis = vecs.reshape(-1, n, n)
+    basis = nullspace_basis(rows).reshape(-1, n, n)
+    s.flags.writeable = basis.flags.writeable = False
     return SymplecticMatrixSpace(m, s, basis)
 
 

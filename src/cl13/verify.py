@@ -96,8 +96,16 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# The largest mass whose cube, in the source coupling (3/16) m^3, is finite.
+_MASS_LIMIT = np.finfo(float).max ** (1 / 3)
+
+
 class ConfigError(ValueError):
     """Bad scenario configuration (maps to exit code 2)."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -117,12 +125,16 @@ class ScenarioConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; expected {SUITE_NAMES}")
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.sample_count < 1:
-            raise ConfigError("sample_count must be positive")
-        if any(not np.isfinite(m) for m in self.m_values):
-            raise ConfigError("m_values must be finite")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_int(self.sample_count) or self.sample_count < 1:
+            raise ConfigError(f"sample_count must be a positive integer, got {self.sample_count!r}")
+        if not all(abs(m) < _MASS_LIMIT for m in self.m_values):
+            raise ConfigError(f"m_values must be finite with a finite cube, below {_MASS_LIMIT:.3g}")
         if not all(np.isfinite(s) and s > 0 for s in self.grid_steps):
             raise ConfigError("grid steps must be positive and finite")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must be an object of tolerance class: value")
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance class {key!r}")
@@ -247,27 +259,24 @@ class Report:
 
 
 class _Suite:
-    """Collects checks with timing."""
+    """Collects checks; each check is timed from the previous check of its
+    suite, or from the start of the suite."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.checks: list[Check] = []
+        self._since = 0.0
 
     def add(self, name: str, anchor: str, residual: float, tol_key: str) -> None:
+        now = time.perf_counter()
         self.checks.append(
-            Check(name, anchor, float(residual), self.cfg.tol(tol_key), 0.0)
+            Check(name, anchor, float(residual), self.cfg.tol(tol_key), now - self._since)
         )
+        self._since = now
 
     def run(self, fn) -> None:
-        start = time.perf_counter()
-        before = len(self.checks)
+        self._since = time.perf_counter()
         fn(self)
-        elapsed = time.perf_counter() - start
-        added = len(self.checks) - before
-        if added:
-            share = elapsed / added
-            for c in self.checks[before:]:
-                c.elapsed = share
 
 
 # -- individual suites -----------------------------------------------------------
@@ -285,31 +294,38 @@ def _suite_algebra(s: _Suite) -> None:
             worst = max(worst, (lhs - target).norm())
     s.add("algebra/generator-relations-exact", "e^a e^b + e^b e^a = 2 eta^{ab} e", worst, "exact")
 
-    # Involution laws on seeded random elements.
+    # Involution laws on 1000 seeded random pairs, drawn from one generator
+    # stream (u then v, real then imaginary parts) in stacks of 100 pairs.
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
-    for _ in range(1000):
-        u = random_element(rng)
-        v = random_element(rng)
+    for _ in range(10):
+        re_u, im_u, re_v, im_v = np.moveaxis(rng.uniform(-1.0, 1.0, (100, 4, N_BLADES)), 1, 0)
+        u = CliffordElement(re_u + 1j * im_u)
+        v = CliffordElement(re_v + 1j * im_v)
         uv = u * v
-        worst = max(
-            worst,
-            (uv.pseudo_conj() - v.pseudo_conj() * u.pseudo_conj()).norm(),
-            ((u + v).pseudo_conj() - (u.pseudo_conj() + v.pseudo_conj())).norm(),
-            (u.pseudo_conj().pseudo_conj() - u).norm(),
-            (u.herm_conj().herm_conj() - u).norm(),
-            (uv.herm_conj() - v.herm_conj() * u.herm_conj()).norm(),
-            (u.conj().conj() - u).norm(),
-            (uv.conj() - u.conj() * v.conj()).norm(),
+        laws = (
+            uv.pseudo_conj() - v.pseudo_conj() * u.pseudo_conj(),
+            (u + v).pseudo_conj() - (u.pseudo_conj() + v.pseudo_conj()),
+            u.pseudo_conj().pseudo_conj() - u,
+            u.herm_conj().herm_conj() - u,
+            uv.herm_conj() - v.herm_conj() * u.herm_conj(),
+            u.conj().conj() - u,
+            uv.conj() - u.conj() * v.conj(),
         )
+        worst = max(worst, *(float(np.max(law.norm())) for law in laws))
     s.add("algebra/involution-laws", "(UV)* = V* U*, U^dag = beta U* beta", worst, "involution")
 
     # Representation is a *-homomorphism: the float product and Hermitian
     # conjugation (Dirac matrices) against the exact blade table; by
     # linearity the 256 blade pairs and 16 blades cover every element.
     blades = [CliffordElement.from_blade(m, RC_ONE, exact=True) for m in range(N_BLADES)]
-    pairs = [(gamma_rep(u.to_float() * v.to_float()), gamma_rep(u * v)) for u in blades for v in blades]
-    pairs += [(gamma_rep(u).conj().T, gamma_rep(u.herm_conj())) for u in blades]
+    floats = [u.to_float() for u in blades]
+    pairs = [
+        (gamma_rep(fu * fv), gamma_rep(u * v))
+        for u, fu in zip(blades, floats)
+        for v, fv in zip(blades, floats)
+    ]
+    pairs += [(gamma_rep(fu).conj().T, gamma_rep(u.herm_conj())) for u, fu in zip(blades, floats)]
     worst = max(float(np.max(np.abs(a - b))) for a, b in pairs)
     s.add("algebra/rep-homomorphism", "rep(UV) = rep(U) rep(V)", worst, "algebra")
 
@@ -323,11 +339,8 @@ def _suite_algebra(s: _Suite) -> None:
         (exp_element(e12 * theta) - closed).norm(),
         "involution",
     )
-    worst = 0.0
-    for j in range(5):
-        v = sample("sp_cl", seed=cfg.seed + j, scale=0.8)
-        g = exp_element(v)
-        worst = max(worst, (g.pseudo_conj() * g - E).norm())
+    g = exp_element(sample("sp_cl", seed=cfg.seed + np.arange(5), scale=0.8))
+    worst = float(np.max((g.pseudo_conj() * g - E).norm()))
     s.add("algebra/exp-symplectic-inverse", "exp(v)* exp(v) = e on sp(cl(1,3))", worst, "group")
 
 
@@ -347,36 +360,30 @@ def _suite_subspaces(s: _Suite) -> None:
         "exact",
     )
 
-    worst = 0.0
-    for j in range(200):
-        v1 = sample("Sp_cl", seed=cfg.seed + 2 * j, scale=0.6)
-        v2 = sample("Sp_cl", seed=cfg.seed + 2 * j + 1, scale=0.6)
-        worst = max(worst, sp_group_residual(v1 * v2))
+    # Each check samples a stack: entry j is the sample for seed j.
+    pairs = cfg.seed + 2 * np.arange(200)
+    v1 = sample("Sp_cl", seed=pairs, scale=0.6)
+    v2 = sample("Sp_cl", seed=pairs + 1, scale=0.6)
+    worst = np.max(sp_group_residual(v1 * v2))
     s.add("subspaces/group-closure", "V* V = e closed under products", worst, "membership")
 
-    worst = 0.0
-    for j in range(50):
-        u1 = sample("sp_cl", seed=cfg.seed + 3000 + 2 * j)
-        u2 = sample("sp_cl", seed=cfg.seed + 3000 + 2 * j + 1)
-        worst = max(worst, sp_algebra_residual(commutator(u1, u2)))
+    pairs = cfg.seed + 3000 + 2 * np.arange(50)
+    u1 = sample("sp_cl", seed=pairs)
+    u2 = sample("sp_cl", seed=pairs + 1)
+    worst = np.max(sp_algebra_residual(commutator(u1, u2)))
     s.add("subspaces/algebra-closure", "[u, v] stays in sp(cl(1,3))", worst, "involution")
 
-    worst = 0.0
-    for j in range(25):
-        w = sample("Sp_cl", seed=cfg.seed + 4000 + j, scale=0.6)
-        v = sample("sp_cl", seed=cfg.seed + 5000 + j)
-        worst = max(worst, sp_algebra_residual(adjoint_conjugate(w, v)))
+    w = sample("Sp_cl", seed=cfg.seed + 4000 + np.arange(25), scale=0.6)
+    v = sample("sp_cl", seed=cfg.seed + 5000 + np.arange(25))
+    worst = np.max(sp_algebra_residual(adjoint_conjugate(w, v)))
     s.add("subspaces/adjoint-stability", "W^{-1} v W stays in sp(cl(1,3))", worst, "membership")
 
     t = cfg.resolve_idempotent()
-    worst = 0.0
-    for j in range(10):
-        u = sample("G", t, seed=cfg.seed + 6000 + j, scale=0.7)
-        worst = max(
-            worst,
-            (u.herm_conj() * u - E).norm(),
-            commutator(u, t.element.to_float()).norm(),
-        )
+    u = sample("G", t, seed=cfg.seed + 6000 + np.arange(10), scale=0.7)
+    worst = max(
+        np.max((u.herm_conj() * u - E).norm()),
+        np.max(commutator(u, t.element.to_float()).norm()),
+    )
     s.add(
         "subspaces/gauge-group-samples",
         "U in G(t): U^dag U = e and [U, t] = 0",

@@ -105,3 +105,22 @@ def test_hermitian_eigenvalues_match_trace_identities(rng):
 def test_not_hermitian_rejected():
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues(CliffordElement.from_blade("e1"))
+
+
+def test_stacked_inverse_equals_per_element_inverses():
+    w = exp_element(sample("sp_cl", seed=np.arange(20), scale=0.7))
+    stack = gamma_rep(inverse(w))
+    assert stack.shape == (20, 4, 4)
+    for entry, mat in zip(stack, gamma_rep(w)):
+        one = gamma_rep(inverse(rep_inverse(mat)))
+        assert np.max(np.abs(entry - one)) <= 1e-15 * np.max(np.abs(one))
+
+
+def test_stacked_inverse_raises_when_one_entry_is_singular():
+    w = exp_element(sample("sp_cl", seed=3, scale=0.7))
+    t2 = fixed_idempotent("t2").element
+    stack = rep_inverse(np.stack([gamma_rep(E), gamma_rep(t2), gamma_rep(w)]))
+    with pytest.raises(SingularElementError):
+        inverse(stack)
+    with pytest.raises(ValueError):
+        rep_inverse(np.zeros((2, 2, 4, 4)))

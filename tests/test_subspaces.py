@@ -11,9 +11,11 @@ from cl13.algebra import (
     commutator,
     exp_element,
 )
-from cl13.rep import inverse, rep_rank
+from cl13 import subspaces
+from cl13.rep import gamma_rep, inverse, rep_rank
 from cl13.subspaces import (
     IDEMPOTENT_LABELS,
+    MEMBERSHIP_TOL,
     HermitianIdempotent,
     build_matrix_symplectic_space,
     element_to_realvec,
@@ -25,6 +27,7 @@ from cl13.subspaces import (
     is_hermitian_idempotent,
     matrix_sp_dimension,
     nullspace_basis,
+    realvec_to_element,
     sample,
     sp_group_residual,
     subspace_basis,
@@ -162,7 +165,88 @@ def test_algebra_closure_under_commutator():
 
 def test_realvec_roundtrip(rng):
     from cl13.algebra import random_element
-    from cl13.subspaces import realvec_to_element
 
     u = random_element(rng)
     assert realvec_to_element(element_to_realvec(u)).equals(u, 0.0)
+
+
+# -- stacked samples and cached bases --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "space, rel_tol, abs_tol",
+    [("sp_cl", 0.0, 1e-15), ("Sp_cl", 1e-13, 0.0), ("L", 0.0, 1e-15), ("G", 1e-13, 0.0)],
+)
+def test_stacked_sample_equals_per_seed_samples(t2, space, rel_tol, abs_tol):
+    t = t2 if space in ("L", "G") else None
+    seeds = np.arange(40, 72)
+    stack = gamma_rep(sample(space, t, seed=seeds, scale=0.6))
+    assert stack.shape == (len(seeds), 4, 4)
+    for entry, seed in zip(stack, seeds):
+        one = gamma_rep(sample(space, t, seed=int(seed), scale=0.6))
+        assert np.max(np.abs(entry - one)) <= abs_tol + rel_tol * np.max(np.abs(one))
+
+
+def test_stacked_group_samples_pass_membership(t2):
+    seeds = np.arange(100)
+    assert np.all(in_sp_group(sample("Sp_cl", seed=seeds, scale=0.6)))
+    assert np.all(in_ideal(sample("G", t2, seed=seeds, scale=0.7), t2, "G"))
+
+
+def test_stacked_sample_checks_membership_on_the_worst_entry(monkeypatch):
+    seeds = np.arange(20)
+    residuals = sp_group_residual(sample("Sp_cl", seed=seeds, scale=0.6))
+    assert np.max(residuals) <= MEMBERSHIP_TOL
+    # Every entry but the worst passes this bound, so only a check on the
+    # maximum over the stack raises.
+    monkeypatch.setattr(subspaces, "MEMBERSHIP_TOL", float(np.sort(residuals)[-2]))
+    with pytest.raises(ArithmeticError):
+        sample("Sp_cl", seed=seeds, scale=0.6)
+    sample("Sp_cl", seed=int(seeds[np.argmin(residuals)]), scale=0.6)
+
+
+def test_sample_rejects_a_seed_array_of_more_than_one_axis():
+    with pytest.raises(ValueError):
+        sample("sp_cl", seed=np.zeros((2, 2), dtype=int))
+
+
+def _constraint_rows_by_blade(space, t):
+    """The constraint matrix of I(t), K(t) or L(t), one real unit vector at a time."""
+    tt = t.element
+    columns = []
+    for k in range(32):
+        u = realvec_to_element(np.eye(32)[k])
+        parts = [u - u * tt]
+        if space in ("K", "L"):
+            parts.append(u - tt * u)
+        if space == "L":
+            parts.append(u.herm_conj() + u)
+        columns.append(np.concatenate([element_to_realvec(p) for p in parts]))
+    return np.array(columns).T
+
+
+def test_cached_basis_is_read_only_and_equals_a_fresh_row_reduction():
+    sb = subspace_basis("sp_cl")
+    assert subspace_basis("sp_cl").vectors is sb.vectors
+    with pytest.raises(ValueError):
+        sb.vectors[0, 0] = 1.0
+    assert np.array_equal(sb.vectors, nullspace_basis(np.eye(32)[subspaces._SP_ALGEBRA_ZERO]))
+    for label in IDEMPOTENT_LABELS:
+        t = fixed_idempotent(label)
+        for space in ("I", "K", "L"):
+            sb = subspace_basis(space, t)
+            # The exact idempotent has the same float matrix, so the same entry.
+            assert subspace_basis(space, fixed_idempotent(label, exact=True)).vectors is sb.vectors
+            with pytest.raises(ValueError):
+                sb.vectors[..., 0] = 1.0
+            fresh = nullspace_basis(_constraint_rows_by_blade(space, t))
+            assert np.array_equal(sb.vectors, fresh)
+
+
+def test_matrix_symplectic_space_is_built_once_and_read_only():
+    space = build_matrix_symplectic_space(3)
+    assert build_matrix_symplectic_space(3) is space
+    with pytest.raises(ValueError):
+        space.basis[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        space.s[0, 0] = 1.0

@@ -2,14 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from cl13 import verify
+from cl13.algebra import random_element
 from cl13.cli import main
 from cl13.verify import (
     Check,
     ConfigError,
     Report,
     ScenarioConfig,
+    _Suite,
     emit_report,
     run_scenario,
 )
@@ -208,3 +212,68 @@ def test_cli_non_symplectic_family(tmp_path):
     fam_path = tmp_path / "family.json"
     fam_path.write_text(json.dumps(fam))
     assert main(["verify", "reduction", "--family", str(fam_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"sample_count": 2.5},
+        {"sample_count": True},
+        {"seed": "x"},
+        {"seed": -1},
+        {"tolerances": []},
+        {"m_values": [1e308]},  # m**3 overflows
+    ],
+    ids=["fractional-sample-count", "bool-sample-count", "string-seed", "negative-seed",
+         "list-tolerances", "mass-cube-overflows"],
+)
+def test_cli_malformed_config_value(tmp_path, obj):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(obj))
+    assert main(["verify", "reduction", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_negative_seed_flag():
+    assert main(["verify", "algebra", "--seed", "-1"]) == 2
+
+
+def test_each_check_is_timed_from_the_previous_check(monkeypatch):
+    suite = _Suite(ScenarioConfig(suite="algebra"))
+
+    def three_checks(s):
+        for name in ("a", "b", "c"):
+            s.add(name, "anchor", 0.0, "exact")
+
+    ticks = iter([10.0, 11.0, 13.0, 16.0, 100.0, 105.0, 106.0, 108.0])
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
+    suite.run(three_checks)
+    suite.run(three_checks)  # the clock restarts with each suite
+    assert [c.elapsed for c in suite.checks] == [1.0, 2.0, 3.0, 5.0, 1.0, 2.0]
+
+
+def _involution_laws_by_pair(seed: int) -> float:
+    """The involution-law residual, one random pair at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(1000):
+        u = random_element(rng)
+        v = random_element(rng)
+        uv = u * v
+        worst = max(
+            worst,
+            (uv.pseudo_conj() - v.pseudo_conj() * u.pseudo_conj()).norm(),
+            ((u + v).pseudo_conj() - (u.pseudo_conj() + v.pseudo_conj())).norm(),
+            (u.pseudo_conj().pseudo_conj() - u).norm(),
+            (u.herm_conj().herm_conj() - u).norm(),
+            (uv.herm_conj() - v.herm_conj() * u.herm_conj()).norm(),
+            (u.conj().conj() - u).norm(),
+            (uv.conj() - u.conj() * v.conj()).norm(),
+        )
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_involution_laws_check_equals_a_per_pair_loop(seed):
+    report = run_scenario(ScenarioConfig(suite="algebra", seed=seed))
+    residuals = {c.name: c.residual for c in report.checks}
+    assert residuals["algebra/involution-laws"] == _involution_laws_by_pair(seed)
