@@ -30,16 +30,14 @@ from .algebra import (
 )
 from .exactnum import RationalComplex
 from .fields import (
-    EXACT,
     CliffordField,
     ConstantField,
-    DerivativeMode,
     ExpField,
     FieldFamily,
     ModelFieldSet,
+    PointSet,
     ProductField,
     ResidualRecord,
-    ScaledField,
     ShapeField,
     SumField,
     TwoYangMillsFieldSet,
@@ -48,9 +46,7 @@ from .fields import (
     check_h_identities,
     check_reduction_identities,
     convergence_slope,
-    eval_family,
     fd_derivative,
-    fd_mode,
     model_residuals,
     random_family,
     random_two_yang_mills_set,

@@ -1,19 +1,21 @@
 """Equivalence transformations of the two-Yang-Mills system, bilinear
 covariants, and covariance certification.
 
-Five transformation kinds are supported:
+Five transformation kinds are built from three steps:
 
-  global_unitary    constant U, U^dag = U^{-1}:
-                    phi -> phi U, A -> U^{-1} A U, F -> U^{-1} F U, t -> U^{-1} t U
-  gauge_unitary     U(x) in G(t):
-                    phi -> phi U, A -> U^{-1} A U - U^{-1} dU, F -> U^{-1} F U
-  gauge_symplectic  W(x) in Sp(cl(1,3)):
-                    phi -> W^{-1} phi, h -> W^{-1} h W,
-                    B -> W^{-1} B W - W^{-1} dW, G -> W^{-1} G W
-  conjugation       coefficient conjugation of every variable
+  conj              coefficient conjugation of every variable
                     (h -> -conj(h), t -> conj(t))
-  discrete_J        h -> -conj(h), phi -> conj(phi) J, B -> conj(B),
-                    G -> conj(G), A -> J^{-1} conj(A) J, F -> J^{-1} conj(F) J
+  unitary U         U^dag = U^{-1}: phi -> phi U,
+                    A -> U^{-1} A U - U^{-1} dU, F -> U^{-1} F U
+  symplectic W      W(x) in Sp(cl(1,3)): phi -> W^{-1} phi, h -> W^{-1} h W,
+                    B -> W^{-1} B W - W^{-1} dW, G -> W^{-1} G W
+
+  global_unitary    unitary step with a constant U; t -> U^{-1} t U
+  gauge_unitary     unitary step with U(x) in G(t); t is kept
+  gauge_symplectic  symplectic step
+  conjugation       conj step
+  discrete_J        conj step, then the unitary step with the constant J:
+                    phi -> conj(phi) J, A -> J^{-1} conj(A) J, t is restored
 
 Covariance is certified at the residual level: for each equation the
 residual of the transformed configuration must equal the stated
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -36,20 +39,16 @@ from .algebra import (
     E0_EXACT,
     CliffordElement,
     J,
-    unit,
 )
 from .exactnum import RC_I
 from .fields import (
-    EXACT,
+    ZERO_FIELD,
     CliffordField,
     ConstantField,
-    DerivativeMode,
     FieldFamily,
     MappedField,
     ProductField,
     ResidualRecord,
-    ScaledField,
-    SumField,
     TwoYangMillsFieldSet,
     _aggregate,
     _as_points,
@@ -60,11 +59,7 @@ from .fields import (
     two_yang_mills_residual_components,
 )
 from .rep import inverse
-from .subspaces import (
-    HermitianIdempotent,
-    ideal_residual,
-    sp_group_residual,
-)
+from .subspaces import HermitianIdempotent
 
 TRANSFORM_KINDS = (
     "global_unitary",
@@ -78,9 +73,144 @@ _J_FIELD = ConstantField(J)
 _JINV_FIELD = ConstantField(J * -1)  # J^2 = -e, so J^{-1} = -J
 
 
+def _conj_field(f: CliffordField) -> CliffordField:
+    return MappedField(f, lambda u: u.conj())
+
+
+def _conj_idempotent(t: HermitianIdempotent) -> HermitianIdempotent:
+    return HermitianIdempotent(t.element.conj(), t.label)
+
+
+def _conjugate_by(uinv: CliffordField, f: CliffordField, u: CliffordField) -> CliffordField:
+    return ProductField(ProductField(uinv, f), u)
+
+
+def _gauge_action(u, uinv, pot, strength):
+    """P_mu -> U^{-1} P_mu U - U^{-1} d_mu U and X_{mu nu} -> U^{-1} X_{mu nu} U.
+
+    A constant field U (the J twist) has d_mu U = 0 and no such term.
+    """
+
+    def potential(mu):
+        gauged = _conjugate_by(uinv, pot[mu], u)
+        du = u.partial(mu)
+        return gauged if du is ZERO_FIELD else gauged - ProductField(uinv, du)
+
+    p = tuple(potential(mu) for mu in range(4))
+    x = tuple(
+        tuple(_conjugate_by(uinv, strength[mu][nu], u) for nu in range(4)) for mu in range(4)
+    )
+    return p, x
+
+
+# -- the three steps -------------------------------------------------------------
+#
+# Each step states its action on the field set (``apply``) and the law by
+# which it moves the residual of one equation at the points x (``law``).
+
+
+class _Conjugation:
+    """Coefficient conjugation of every variable, with h -> -conj(h) and
+    t -> conj(t); every residual is conjugated."""
+
+    def apply(self, fs: TwoYangMillsFieldSet) -> TwoYangMillsFieldSet:
+        conj = _conj_field
+        return replace(
+            fs,
+            t=_conj_idempotent(fs.t),
+            phi=conj(fs.phi),
+            h=tuple(-conj(h) for h in fs.h),
+            a=tuple(conj(a) for a in fs.a),
+            f=tuple(tuple(conj(f) for f in row) for row in fs.f),
+            b=tuple(conj(b) for b in fs.b),
+            g=tuple(tuple(conj(g) for g in row) for row in fs.g),
+        )
+
+    def law(self, equation: str, r: CliffordElement, x) -> CliffordElement:
+        return r.conj()
+
+
+_CONJUGATION = _Conjugation()
+
+
+@dataclass(frozen=True)
+class _Unitary:
+    """U(x) with U^dag = U^{-1}, acting on phi from the right and gauging
+    the A/F pair: phi -> phi U, A -> U^{-1} A U - U^{-1} dU,
+    F -> U^{-1} F U and t -> t_law(t).  The Dirac residual picks up U from
+    the right and the A/F residuals are conjugated by U."""
+
+    u: CliffordField
+    uinv: CliffordField
+    t_law: Callable[[HermitianIdempotent], HermitianIdempotent] = lambda t: t
+
+    def apply(self, fs: TwoYangMillsFieldSet) -> TwoYangMillsFieldSet:
+        a, f = _gauge_action(self.u, self.uinv, fs.a, fs.f)
+        return replace(fs, t=self.t_law(fs.t), phi=ProductField(fs.phi, self.u), a=a, f=f)
+
+    def law(self, equation: str, r: CliffordElement, x) -> CliffordElement:
+        if equation == "dirac":
+            return r * self.u.value(x)
+        if equation in ("curvature_a", "source_a"):
+            return self.uinv.value(x) * r * self.u.value(x)
+        return r
+
+
+@dataclass(frozen=True)
+class _Symplectic:
+    """W(x) in Sp(cl(1,3)), acting on phi from the left, conjugating h and
+    gauging the B/G pair: phi -> W^{-1} phi, h -> W^{-1} h W,
+    B -> W^{-1} B W - W^{-1} dW, G -> W^{-1} G W.  The Dirac residual picks
+    up W^{-1} from the left and the B/G residuals are conjugated by W."""
+
+    w: CliffordField
+    winv: CliffordField
+
+    def apply(self, fs: TwoYangMillsFieldSet) -> TwoYangMillsFieldSet:
+        b, g = _gauge_action(self.w, self.winv, fs.b, fs.g)
+        h = tuple(_conjugate_by(self.winv, h, self.w) for h in fs.h)
+        return replace(fs, phi=ProductField(self.winv, fs.phi), h=h, b=b, g=g)
+
+    def law(self, equation: str, r: CliffordElement, x) -> CliffordElement:
+        if equation == "dirac":
+            return self.winv.value(x) * r
+        if equation in ("curvature_b", "source_b"):
+            return self.winv.value(x) * r * self.w.value(x)
+        return r
+
+
+# conj(t) J = J t for every admissible t, so J^{-1} t J = conj(t).
+_J_TWIST = _Unitary(_J_FIELD, _JINV_FIELD, _conj_idempotent)
+
+
+def _steps(kind: str, family: FieldFamily | None) -> tuple:
+    """The steps of one transformation, applied left to right."""
+    if kind not in TRANSFORM_KINDS:
+        raise ValueError(f"unknown transformation kind {kind!r}")
+    needs_payload = kind in ("global_unitary", "gauge_unitary", "gauge_symplectic")
+    if needs_payload != (family is not None):
+        need = "needs a payload family" if needs_payload else "takes no payload"
+        raise ValueError(f"{kind} {need}")
+    if kind == "conjugation":
+        return (_CONJUGATION,)
+    if kind == "discrete_J":
+        return (_CONJUGATION, _J_TWIST)
+    u, uinv = family.group_field(), family.inverse_field()
+    if kind == "gauge_symplectic":
+        return (_Symplectic(u, uinv),)
+    if kind == "gauge_unitary":  # U(x) in G(t) commutes with t
+        return (_Unitary(u, uinv),)
+
+    def moved(t):  # a constant U moves t to U^{-1} t U
+        u0 = family.value((0.0, 0.0, 0.0, 0.0))
+        return HermitianIdempotent(inverse(u0) * t.element * u0, None)
+
+    return (_Unitary(u, uinv, moved),)
+
+
 @dataclass(frozen=True)
 class TransformationSpec:
-    """A transformation kind plus its payload.
+    """A transformation kind plus its payload, and the steps they make.
 
     ``family`` carries U(x) or W(x) as an ordered product of exponentials
     (a constant payload is a family with constant shapes); discrete kinds
@@ -89,162 +219,31 @@ class TransformationSpec:
 
     kind: str
     family: FieldFamily | None = None
+    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ValueError(f"unknown transformation kind {self.kind!r}")
-        needs_payload = self.kind in ("global_unitary", "gauge_unitary", "gauge_symplectic")
-        if needs_payload and self.family is None:
-            raise ValueError(f"{self.kind} needs a payload family")
-        if not needs_payload and self.family is not None:
-            raise ValueError(f"{self.kind} takes no payload")
-
-    def payload_fields(self) -> tuple[CliffordField, CliffordField]:
-        """(U, U^{-1}) as fields; identity for discrete kinds."""
-        if self.family is None:
-            one = ConstantField(unit())
-            return one, one
-        return self.family.group_field(), self.family.inverse_field()
-
-    def payload_residual(self, t: HermitianIdempotent, points) -> float:
-        """Worst membership residual of the payload over the points."""
-        if self.family is None:
-            return 0.0
-        val = self.family.group_field().value(points)
-        if self.kind == "gauge_symplectic":
-            r = sp_group_residual(val)
-        elif self.kind == "gauge_unitary":
-            r = ideal_residual(val, t, "G")
-        else:
-            r = (val.herm_conj() * val - unit()).norm()
-        return float(np.max(r))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "payload": self.family.to_json_obj() if self.family is not None else None,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TransformationSpec":
-        fam = obj.get("payload")
-        return cls(obj["kind"], FieldFamily.from_json_obj(fam) if fam else None)
-
-
-def _conj_field(f: CliffordField) -> CliffordField:
-    return MappedField(f, lambda u: u.conj())
-
-
-def _conjugate_by(uinv: CliffordField, f: CliffordField, u: CliffordField) -> CliffordField:
-    return ProductField(ProductField(uinv, f), u)
-
-
-def _gauge_action(u, uinv, pot, strength):
-    """P_mu -> U^{-1} P_mu U - U^{-1} d_mu U and X_{mu nu} -> U^{-1} X_{mu nu} U."""
-    p = tuple(
-        SumField(
-            (
-                _conjugate_by(uinv, pot[mu], u),
-                ScaledField(-1.0, ProductField(uinv, u.partial(mu))),
-            )
-        )
-        for mu in range(4)
-    )
-    x = tuple(
-        tuple(_conjugate_by(uinv, strength[mu][nu], u) for nu in range(4)) for mu in range(4)
-    )
-    return p, x
+        object.__setattr__(self, "steps", _steps(self.kind, self.family))
 
 
 def apply_transformation(
     fs: TwoYangMillsFieldSet, spec: TransformationSpec
 ) -> TwoYangMillsFieldSet:
     """Transformed field set; h et al. stay exact derivative expressions."""
-    kind = spec.kind
-    if kind in ("global_unitary", "gauge_unitary"):
-        u, uinv = spec.payload_fields()
-        a, f = _gauge_action(u, uinv, fs.a, fs.f)
-        t_new = fs.t
-        if kind == "global_unitary":
-            u0 = spec.family.value((0.0, 0.0, 0.0, 0.0))
-            t_new = HermitianIdempotent(inverse(u0) * fs.t.element * u0, None)
-        return replace(fs, t=t_new, phi=ProductField(fs.phi, u), a=a, f=f)
-
-    if kind == "gauge_symplectic":
-        w, winv = spec.payload_fields()
-        b, g = _gauge_action(w, winv, fs.b, fs.g)
-        h = tuple(_conjugate_by(winv, fs.h[mu], w) for mu in range(4))
-        return replace(fs, phi=ProductField(winv, fs.phi), h=h, b=b, g=g)
-
-    # conjugation and discrete_J conjugate every coefficient; discrete_J then
-    # twists phi, A and F by J.
-    conj = _conj_field
-    phi, a, f = conj(fs.phi), fs.a, fs.f
-    t_new = fs.t
-    if kind == "conjugation":
-        t_new = HermitianIdempotent(fs.t.element.conj(), fs.t.label)
-        a = tuple(conj(a[mu]) for mu in range(4))
-        f = tuple(tuple(conj(f[mu][nu]) for nu in range(4)) for mu in range(4))
-    else:
-        phi = ProductField(phi, _J_FIELD)
-        a = tuple(_conjugate_by(_JINV_FIELD, conj(a[mu]), _J_FIELD) for mu in range(4))
-        f = tuple(
-            tuple(_conjugate_by(_JINV_FIELD, conj(f[mu][nu]), _J_FIELD) for nu in range(4))
-            for mu in range(4)
-        )
-    return replace(
-        fs,
-        t=t_new,
-        phi=phi,
-        h=tuple(ScaledField(-1.0, conj(fs.h[mu])) for mu in range(4)),
-        a=a,
-        f=f,
-        b=tuple(conj(fs.b[mu]) for mu in range(4)),
-        g=tuple(tuple(conj(fs.g[mu][nu]) for nu in range(4)) for mu in range(4)),
-    )
+    return reduce(lambda out, step: step.apply(out), spec.steps, fs)
 
 
 def expected_residual_transform(
     spec: TransformationSpec, equation: str, residual: CliffordElement, x
 ) -> CliffordElement:
-    """How each equation's residual must transform (derived and asserted).
-
-    Unitary kinds act on the Dirac residual from the right and conjugate
-    the A/F pair; the symplectic kind acts from the left on the Dirac
-    residual and conjugates the B/G pair; discrete kinds conjugate the
-    coefficients, with an extra J twist for the last kind.
-    """
-    kind = spec.kind
-    if kind in ("global_unitary", "gauge_unitary"):
-        u, uinv = spec.payload_fields()
-        if equation == "dirac":
-            return residual * u.value(x)
-        if equation in ("curvature_a", "source_a"):
-            return uinv.value(x) * residual * u.value(x)
-        return residual
-    if kind == "gauge_symplectic":
-        w, winv = spec.payload_fields()
-        if equation == "dirac":
-            return winv.value(x) * residual
-        if equation in ("curvature_b", "source_b"):
-            return winv.value(x) * residual * w.value(x)
-        return residual
-    if kind == "conjugation":
-        return residual.conj()
-    if kind == "discrete_J":
-        if equation == "dirac":
-            return residual.conj() * J
-        if equation in ("curvature_a", "source_a"):
-            return (J * -1) * residual.conj() * J
-        return residual.conj()
-    raise ValueError(f"unknown transformation kind {kind!r}")
+    """How each equation's residual must transform: by the law of each step,
+    in order."""
+    return reduce(lambda r, step: step.law(equation, r, x), spec.steps, residual)
 
 
 def covariance_check(
     fs: TwoYangMillsFieldSet,
     spec: TransformationSpec,
     points,
-    deriv: DerivativeMode = EXACT,
 ) -> ResidualRecord:
     """Certify the residual transformation law of one transformation.
 
@@ -254,8 +253,8 @@ def covariance_check(
     """
     transformed = apply_transformation(fs, spec)
     points = _as_points(points)
-    before = two_yang_mills_residual_components(fs, points, deriv)
-    after = two_yang_mills_residual_components(transformed, points, deriv)
+    before = two_yang_mills_residual_components(fs, points)
+    after = two_yang_mills_residual_components(transformed, points)
     mismatch = {
         eq: {
             idx: after[eq][idx] - expected_residual_transform(spec, eq, r, points)
@@ -263,9 +262,7 @@ def covariance_check(
         }
         for eq, comps in before.items()
     }
-    rec = _aggregate(
-        lambda _: mismatch, points, {"kind": spec.kind, "derivatives": deriv.describe()}
-    )
+    rec = _aggregate(lambda _: mismatch, points, {"kind": spec.kind})
     rec.metadata["original_residual_scale"] = float(
         np.max(_peak(r.norm() for comps in before.values() for r in comps.values()))
     )
@@ -329,9 +326,7 @@ def bilinear_form(
     return BilinearForm(k, tuple(indices), core * factor)
 
 
-def check_current_conservation(
-    fs: TwoYangMillsFieldSet, points, deriv: DerivativeMode = EXACT
-) -> ResidualRecord:
+def check_current_conservation(fs: TwoYangMillsFieldSet, points) -> ResidualRecord:
     """Non-abelian conservation of the Dirac current.
 
     For phi identically zero the law is the trivial 0 = 0 statement and is
@@ -349,7 +344,7 @@ def check_current_conservation(
             points,
             {"trivial": True},
         )
-    rec = bianchi_current_check(fs.a, points, deriv)
+    rec = bianchi_current_check(fs.a, points)
     rec.metadata["trivial"] = False
     return rec
 

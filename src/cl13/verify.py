@@ -96,16 +96,28 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# The largest mass whose cube, in the source coupling (3/16) m^3, is finite.
-_MASS_LIMIT = np.finfo(float).max ** (1 / 3)
+# Residual norms square terms of size |m|^3 |h|^3 (the sourced divergence
+# of B); below this mass they stay finite for |h| up to 1e6.
+_MASS_LIMIT = 1e45
+# A central-difference step must move the points of the [0, 1]^4 sample box
+# (at least the float spacing there) and stay within the box's side.
+_STEP_RANGE = (np.finfo(float).eps, 1.0)
+# The suites draw int64 seed arrays from the seed plus offsets up to +6009.
+_SEED_LIMIT = 2**63 - 1 - 10**4
 
 
 class ConfigError(ValueError):
     """Bad scenario configuration (maps to exit code 2)."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _is_int(value, types=(int, np.integer)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """A finite number, not a bool; an integer too large for a float is not."""
+    real = _is_int(value, (int, float, np.integer, np.floating))
+    return real and abs(value) <= float(np.finfo(float).max)
 
 
 @dataclass
@@ -125,20 +137,27 @@ class ScenarioConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; expected {SUITE_NAMES}")
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed <= _SEED_LIMIT:
+            raise ConfigError(f"seed must be an integer in [0, {_SEED_LIMIT}], got {self.seed!r}")
         if not _is_int(self.sample_count) or self.sample_count < 1:
             raise ConfigError(f"sample_count must be a positive integer, got {self.sample_count!r}")
-        if not all(abs(m) < _MASS_LIMIT for m in self.m_values):
-            raise ConfigError(f"m_values must be finite with a finite cube, below {_MASS_LIMIT:.3g}")
-        if not all(np.isfinite(s) and s > 0 for s in self.grid_steps):
-            raise ConfigError("grid steps must be positive and finite")
+        for key in ("m_values", "grid_steps"):
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)) or not all(map(_is_finite_real, values)):
+                raise ConfigError(f"{key} must be a list of finite numbers, got {values!r}")
+            setattr(self, key, tuple(float(v) for v in values))
+        if not self.m_values or not all(abs(m) < _MASS_LIMIT for m in self.m_values):
+            raise ConfigError(f"m_values needs one or more masses of size < {_MASS_LIMIT:.3g}")
+        if not all(_STEP_RANGE[0] <= s <= _STEP_RANGE[1] for s in self.grid_steps):
+            raise ConfigError(f"grid steps must lie in [{_STEP_RANGE[0]:.3g}, {_STEP_RANGE[1]:g}]")
+        if len(set(self.grid_steps)) < 2:
+            raise ConfigError("the convergence slope needs at least two distinct grid steps")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object of tolerance class: value")
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance class {key!r}")
-            if not isinstance(val, (int, float)) or not np.isfinite(val):
+            if not _is_finite_real(val):
                 raise ConfigError(f"tolerance {key!r} must be a finite number, got {val!r}")
             if val < 0 or (val == 0 and key != "exact"):
                 raise ConfigError("tolerance overrides must be positive (exact: non-negative)")
@@ -204,9 +223,6 @@ class ScenarioConfig:
         if "format" in kwargs:
             kwargs["fmt"] = kwargs.pop("format")
         try:
-            for key in ("m_values", "grid_steps"):
-                if key in kwargs:
-                    kwargs[key] = tuple(float(v) for v in kwargs[key])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None

@@ -10,11 +10,13 @@ from cl13.algebra import (
     E0,
     GENERATORS,
     CliffordElement,
+    commutator,
 )
 from cl13.fields import (
     ConstantField,
     FieldFamily,
     ModelFieldSet,
+    PointSet,
     ShapeField,
     SumField,
     bianchi_current_check,
@@ -22,9 +24,7 @@ from cl13.fields import (
     check_h_identities,
     check_reduction_identities,
     convergence_slope,
-    eval_family,
     fd_derivative,
-    fd_mode,
     model_residual_components,
     model_residuals,
     random_family,
@@ -47,16 +47,16 @@ X0 = np.array([0.37, 0.11, 0.62, 0.85])
 
 
 def test_eval_family_empty():
-    fam = FieldFamily(())
-    w, dw = eval_family(fam, X0, order=1)
-    assert w.equals(E, 0.0)
-    assert all(d.is_zero() for d in dw)
+    w_field = FieldFamily(()).group_field()
+    assert w_field.value(X0).equals(E, 0.0)
+    assert all(w_field.partial(mu).value(X0).is_zero() for mu in range(4))
 
 
 def test_eval_family_single_factor_linear_shape():
     v = sample("sp_cl", seed=2, scale=0.5)
-    fam = FieldFamily(((v, coordinate_shape(0)),))
-    w, dw = eval_family(fam, X0, order=1)
+    w_field = FieldFamily(((v, coordinate_shape(0)),)).group_field()
+    w = w_field.value(X0)
+    dw = [w_field.partial(mu).value(X0) for mu in range(4)]
     # One-parameter subgroup: d0 W = v W and the other partials vanish.
     assert (dw[0] - v * w).norm() <= 1e-12
     for mu in (1, 2, 3):
@@ -66,7 +66,9 @@ def test_eval_family_single_factor_linear_shape():
 def test_eval_family_derivatives_match_fd_oracle():
     fam = random_family(21, n_factors=2)
     w_field = fam.group_field()
-    w, dw, d2w = eval_family(fam, X0, order=2)
+    w = w_field.value(X0)
+    dw = [w_field.partial(mu).value(X0) for mu in range(4)]
+    d2w = [[w_field.partial(mu).partial(nu).value(X0) for nu in range(4)] for mu in range(4)]
     for mu in range(4):
         fd = fd_derivative(w_field.value, X0, mu, 1e-4)
         assert (dw[mu] - fd).norm() <= 1e-7
@@ -151,7 +153,7 @@ def test_model_residual_detector(pure_gauge, points):
         h=pure_gauge.h,
         a=pure_gauge.a,
         f=pure_gauge.f,
-        c=(SumField((pure_gauge.c[0], bump)),) + pure_gauge.c[1:],
+        c=(pure_gauge.c[0] + bump,) + pure_gauge.c[1:],
     )
     rec = model_residuals(perturbed, points[:4])
     assert rec.equations["h_transport"].max_residual >= 0.01
@@ -243,11 +245,52 @@ def test_fd_mode_residuals_scale_quadratically(reduced):
     assert abs(slope - 2.0) <= 0.2
 
 
-def test_fd_richardson_beats_plain_central(reduced):
-    pts = sample_points(9, 2)
-    plain = two_yang_mills_residuals(reduced, pts, fd_mode(1e-3, richardson=False))
-    rich = two_yang_mills_residuals(reduced, pts, fd_mode(1e-3, richardson=True))
-    assert rich.max_residual < plain.max_residual
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan")])
+def test_point_set_rejects_a_step_that_is_not_positive(step):
+    with pytest.raises(ValueError):
+        PointSet(X0, fd_step=step)
+
+
+def test_convergence_slope_is_nan_where_central_differences_are_exact(t2):
+    # Constant fields: every FD residual is exactly zero, so there is no slope.
+    red = reduce_to_two_yang_mills(build_pure_gauge(FieldFamily(()), t2, 1.0))
+    slope, residuals = convergence_slope(red, sample_points(2, 3))
+    assert np.isnan(slope) and residuals == [0.0, 0.0, 0.0]
+
+
+def test_fd_pass_differentiates_by_central_differences(reduced):
+    # Oracle: the (0, 1) curvature of B written out with fd_derivative.
+    pts, step = sample_points(9, 3), 1e-3
+    comps = two_yang_mills_residual_components(reduced, PointSet(pts, fd_step=step))
+    b, g = reduced.b, reduced.g
+    want = (
+        fd_derivative(b[1].value, pts, 0, step)
+        - fd_derivative(b[0].value, pts, 1, step)
+        - commutator(b[0].value(pts), b[1].value(pts))
+        - g[0][1].value(pts)
+    )
+    assert np.array_equal(gamma_rep(comps["curvature_b"][(0, 1)]), gamma_rep(want))
+    exact = two_yang_mills_residuals(reduced, pts).max_residual
+    fd = two_yang_mills_residuals(reduced, PointSet(pts, fd_step=step)).max_residual
+    assert exact <= 1e-12 < fd <= 1e-5
+
+
+def test_weighted_sum_equals_the_element_arithmetic():
+    a = ShapeField(coordinate_shape(1), CliffordElement.from_blade("e01", 0.7 - 0.2j))
+    b = FieldFamily(((sample("sp_cl", seed=4, scale=0.5), coordinate_shape(2)),)).group_field()
+    pts = sample_points(5, 4)
+    cases = [
+        (a - 2.5j * b, lambda u, v: u - v * 2.5j),
+        (a + b, lambda u, v: u + v),
+        (-a, lambda u, v: u * -1),
+        (SumField(((1, a), (0.5, b), (-1, a))), lambda u, v: u + v * 0.5 - u),
+    ]
+    for field, arithmetic in cases:
+        want = arithmetic(a.value(pts), b.value(pts))
+        assert np.array_equal(gamma_rep(field.value(pts)), gamma_rep(want))
+        for mu in range(4):
+            want = arithmetic(a.partial(mu).value(pts), b.partial(mu).value(pts))
+            assert np.array_equal(gamma_rep(field.partial(mu).value(pts)), gamma_rep(want))
 
 
 def test_bianchi_current_check_cases(t2):
@@ -298,7 +341,7 @@ def test_each_two_yang_mills_equation_detects_a_nonsolution(t2):
 
 def test_each_reduction_identity_detects_a_bumped_potential(reduced, points):
     bump = ConstantField(CliffordElement.from_blade("e12", 0.1))
-    bumped = replace(reduced, b=(SumField((reduced.b[0], bump)),) + reduced.b[1:])
+    bumped = replace(reduced, b=(reduced.b[0] + bump,) + reduced.b[1:])
     rec = check_reduction_identities(bumped, points[:4])
     assert set(rec.equations) == {
         "h_b_transport", "b_curvature_consistency", "h_conservation"

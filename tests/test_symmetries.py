@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cl13.algebra import (
+    E,
     GENERATORS,
     GENERATORS_EXACT,
     J,
@@ -23,6 +24,7 @@ from cl13.subspaces import (
     fixed_idempotent,
     ideal_residual,
     sample,
+    sp_group_residual,
 )
 from cl13.symmetries import (
     TRANSFORM_KINDS,
@@ -63,9 +65,13 @@ def test_spec_validation():
 
 
 def test_payload_membership(t2):
-    for kind in ("global_unitary", "gauge_unitary", "gauge_symplectic"):
-        spec = _payload(kind, 51, t2)
-        assert spec.payload_residual(t2, PTS) <= 1e-9
+    def payload(kind):
+        return _payload(kind, 51, t2).family.value(PTS)
+
+    u = payload("global_unitary")
+    assert np.max((u.herm_conj() * u - E).norm()) <= 1e-9
+    assert np.max(ideal_residual(payload("gauge_unitary"), t2, "G")) <= 1e-9
+    assert np.max(sp_group_residual(payload("gauge_symplectic"))) <= 1e-9
 
 
 def test_identity_gauge_transformation_is_identity(reduced, points):
@@ -145,14 +151,23 @@ def test_gauge_composition(reduced, points, t2):
             assert (once.a[mu].value(x) - combined.a[mu].value(x)).norm() <= 1e-10
 
 
-def test_transformation_spec_json_roundtrip(t2):
-    spec = _payload("gauge_symplectic", 5, t2)
-    again = TransformationSpec.from_json_obj(spec.to_json_obj())
-    assert again.kind == spec.kind
-    x = PTS[0]
-    assert (again.family.value(x) - spec.family.value(x)).is_zero(1e-12)
-    disc = TransformationSpec.from_json_obj(TransformationSpec("conjugation").to_json_obj())
-    assert disc.family is None
+def test_discrete_j_is_conjugation_then_the_constant_unitary_j():
+    # exp((pi/2) J) = J since J^2 = -e, so the global unitary of that family
+    # is the constant J up to rounding.
+    fs = random_two_yang_mills_set(41, fixed_idempotent("t1"), 1.0)
+    j_family = FieldFamily(((J * (np.pi / 2), constant_shape(1.0)),))
+    assert (j_family.value(PTS[0]) - J).norm() <= 1e-15
+    twisted = apply_transformation(fs, TransformationSpec("discrete_J"))
+    conj = apply_transformation(fs, TransformationSpec("conjugation"))
+    composed = apply_transformation(conj, TransformationSpec("global_unitary", j_family))
+    pairs = [(twisted.phi, composed.phi), *zip(twisted.a, composed.a)]
+    pairs += [(f, g) for rf, rg in zip(twisted.f, composed.f) for f, g in zip(rf, rg)]
+    pairs += [*zip(twisted.h, conj.h), *zip(twisted.b, conj.b)]
+    for f, g in pairs:
+        assert np.max((f.value(PTS) - g.value(PTS)).norm()) <= 1e-12
+    # J^{-1} conj(t) J = t: the twist restores the idempotent and its label.
+    assert np.array_equal(gamma_rep(twisted.t.element), gamma_rep(fs.t.element))
+    assert twisted.t.label == "t1"
 
 
 # -- bilinear forms ---------------------------------------------------------------

@@ -223,18 +223,57 @@ def test_cli_non_symplectic_family(tmp_path):
         {"seed": -1},
         {"tolerances": []},
         {"m_values": [1e308]},  # m**3 overflows
+        {"m_values": "12"},  # not read one character at a time
+        {"grid_steps": "12"},
+        {"m_values": [True]},
+        {"tolerances": {"exact": True}},
+        {"m_values": [10**400]},  # no float holds it
     ],
     ids=["fractional-sample-count", "bool-sample-count", "string-seed", "negative-seed",
-         "list-tolerances", "mass-cube-overflows"],
+         "list-tolerances", "mass-cube-overflows", "string-m-values", "string-grid-steps",
+         "bool-mass", "bool-tolerance", "int-mass-beyond-float"],
 )
-def test_cli_malformed_config_value(tmp_path, obj):
+def test_cli_malformed_config_value(tmp_path, capsys, obj):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(obj))
     assert main(["verify", "reduction", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_negative_seed_flag():
     assert main(["verify", "algebra", "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["reduction", "--m", ","],
+        ["symmetries", "--m", ","],
+        ["convergence", "--m", ","],
+        ["convergence", "--grid-steps", ","],
+        ["convergence", "--grid-steps", "1e-3"],
+        ["convergence", "--grid-steps", "1e-3,1e-3"],
+        ["convergence", "--grid-steps", "1e300,1e-3"],  # exp overflows off the box
+        ["convergence", "--grid-steps", "5e-324,1e-3"],  # 0.5 / step is infinite
+        ["reduction", "--m", "1e60"],  # residual norms overflow
+        # seed + offset up to 6009 must fit the suites' int64 seed arrays
+        ["subspaces", "--seed", "9223372036854775000"],
+        ["algebra", "--seed", "18446744073709551616"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_cli_rejects_flags_a_suite_cannot_run(capsys, args):
+    assert main(["verify", *args]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_the_largest_accepted_seed_runs_the_kernel_suites():
+    assert verify._SEED_LIMIT + 6009 < np.iinfo(np.int64).max
+    ScenarioConfig(seed=22_000_000_000)  # bench kernel-sweep seeds stay valid
+    with pytest.raises(ConfigError):
+        ScenarioConfig(seed=verify._SEED_LIMIT + 1)
+    for suite in ("algebra", "subspaces"):
+        run_scenario(ScenarioConfig(suite=suite, seed=verify._SEED_LIMIT))
 
 
 def test_each_check_is_timed_from_the_previous_check(monkeypatch):
