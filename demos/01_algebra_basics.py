@@ -14,9 +14,6 @@ from cl13 import (
     anticommutator,
     commutator,
     exp_element,
-    grade_project,
-    herm_conj,
-    pseudo_conj,
     random_element,
 )
 from cl13.algebra import GENERATORS_EXACT, METRIC_DIAG, unit
@@ -38,13 +35,13 @@ print("{e0, e1}         =", anticommutator(E0, E1).to_json_obj())
 
 print("\n== involutions ==")
 u = random_element(np.random.default_rng(1))
-print("|(UV)* - V*U*|   =", (pseudo_conj(u * u) - pseudo_conj(u) * pseudo_conj(u)).norm())
-print("e1^dagger        =", herm_conj(E1).to_json_obj(), "(beta e1 beta = -e1)")
+print("|(UV)* - V*U*|   =", ((u * u).pseudo_conj() - u.pseudo_conj() * u.pseudo_conj()).norm())
+print("e1^dagger        =", E1.herm_conj().to_json_obj(), "(beta e1 beta = -e1)")
 
 print("\n== grade projection ==")
 mixed = E + e12 * 2 + CliffordElement.from_blade("e0123", 1j)
 for k in range(5):
-    part = grade_project(mixed, k)
+    part = mixed.grade(k)
     if not part.is_zero():
         print(f"grade {k}:", part.to_json_obj())
 

@@ -8,22 +8,22 @@ residual, also on configurations that do not solve the system.
 import numpy as np
 
 from cl13 import (
-    FieldFamily,
-    TransformationSpec,
     bilinear_form,
     build_pure_gauge,
     covariance_check,
     fixed_idempotent,
     random_element,
     random_family,
+    random_transformation,
     reduce_to_two_yang_mills,
     sample_points,
+    two_yang_mills_residuals,
+    worst,
 )
-from cl13.algebra import GENERATORS, herm_conj
+from cl13.algebra import GENERATORS
 from cl13.fields import random_two_yang_mills_set
 from cl13.rep import hermitian_eigenvalues
-from cl13.shapes import PolyShape, constant_shape
-from cl13.subspaces import ideal_residual, sample
+from cl13.subspaces import ideal_residual
 from cl13.symmetries import TRANSFORM_KINDS
 
 t = fixed_idempotent("t2")
@@ -31,30 +31,16 @@ points = sample_points(23, 6)
 solution = reduce_to_two_yang_mills(build_pure_gauge(random_family(42), t, 1.0))
 nonsolution = random_two_yang_mills_set(53, t, 1.0)
 
+scale = worst(two_yang_mills_residuals(nonsolution, points).values())
 
-def payload(kind, seed):
-    if kind == "global_unitary":
-        gen = random_element(np.random.default_rng(seed), 0.4)
-        gen = (gen - herm_conj(gen)) * 0.5
-        return TransformationSpec(kind, FieldFamily(((gen, constant_shape(1.0)),)))
-    if kind == "gauge_unitary":
-        shape = PolyShape({(0, 0, 0, 0): 0.3, (1, 0, 0, 0): 0.5})
-        gens = [sample("L", t, seed=seed + i, scale=0.5) for i in range(2)]
-        return TransformationSpec(kind, FieldFamily(tuple((g, shape) for g in gens)))
-    if kind == "gauge_symplectic":
-        return TransformationSpec(kind, random_family(seed, scale=0.4))
-    return TransformationSpec(kind)
-
-
-print("== residual transformation laws ==")
+print(f"== residual transformation laws (non-solution residual scale {scale:.2f}) ==")
 for k, kind in enumerate(TRANSFORM_KINDS):
-    spec = payload(kind, 100 + k)
-    on_solution = covariance_check(solution, spec, points)
-    on_random = covariance_check(nonsolution, spec, points)
+    spec = random_transformation(kind, 100 + k, t)
+    on_solution = worst(covariance_check(solution, spec, points).values())
+    on_random = worst(covariance_check(nonsolution, spec, points).values())
     print(
-        f"{kind:18s} solution mismatch {on_solution.max_residual:.2e}   "
-        f"non-solution mismatch {on_random.max_residual:.2e} "
-        f"(residual scale {on_random.metadata['original_residual_scale']:.2f})"
+        f"{kind:18s} solution mismatch {on_solution:.2e}   "
+        f"non-solution mismatch {on_random:.2e}"
     )
 
 print("\n== bilinear covariants ==")
@@ -71,7 +57,7 @@ for indices in [(0, 1), (0, 1, 2), (0, 1, 2, 3)]:
     flipped = bilinear_form(phi, h_vals, swapped)
     print(
         f"k={bf.k}: antisymmetry {(bf.value + flipped.value).norm():.2e}, "
-        f"hermiticity {(herm_conj(bf.value) - bf.value).norm():.2e}, "
+        f"hermiticity {(bf.value.herm_conj() - bf.value).norm():.2e}, "
         f"iJ in L(t) residual {ideal_residual(bf.value * 1j, t, 'L'):.2e}"
     )
 print("repeated index gives zero:", bilinear_form(phi, h_vals, (2, 2)).value.is_zero())

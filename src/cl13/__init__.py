@@ -18,14 +18,7 @@ from .algebra import (
     anticommutator,
     blade_mul,
     commutator,
-    complex_conj,
     exp_element,
-    grade_project,
-    herm_conj,
-    linear_combine,
-    mul,
-    norm,
-    pseudo_conj,
     random_element,
 )
 from .exactnum import RationalComplex
@@ -37,7 +30,6 @@ from .fields import (
     ModelFieldSet,
     PointSet,
     ProductField,
-    ResidualRecord,
     ShapeField,
     SumField,
     TwoYangMillsFieldSet,
@@ -52,7 +44,9 @@ from .fields import (
     random_two_yang_mills_set,
     reduce_to_two_yang_mills,
     sample_points,
+    source_norm,
     two_yang_mills_residuals,
+    worst,
 )
 from .rep import (
     NotHermitianError,
@@ -85,6 +79,7 @@ from .symmetries import (
     bilinear_form,
     check_current_conservation,
     covariance_check,
+    random_transformation,
 )
 from .verify import Report, ScenarioConfig, emit_report, run_scenario
 

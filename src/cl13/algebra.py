@@ -19,15 +19,13 @@ Involutions:
     conjugates scalars and reverses products: on a grade-k blade it is the
     reversion sign (-1)^{k(k-1)/2} together with coefficient conjugation.
   * Hermitian conjugation ``herm_conj`` is U -> beta U* beta with beta = e0.
-  * ``complex_conj`` conjugates coefficients and fixes every blade.
+  * ``conj`` conjugates coefficients and fixes every blade.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -135,7 +133,7 @@ _TO_MATRIX = BLADE_REPS.reshape(N_BLADES, 16)
 _TO_COEFFS = _TO_MATRIX.conj().T / 4
 # pseudo_conj is gamma0 M^dagger gamma0, an entrywise sign since gamma0 is diagonal
 _GAMMA0_SIGNS = np.outer(np.diag(_GAMMA[0]), np.diag(_GAMMA[0]))
-# complex_conj is C conj(M) C^-1 with C = rep(e013): C commutes with the real
+# conj is C conj(M) C^-1 with C = rep(e013): C commutes with the real
 # matrices rep(e0), rep(e1), rep(e3) and anticommutes with the imaginary rep(e2)
 _CONJ = BLADE_REPS[label_to_mask("e013")]
 _CONJ_INV = _CONJ.conj().T
@@ -418,44 +416,12 @@ def _mul_exact(u: CliffordElement, v: CliffordElement) -> CliffordElement:
 # -- module-level operations ----------------------------------------------
 
 
-def mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
-    return u * v
-
-
-def linear_combine(terms) -> CliffordElement:
-    """Sum of scalar * element over a list of (scalar, element) pairs."""
-    terms = list(terms)
-    if not terms:
-        return CliffordElement.zero()
-    return reduce(operator.add, (elem * scalar for scalar, elem in terms))
-
-
-def grade_project(u: CliffordElement, k: int) -> CliffordElement:
-    return u.grade(k)
-
-
-def pseudo_conj(u: CliffordElement) -> CliffordElement:
-    return u.pseudo_conj()
-
-
-def herm_conj(u: CliffordElement) -> CliffordElement:
-    return u.herm_conj()
-
-
-def complex_conj(u: CliffordElement) -> CliffordElement:
-    return u.conj()
-
-
 def commutator(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     return u * v - v * u
 
 
 def anticommutator(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     return u * v + v * u
-
-
-def norm(u: CliffordElement):
-    return u.norm()
 
 
 def exp_element(

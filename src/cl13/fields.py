@@ -636,72 +636,45 @@ def two_yang_mills_residual_components(
     }
 
 
-@dataclass
-class EquationResidual:
-    max_residual: float
-    at_point: tuple[float, float, float, float] | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "at_point": list(self.at_point) if self.at_point is not None else None,
-        }
-
-
-@dataclass
-class ResidualRecord:
-    """Per-equation max residual over sample points plus run metadata."""
-
-    equations: dict[str, EquationResidual]
-    metadata: dict
-
-    @property
-    def max_residual(self) -> float:
-        return max((e.max_residual for e in self.equations.values()), default=0.0)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "equations": {k: v.to_json_obj() for k, v in sorted(self.equations.items())},
-            "metadata": self.metadata,
-        }
-
-
 def _peak(norms):
     """Elementwise maximum of a non-empty sequence of norms (per point for a set)."""
     return reduce(np.maximum, norms)
 
 
-def _aggregate(component_fn, points, metadata_extra=None) -> ResidualRecord:
-    """Evaluate the components once over the whole point set and keep, per
-    equation, the largest residual norm and the first point reaching it."""
+def worst(residuals) -> float:
+    """The largest of a non-empty sequence of residual numbers and arrays.
+
+    NaN if any entry holds a NaN: ``np.max`` propagates it, where the
+    builtin ``max`` drops a NaN that does not come first.
+    """
+    return float(np.max([np.max(r) for r in residuals]))
+
+
+def _aggregate(components, points: PointSet) -> dict[str, np.ndarray]:
+    """Per equation, the largest component norm at each point."""
+    shape = points.x.shape[:-1]
+    return {
+        eq: np.broadcast_to(_peak(r.norm() for r in by_index.values()), shape)
+        for eq, by_index in components.items()
+    }
+
+
+def model_residuals(fs: ModelFieldSet, points) -> dict[str, np.ndarray]:
     points = _as_points(points)
-    n = len(points.x)
-    equations: dict[str, EquationResidual] = {}
-    for eq, by_index in component_fn(points).items():
-        worst = np.broadcast_to(_peak(r.norm() for r in by_index.values()), n)
-        i = int(np.argmax(worst))
-        equations[eq] = EquationResidual(float(worst[i]), tuple(float(c) for c in points.x[i]))
-    meta = dict(metadata_extra or {})
-    meta["points"] = n
-    return ResidualRecord(equations, meta)
+    return _aggregate(model_residual_components(fs, points), points)
 
 
-def model_residuals(fs: ModelFieldSet, points) -> ResidualRecord:
-    return _aggregate(lambda x: model_residual_components(fs, x), points, {"mass": fs.mass})
+def two_yang_mills_residuals(fs: TwoYangMillsFieldSet, points) -> dict[str, np.ndarray]:
+    points = _as_points(points)
+    return _aggregate(two_yang_mills_residual_components(fs, points), points)
 
 
-def two_yang_mills_residuals(fs: TwoYangMillsFieldSet, points) -> ResidualRecord:
-    rec = _aggregate(
-        lambda x: two_yang_mills_residual_components(fs, x), points, {"mass": fs.mass}
-    )
-    # Certify the sourced equation is non-trivial: record the right-hand
-    # side norm scale (3/16)|m|^3 * |i h^nu| at the first sample point.
-    x0 = _as_points(points).x[0]
+def source_norm(fs: TwoYangMillsFieldSet, x) -> float:
+    """Norm scale (3/16)|m|^3 max_nu |i h^nu| of the sourced equation's
+    right-hand side at one point: nonzero certifies the source is there."""
+    x = _as_points(x)
     m3 = SOURCE_COUPLING * abs(fs.mass) ** 3
-    rec.metadata["source_b_rhs_norm"] = max(
-        (fs.h[nu].value(x0) * (1j * m3)).norm() for nu in range(4)
-    )
-    return rec
+    return worst((fs.h[nu].value(x) * (1j * m3)).norm() for nu in range(4))
 
 
 # -- identity checks --------------------------------------------------------------
@@ -741,7 +714,7 @@ def check_h_identities(h_vals) -> dict[str, float]:
     }
 
 
-def check_reduction_identities(fs: TwoYangMillsFieldSet, points) -> ResidualRecord:
+def check_reduction_identities(fs: TwoYangMillsFieldSet, points) -> dict[str, np.ndarray]:
     """Identities induced by the reduction on (h, B):
 
     d_mu(i h^nu) - [B_mu, i h^nu] = (m/4) [i h_mu, i h^nu]
@@ -749,33 +722,29 @@ def check_reduction_identities(fs: TwoYangMillsFieldSet, points) -> ResidualReco
     d_mu h^mu - [B_mu, h^mu] = 0
     """
     m4 = fs.mass / 4.0
-
-    def components(x):
-        bv = _values(fs.b, x)
-        ih = [f.value(x) * 1j for f in fs.h]
-        ih_lower = [ih[mu] * METRIC_DIAG[mu] for mu in range(4)]
-        transport = [
-            [_covariant(x, bv, mu, fs.h[nu]) for nu in range(4)] for mu in range(4)
-        ]
-        return {
-            "h_b_transport": {
-                (mu, nu): transport[mu][nu] * 1j - commutator(ih_lower[mu], ih[nu]) * m4
-                for mu in range(4)
-                for nu in range(4)
-            },
-            "b_curvature_consistency": {
-                (mu, nu): _curvature(x, fs.b, bv, mu, nu)
-                - commutator(ih_lower[mu], ih_lower[nu]) * (-(m4**2))
-                for mu in range(4)
-                for nu in range(mu + 1, 4)
-            },
-            "h_conservation": {(): _total(transport[mu][mu] for mu in range(4))},
-        }
-
-    return _aggregate(components, points)
+    x = _as_points(points)
+    bv = _values(fs.b, x)
+    ih = [f.value(x) * 1j for f in fs.h]
+    ih_lower = [ih[mu] * METRIC_DIAG[mu] for mu in range(4)]
+    transport = [[_covariant(x, bv, mu, fs.h[nu]) for nu in range(4)] for mu in range(4)]
+    components = {
+        "h_b_transport": {
+            (mu, nu): transport[mu][nu] * 1j - commutator(ih_lower[mu], ih[nu]) * m4
+            for mu in range(4)
+            for nu in range(4)
+        },
+        "b_curvature_consistency": {
+            (mu, nu): _curvature(x, fs.b, bv, mu, nu)
+            - commutator(ih_lower[mu], ih_lower[nu]) * (-(m4**2))
+            for mu in range(4)
+            for nu in range(mu + 1, 4)
+        },
+        "h_conservation": {(): _total(transport[mu][mu] for mu in range(4))},
+    }
+    return _aggregate(components, x)
 
 
-def bianchi_current_check(a_fields, points) -> ResidualRecord:
+def bianchi_current_check(a_fields, points) -> dict[str, np.ndarray]:
     """Conservation of the current induced by a gauge potential.
 
     F is defined from the potential by its curvature equation, the current
@@ -805,12 +774,10 @@ def bianchi_current_check(a_fields, points) -> ResidualRecord:
             terms.append((-1, field_commutator(a_fields[mu], up)))
         current.append(SumField(terms))
 
-    def components(x):
-        av = _values(a_fields, x)
-        total = _total(_covariant(x, av, nu, current[nu]) for nu in range(4))
-        return {"current_conservation": {(): total}}
-
-    return _aggregate(components, points)
+    x = _as_points(points)
+    av = _values(a_fields, x)
+    total = _total(_covariant(x, av, nu, current[nu]) for nu in range(4))
+    return _aggregate({"current_conservation": {(): total}}, x)
 
 
 def convergence_slope(
@@ -823,11 +790,11 @@ def convergence_slope(
     Central differences carry an O(step^2) error, so a reduced pure-gauge
     set should measure a slope near 2.
     """
-    residuals = []
-    for h in steps:
-        rec = two_yang_mills_residuals(fs, PointSet(points, fd_step=h))
-        residuals.append(rec.max_residual)
-    if min(residuals) <= 0.0:  # central differences are exact here: no slope to measure
+    residuals = [
+        worst(two_yang_mills_residuals(fs, PointSet(points, fd_step=h)).values()) for h in steps
+    ]
+    # A zero residual (central differences exact) or a NaN leaves no slope to measure.
+    if not np.min(residuals) > 0.0:
         return float("nan"), residuals
     logs = np.log(np.asarray(steps, dtype=float))
     logr = np.log(np.asarray(residuals, dtype=float))

@@ -39,6 +39,7 @@ from .algebra import (
     E0_EXACT,
     CliffordElement,
     J,
+    random_element,
 )
 from .exactnum import RC_I
 from .fields import (
@@ -48,18 +49,18 @@ from .fields import (
     FieldFamily,
     MappedField,
     ProductField,
-    ResidualRecord,
     TwoYangMillsFieldSet,
     _aggregate,
     _as_points,
-    _peak,
     _total,
     bianchi_current_check,
     current_vector,
+    random_family,
     two_yang_mills_residual_components,
 )
 from .rep import inverse
-from .subspaces import HermitianIdempotent
+from .shapes import PolyShape, constant_shape
+from .subspaces import HermitianIdempotent, sample
 
 TRANSFORM_KINDS = (
     "global_unitary",
@@ -225,6 +226,23 @@ class TransformationSpec:
         object.__setattr__(self, "steps", _steps(self.kind, self.family))
 
 
+def random_transformation(kind: str, seed: int, t: HermitianIdempotent) -> TransformationSpec:
+    """A seeded transformation of one kind: a constant anti-Hermitian
+    exponent for global_unitary, two L(t) factors for gauge_unitary (so
+    U(x) lies in G(t)), a random symplectic family for gauge_symplectic."""
+    if kind == "global_unitary":
+        perturb = random_element(np.random.default_rng(seed), 0.4)
+        gen = (perturb - perturb.herm_conj()) * 0.5
+        return TransformationSpec(kind, FieldFamily(((gen, constant_shape(1.0)),)))
+    if kind == "gauge_unitary":
+        gens = [sample("L", t, seed=seed + i, scale=0.5) for i in range(2)]
+        shape = PolyShape({(0, 0, 0, 0): 0.3, (1, 0, 0, 0): 0.5, (0, 0, 1, 0): -0.4})
+        return TransformationSpec(kind, FieldFamily(tuple((g, shape) for g in gens)))
+    if kind == "gauge_symplectic":
+        return TransformationSpec(kind, random_family(seed, n_factors=2, scale=0.4))
+    return TransformationSpec(kind)
+
+
 def apply_transformation(
     fs: TwoYangMillsFieldSet, spec: TransformationSpec
 ) -> TwoYangMillsFieldSet:
@@ -244,13 +262,9 @@ def covariance_check(
     fs: TwoYangMillsFieldSet,
     spec: TransformationSpec,
     points,
-) -> ResidualRecord:
-    """Certify the residual transformation law of one transformation.
-
-    Per equation, records max |r_transformed - expected(r_original)| over
-    the points; metadata carries the residual scale of the original
-    configuration so solution and non-solution runs are distinguishable.
-    """
+) -> dict[str, np.ndarray]:
+    """Certify the residual transformation law of one transformation: per
+    equation, |r_transformed - expected(r_original)| at each point."""
     transformed = apply_transformation(fs, spec)
     points = _as_points(points)
     before = two_yang_mills_residual_components(fs, points)
@@ -262,11 +276,7 @@ def covariance_check(
         }
         for eq, comps in before.items()
     }
-    rec = _aggregate(lambda _: mismatch, points, {"kind": spec.kind})
-    rec.metadata["original_residual_scale"] = float(
-        np.max(_peak(r.norm() for comps in before.values() for r in comps.values()))
-    )
-    return rec
+    return _aggregate(mismatch, points)
 
 
 # -- bilinear covariants --------------------------------------------------------
@@ -326,27 +336,20 @@ def bilinear_form(
     return BilinearForm(k, tuple(indices), core * factor)
 
 
-def check_current_conservation(fs: TwoYangMillsFieldSet, points) -> ResidualRecord:
+def check_current_conservation(fs: TwoYangMillsFieldSet, points) -> dict[str, np.ndarray]:
     """Non-abelian conservation of the Dirac current.
 
-    For phi identically zero the law is the trivial 0 = 0 statement and is
-    reported as such; otherwise it is the antisymmetry-forced identity of
-    the induced current, delegated to the Bianchi check on the A fields.
+    For phi identically zero the law is the trivial 0 = 0 statement, whose
+    residual is the current itself; otherwise it is the antisymmetry-forced
+    identity of the induced current, delegated to the Bianchi check on the
+    A fields.
     """
-    phi_scale = np.max(fs.phi.value(points).norm())
-    if phi_scale <= 1e-14:
-        return _aggregate(
-            lambda x: {
-                "current_conservation": dict(
-                    enumerate(current_vector(fs.phi.value(x), [f.value(x) for f in fs.h]))
-                )
-            },
-            points,
-            {"trivial": True},
-        )
-    rec = bianchi_current_check(fs.a, points)
-    rec.metadata["trivial"] = False
-    return rec
+    x = _as_points(points)
+    phi = fs.phi.value(x)
+    if not np.max(phi.norm()) <= 1e-14:
+        return bianchi_current_check(fs.a, points)
+    current = current_vector(phi, [f.value(x) for f in fs.h])
+    return _aggregate({"current_conservation": dict(enumerate(current))}, x)
 
 
 def compose_unitary_payloads(f1: FieldFamily, f2: FieldFamily) -> FieldFamily:

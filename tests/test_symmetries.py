@@ -17,9 +17,10 @@ from cl13.fields import (
     random_two_yang_mills_set,
     sample_points,
     two_yang_mills_residuals,
+    worst,
 )
 from cl13.rep import gamma_rep, hermitian_eigenvalues
-from cl13.shapes import PolyShape, constant_shape
+from cl13.shapes import constant_shape
 from cl13.subspaces import (
     fixed_idempotent,
     ideal_residual,
@@ -36,23 +37,10 @@ from cl13.symmetries import (
     check_current_conservation,
     compose_unitary_payloads,
     covariance_check,
+    random_transformation,
 )
 
 PTS = sample_points(23, 4)
-
-
-def _payload(kind, seed, t):
-    if kind == "global_unitary":
-        perturb = random_element(np.random.default_rng(seed), 0.4)
-        gen = (perturb - perturb.herm_conj()) * 0.5
-        return TransformationSpec(kind, FieldFamily(((gen, constant_shape(1.0)),)))
-    if kind == "gauge_unitary":
-        gens = [sample("L", t, seed=seed + i, scale=0.5) for i in range(2)]
-        shape = PolyShape({(0, 0, 0, 0): 0.3, (1, 0, 0, 0): 0.5, (0, 0, 1, 0): -0.4})
-        return TransformationSpec(kind, FieldFamily(tuple((g, shape) for g in gens)))
-    if kind == "gauge_symplectic":
-        return TransformationSpec(kind, random_family(seed, n_factors=2, scale=0.4))
-    return TransformationSpec(kind)
 
 
 def test_spec_validation():
@@ -66,7 +54,7 @@ def test_spec_validation():
 
 def test_payload_membership(t2):
     def payload(kind):
-        return _payload(kind, 51, t2).family.value(PTS)
+        return random_transformation(kind, 51, t2).family.value(PTS)
 
     u = payload("global_unitary")
     assert np.max((u.herm_conj() * u - E).norm()) <= 1e-9
@@ -117,29 +105,28 @@ def test_constant_symplectic_conjugation_preserves_h_relations(reduced, points):
 
 def test_covariance_on_solution(reduced, points, t2):
     for k, kind in enumerate(TRANSFORM_KINDS):
-        spec = _payload(kind, 100 + k, t2)
+        spec = random_transformation(kind, 100 + k, t2)
         rec = covariance_check(reduced, spec, points[:4])
-        assert rec.max_residual <= 1e-9, kind
+        assert worst(rec.values()) <= 1e-9, kind
         # Transformed solutions stay solutions.
         transformed = apply_transformation(reduced, spec)
         after = two_yang_mills_residuals(transformed, points[:4])
-        assert after.max_residual <= 1e-9, kind
+        assert worst(after.values()) <= 1e-9, kind
 
 
 def test_covariance_residual_law_on_nonsolutions(t2):
     fs = random_two_yang_mills_set(71, t2, 1.0)
     base = two_yang_mills_residuals(fs, PTS[:3])
-    assert base.max_residual > 1e-2
+    assert worst(base.values()) > 1e-2
     for k, kind in enumerate(TRANSFORM_KINDS):
-        spec = _payload(kind, 200 + k, t2)
+        spec = random_transformation(kind, 200 + k, t2)
         rec = covariance_check(fs, spec, PTS[:3])
-        assert rec.max_residual <= 1e-9, kind
-        assert rec.metadata["original_residual_scale"] > 1e-2
+        assert worst(rec.values()) <= 1e-9, kind
 
 
 def test_gauge_composition(reduced, points, t2):
-    u1 = _payload("gauge_unitary", 300, t2)
-    u2 = _payload("gauge_unitary", 301, t2)
+    u1 = random_transformation("gauge_unitary", 300, t2)
+    u2 = random_transformation("gauge_unitary", 301, t2)
     once = apply_transformation(apply_transformation(reduced, u1), u2)
     combined = apply_transformation(
         reduced,
@@ -234,12 +221,10 @@ def test_bilinear_form_hermitian_and_in_l(rng, t2, family):
 
 def test_current_conservation_trivial_for_zero_phi(reduced, points):
     rec = check_current_conservation(reduced, points[:4])
-    assert rec.metadata["trivial"] is True
-    assert rec.equations["current_conservation"].max_residual == 0.0
+    assert np.max(rec["current_conservation"]) == 0.0
 
 
 def test_current_conservation_nontrivial(t2):
     fs = random_two_yang_mills_set(55, t2, 1.0)
     rec = check_current_conservation(fs, PTS[:3])
-    assert rec.metadata["trivial"] is False
-    assert rec.equations["current_conservation"].max_residual <= 1e-8
+    assert np.max(rec["current_conservation"]) <= 1e-8

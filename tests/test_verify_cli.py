@@ -8,6 +8,8 @@ import pytest
 from cl13 import verify
 from cl13.algebra import random_element
 from cl13.cli import main
+from cl13.fields import FieldFamily, random_family
+from cl13.subspaces import sample
 from cl13.verify import (
     Check,
     ConfigError,
@@ -48,6 +50,74 @@ def test_single_check_summary():
     report = Report({}, {}, [ok, bad])
     assert report.summary == {"passed": 1, "failed": 1}
     assert ok.status == "pass" and bad.status == "fail"
+
+
+@pytest.mark.parametrize("residual", [float("nan"), float("inf")])
+def test_a_non_finite_residual_fails_and_is_written_as_null(residual):
+    check = Check("a", "x", residual, 1e-9, 0.0)
+    assert check.status == "fail"
+    assert check.to_json_obj()["residual"] is None
+    report = emit_report(Report({}, {}, [check]))
+    assert json.loads(report, parse_constant=_reject)["checks"][0]["residual"] is None
+
+
+def test_a_nan_among_the_residuals_fails_the_check():
+    suite = _Suite(ScenarioConfig(suite="algebra"))
+    suite.add("a", "x", [0.0, np.array([1e-13, np.nan]), 1e-14], "involution")
+    assert suite.checks[0].status == "fail"
+
+
+def _reject(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def _write_family(tmp_path, obj) -> str:
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _overflowing_family() -> dict:
+    # Fields of this size overflow to inf and NaN at the sample points.
+    gen = sample("sp_cl", seed=3, scale=0.5) * 1000
+    return FieldFamily(((gen, random_family(1042).factors[0][1]),)).to_json_obj()
+
+
+def test_a_family_that_overflows_fails_the_reduction(tmp_path, capsys):
+    path = _write_family(tmp_path, _overflowing_family())
+    with pytest.warns(RuntimeWarning):
+        assert main(["verify", "reduction", "--family", path]) == 1
+    checks = json.loads(capsys.readouterr().out, parse_constant=_reject)["checks"]
+    failed = {c["name"] for c in checks if c["status"] == "fail"}
+    assert failed == {
+        "reduction/h-identities",
+        "reduction/pure-gauge-model-residuals",
+        "reduction/two-yang-mills-residuals",
+        "reduction/transport-identities",
+    }
+    assert all(c["residual"] is None for c in checks if c["name"] in failed)
+
+
+def test_a_family_that_overflows_fails_covariance_on_solutions():
+    with pytest.warns(RuntimeWarning):
+        report = run_scenario(ScenarioConfig(suite="symmetries", family=_overflowing_family()))
+    status = {c.name: c.status for c in report.checks}
+    assert status["symmetries/covariance-on-solutions"] == "fail"
+
+
+def test_an_unmeasurable_slope_is_written_as_null(tmp_path, capsys):
+    # Constant fields: central differences are exact, so there is no slope.
+    path = _write_family(tmp_path, {"factors": []})
+    assert main(["verify", "convergence", "--family", path]) == 1
+    checks = json.loads(capsys.readouterr().out, parse_constant=_reject)["checks"]
+    slope = {c["name"]: c for c in checks}["convergence/fd-slope"]
+    assert slope["residual"] is None and slope["status"] == "fail"
+
+
+def test_cli_rejects_a_config_a_report_cannot_echo(tmp_path):
+    shape = {"type": "poly", "coeffs": [[[0, 0, 0, 0], float("inf")]]}
+    fam = {"factors": [{"generator": sample("sp_cl", seed=3).to_json_obj(), "shape": shape}]}
+    assert main(["verify", "algebra", "--family", _write_family(tmp_path, fam)]) == 2
 
 
 def test_algebra_scenario_passes():
@@ -281,7 +351,7 @@ def test_each_check_is_timed_from_the_previous_check(monkeypatch):
 
     def three_checks(s):
         for name in ("a", "b", "c"):
-            s.add(name, "anchor", 0.0, "exact")
+            s.add(name, "anchor", [0.0], "exact")
 
     ticks = iter([10.0, 11.0, 13.0, 16.0, 100.0, 105.0, 106.0, 108.0])
     monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
