@@ -14,7 +14,7 @@ from cl13 import (
 )
 from cl13.algebra import commutator, exp_element
 from cl13.rep import inverse
-from cl13.subspaces import sp_group_residual
+from cl13.subspaces import sp_algebra_residual, sp_group_residual
 
 print("== the Lie algebra sp(cl(1,3)) ==")
 basis = subspace_basis("sp_cl")
@@ -38,5 +38,5 @@ print("inverse via the matrix representation:", (inverse(w1) * w1 - E).norm())
 print("\n== adjoint action preserves the algebra ==")
 v = sample("sp_cl", seed=12)
 conj = inverse(w1) * v * w1
-print("W^-1 v W in sp(cl(1,3)):", in_sp_algebra(conj, 1e-9))
-print("commutator closure:", in_sp_algebra(commutator(v, sample("sp_cl", seed=13)), 1e-12))
+print("W^-1 v W in sp(cl(1,3)):", in_sp_algebra(conj))
+print("commutator closure:", sp_algebra_residual(commutator(v, sample("sp_cl", seed=13))) <= 1e-12)

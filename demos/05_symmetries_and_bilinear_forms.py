@@ -34,13 +34,13 @@ nonsolution = random_two_yang_mills_set(53, t, 1.0)
 scale = worst(two_yang_mills_residuals(nonsolution, points).values())
 
 print(f"== residual transformation laws (non-solution residual scale {scale:.2f}) ==")
-for k, kind in enumerate(TRANSFORM_KINDS):
-    spec = random_transformation(kind, 100 + k, t)
-    on_solution = worst(covariance_check(solution, spec, points).values())
-    on_random = worst(covariance_check(nonsolution, spec, points).values())
+specs = [random_transformation(kind, 100 + k, t) for k, kind in enumerate(TRANSFORM_KINDS)]
+on_solution = covariance_check(solution, specs, points)
+on_random = covariance_check(nonsolution, specs, points)
+for spec, sol, rnd in zip(specs, on_solution, on_random):
     print(
-        f"{kind:18s} solution mismatch {on_solution:.2e}   "
-        f"non-solution mismatch {on_random:.2e}"
+        f"{spec.kind:18s} solution mismatch {worst(sol.values()):.2e}   "
+        f"non-solution mismatch {worst(rnd.values()):.2e}"
     )
 
 print("\n== bilinear covariants ==")

@@ -14,7 +14,6 @@ from .algebra import (
     J,
     METRIC_DIAG,
     CliffordElement,
-    ExpConvergenceError,
     anticommutator,
     blade_mul,
     commutator,

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=None, help="override the field-equation residual tolerance"
     )
     v.add_argument("--out", default=None, help="write the report to this file")
-    v.add_argument("--format", dest="fmt", choices=("json", "text"), default=None)
+    v.add_argument("--format", choices=("json", "text"), default=None)
     v.add_argument("--config", default=None, help="JSON config file (flags win)")
     v.add_argument("--sample-count", type=int, default=None)
     v.add_argument("--idempotent", default=None, help="t1..t4 label")
@@ -61,9 +61,9 @@ def _load_config(args) -> ScenarioConfig:
             raise ConfigError(f"cannot read config file: {exc}") from None
         if not isinstance(obj, dict):
             raise ConfigError("config file must hold a JSON object")
-    obj["suite"] = args.suite
-    if args.seed is not None:
-        obj["seed"] = args.seed
+    for key in ("suite", "seed", "format", "sample_count", "idempotent"):
+        if getattr(args, key) is not None:
+            obj[key] = getattr(args, key)
     if args.m is not None:
         obj["m_values"] = _parse_floats(args.m, "--m")
     if args.grid_steps is not None:
@@ -72,12 +72,6 @@ def _load_config(args) -> ScenarioConfig:
         tolerances = dict(obj.get("tolerances", {}))
         tolerances["residual"] = args.tol
         obj["tolerances"] = tolerances
-    if args.fmt is not None:
-        obj["format"] = args.fmt
-    if args.sample_count is not None:
-        obj["sample_count"] = args.sample_count
-    if args.idempotent is not None:
-        obj["idempotent"] = args.idempotent
     if args.family is not None:
         if args.family == "random":
             obj["family"] = "random"
@@ -109,7 +103,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run_scenario(cfg)
-    rendered = emit_report(report, cfg.fmt)
+    rendered = emit_report(report, cfg.format)
     if args.out:
         out_path = _resolve_out_path(args.out)
         try:

@@ -56,6 +56,7 @@ from .algebra import (
 )
 from .shapes import PolyShape, Shape, TrigShape, shape_from_json
 from .subspaces import (
+    MEMBERSHIP_TOL,
     HermitianIdempotent,
     fixed_idempotent,
     sp_algebra_residual,
@@ -309,11 +310,17 @@ class FieldFamily:
         trees = (reduce(ProductField, t) if t else ConstantField(E) for t in (w, winv))
         object.__setattr__(self, "_fields", tuple(trees))
 
-    def validate_symplectic(self, tol: float = 1e-9) -> None:
+    def validate_symplectic(self) -> None:
         for v, _ in self.factors:
             r = sp_algebra_residual(v)
-            if r > tol:
+            if r > MEMBERSHIP_TOL:
                 raise ValueError(f"family generator leaves sp(cl(1,3)): residual {r:.3e}")
+
+    def bound(self, step: float) -> float:
+        """sum_j |v_j| max|s_j| over [0,1]^4 widened by step on every side,
+        which bounds the exponents of W and W^-1 there."""
+        with np.errstate(over="ignore"):
+            return sum(float(v.norm()) * s.bound(step) for v, s in self.factors)
 
     def group_field(self) -> CliffordField:
         return self._fields[0]
@@ -344,17 +351,16 @@ class FieldFamily:
         return cls(factors)
 
 
-def random_family(
-    seed: int, n_factors: int = 2, scale: float = 0.5, trig: bool = True
-) -> FieldFamily:
-    """Deterministic random symplectic family with smooth low-order shapes."""
+def random_family(seed: int, n_factors: int = 2, scale: float = 0.5) -> FieldFamily:
+    """Deterministic random symplectic family with smooth low-order shapes:
+    a plane-wave trig profile on every second factor, polynomials otherwise."""
     rng = np.random.default_rng(seed)
     basis = subspace_basis("sp_cl")
     factors = []
     for j in range(n_factors):
         weights = rng.uniform(-scale, scale, basis.dim)
         v = _total(b * float(wgt) for wgt, b in zip(weights, basis.basis))
-        if trig and j % 2 == 1:
+        if j % 2 == 1:
             shape: Shape = TrigShape(
                 "sin",
                 float(rng.uniform(0.3, 1.0)),
@@ -374,10 +380,10 @@ def random_family(
     return FieldFamily(tuple(factors))
 
 
-def sample_points(seed: int, count: int = 20, bounds=(0.0, 1.0)) -> np.ndarray:
-    """Deterministic sample points in the default [0,1]^4 box."""
+def sample_points(seed: int, count: int = 20) -> np.ndarray:
+    """Deterministic sample points in the [0,1]^4 box."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(bounds[0], bounds[1], size=(count, 4))
+    return rng.uniform(0.0, 1.0, size=(count, 4))
 
 
 def _random_poly(rng: np.random.Generator, scale: float = 1.0) -> PolyShape:
@@ -475,10 +481,7 @@ def build_pure_gauge(
 
 
 def random_two_yang_mills_set(
-    seed: int,
-    t: HermitianIdempotent | None = None,
-    mass: float = 1.0,
-    family: FieldFamily | None = None,
+    seed: int, t: HermitianIdempotent | None = None, mass: float = 1.0
 ) -> TwoYangMillsFieldSet:
     """A membership-valid configuration that does not solve the system.
 
@@ -489,9 +492,7 @@ def random_two_yang_mills_set(
     rng = np.random.default_rng(seed)
     if t is None:
         t = fixed_idempotent("t2")
-    if family is None:
-        family = random_family(seed + 17, n_factors=2)
-    base = build_pure_gauge(family, t, mass)
+    base = build_pure_gauge(random_family(seed + 17), t, mass)
 
     t_elem = t.element.to_float()
     phi_span = []

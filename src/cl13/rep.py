@@ -11,6 +11,10 @@ import numpy as np
 
 from .algebra import BLADE_REPS, CliffordElement  # noqa: F401  (BLADE_REPS kept importable here)
 
+COND_CAP = 1e12  # inverse: a larger condition number counts as singular
+RANK_TOL = 1e-9  # rep_rank: singular values below RANK_TOL * max(1, s_max) are zero
+HERM_TOL = 1e-10  # hermitian_eigenvalues: the largest |u - u^dag| taken as Hermitian
+
 
 class SingularElementError(ArithmeticError):
     """The element has no inverse (representation matrix numerically singular)."""
@@ -34,29 +38,27 @@ def rep_inverse(mat: np.ndarray) -> CliffordElement:
     return CliffordElement._from_matrix(mat)
 
 
-def inverse(u: CliffordElement, cond_cap: float = 1e12) -> CliffordElement:
+def inverse(u: CliffordElement) -> CliffordElement:
     """Multiplicative inverse via the matrix representation (float mode);
     a stack is inverted element by element and raises if any one is singular."""
     m = gamma_rep(u)
     if not np.all(np.isfinite(m)):
         raise SingularElementError("non-finite representation matrix")
-    if np.any(np.linalg.cond(m) > cond_cap):
+    if np.any(np.linalg.cond(m) > COND_CAP):
         raise SingularElementError(
-            f"representation matrix condition number exceeds {cond_cap:g}"
+            f"representation matrix condition number exceeds {COND_CAP:g}"
         )
     return rep_inverse(np.linalg.inv(m))
 
 
-def rep_rank(u: CliffordElement, tol: float = 1e-9) -> int:
+def rep_rank(u: CliffordElement) -> int:
     """Rank of the representation matrix by singular values."""
     s = np.linalg.svd(gamma_rep(u), compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return int(np.sum(s > RANK_TOL * max(1.0, s[0])))
 
 
-def hermitian_eigenvalues(
-    u: CliffordElement, herm_tol: float = 1e-10
-) -> np.ndarray:
+def hermitian_eigenvalues(u: CliffordElement) -> np.ndarray:
     """Eigenvalues of rep(u) for Hermitian u, ascending."""
-    if (u - u.herm_conj()).norm() > herm_tol:
+    if (u - u.herm_conj()).norm() > HERM_TOL:
         raise NotHermitianError("element is not Hermitian within tolerance")
     return np.linalg.eigvalsh(gamma_rep(u))

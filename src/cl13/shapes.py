@@ -51,6 +51,10 @@ class PolyShape:
             out[key] = out.get(key, 0.0) + c * p
         return PolyShape(out)
 
+    def bound(self, step: float) -> float:
+        """An upper bound of |value| on the box [-step, 1 + step]^4."""
+        return sum(abs(c) * (1.0 + step) ** sum(p) for p, c in self.terms.items())
+
     def to_json_obj(self) -> dict:
         return {
             "type": "poly",
@@ -79,13 +83,22 @@ class TrigShape:
     def value(self, x):
         """Value at a point, or one value per row of an (N, 4) point set."""
         f = np.sin if self.kind == "sin" else np.cos
-        return self.amplitude * f(np.dot(np.asarray(x, dtype=float), self.wave) + self.phase)
+        x = np.asarray(x, dtype=float)
+        # k.x as a left fold of elementwise products, not a BLAS dot, whose
+        # rounding depends on how many points share the call.
+        k0, k1, k2, k3 = self.wave
+        kx = x[..., 0] * k0 + x[..., 1] * k1 + x[..., 2] * k2 + x[..., 3] * k3
+        return self.amplitude * f(kx + self.phase)
 
     def deriv(self, axis: int) -> "TrigShape":
         k = self.wave[axis]
         if self.kind == "sin":
             return TrigShape("cos", self.amplitude * k, self.wave, self.phase)
         return TrigShape("sin", -self.amplitude * k, self.wave, self.phase)
+
+    def bound(self, step: float) -> float:
+        """An upper bound of |value| anywhere: the amplitude."""
+        return abs(self.amplitude)
 
     def to_json_obj(self) -> dict:
         return {

@@ -46,10 +46,10 @@ IDEAL_TAGS = ("I", "K", "L", "G")
 # -- row reduction -----------------------------------------------------------
 
 
-def nullspace_basis(rows: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def nullspace_basis(rows: np.ndarray) -> np.ndarray:
     """Basis (as row vectors) of the nullspace of a real constraint matrix.
 
-    Plain Gauss-Jordan with partial pivoting; pivots below pivot_tol are
+    Plain Gauss-Jordan with partial pivoting; pivots below PIVOT_TOL are
     treated as zero.
     """
     a = np.array(rows, dtype=float)
@@ -62,7 +62,7 @@ def nullspace_basis(rows: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarra
         if row >= n_rows:
             break
         p = row + int(np.argmax(np.abs(a[row:, col])))
-        if abs(a[p, col]) <= pivot_tol:
+        if abs(a[p, col]) <= PIVOT_TOL:
             continue
         if p != row:
             a[[row, p]] = a[[p, row]]
@@ -116,8 +116,8 @@ def sp_algebra_residual(u: CliffordElement):
     return _coordinate_norm(u, _SP_ALGEBRA_ZERO)
 
 
-def in_sp_algebra(u: CliffordElement, tol: float = MEMBERSHIP_TOL) -> bool:
-    return sp_algebra_residual(u) <= tol
+def in_sp_algebra(u: CliffordElement) -> bool:
+    return sp_algebra_residual(u) <= MEMBERSHIP_TOL
 
 
 def sp_group_residual(v: CliffordElement):
@@ -126,8 +126,8 @@ def sp_group_residual(v: CliffordElement):
     return np.maximum(_coordinate_norm(v, _SP_GROUP_ZERO), unitary)
 
 
-def in_sp_group(v: CliffordElement, tol: float = MEMBERSHIP_TOL) -> bool:
-    return sp_group_residual(v) <= tol
+def in_sp_group(v: CliffordElement) -> bool:
+    return sp_group_residual(v) <= MEMBERSHIP_TOL
 
 
 # -- Hermitian idempotents ---------------------------------------------------
@@ -141,13 +141,8 @@ class HermitianIdempotent:
     label: str | None = None
 
     @classmethod
-    def checked(
-        cls,
-        element: CliffordElement,
-        label: str | None = None,
-        tol: float = MEMBERSHIP_TOL,
-    ) -> "HermitianIdempotent":
-        ok, residuals = is_hermitian_idempotent(element, tol)
+    def checked(cls, element: CliffordElement, label: str | None = None) -> "HermitianIdempotent":
+        ok, residuals = is_hermitian_idempotent(element)
         if not ok:
             raise ValueError(f"not a Hermitian idempotent: residuals {residuals}")
         return cls(element, label)
@@ -169,12 +164,10 @@ def hermitian_idempotent_residuals(t: CliffordElement) -> dict[str, float]:
     }
 
 
-def is_hermitian_idempotent(
-    t: CliffordElement, tol: float = MEMBERSHIP_TOL
-) -> tuple[bool, dict[str, float]]:
+def is_hermitian_idempotent(t: CliffordElement) -> tuple[bool, dict[str, float]]:
     """Check the three idempotent conditions; returns (ok, residuals)."""
     residuals = hermitian_idempotent_residuals(t)
-    ok = all(r <= tol for r in residuals.values()) and not t.is_zero(tol)
+    ok = all(r <= MEMBERSHIP_TOL for r in residuals.values()) and not t.is_zero(MEMBERSHIP_TOL)
     return ok, residuals
 
 
@@ -225,13 +218,8 @@ def ideal_residual(
     raise ValueError(f"unknown ideal tag {which!r}; expected one of {IDEAL_TAGS}")
 
 
-def in_ideal(
-    u: CliffordElement,
-    t: HermitianIdempotent | CliffordElement,
-    which: str,
-    tol: float = MEMBERSHIP_TOL,
-) -> bool:
-    return ideal_residual(u, t, which) <= tol
+def in_ideal(u: CliffordElement, t: HermitianIdempotent | CliffordElement, which: str) -> bool:
+    return ideal_residual(u, t, which) <= MEMBERSHIP_TOL
 
 
 # -- subspace bases -----------------------------------------------------------
@@ -265,8 +253,8 @@ def _basis_key(space: str, t: HermitianIdempotent | CliffordElement | None) -> b
 
 
 @cache
-def _basis_vectors(space: str, t_bytes: bytes | None, pivot_tol: float) -> np.ndarray:
-    """Nullspace vectors of one subspace, computed once per (space, t, pivot_tol)."""
+def _basis_vectors(space: str, t_bytes: bytes | None) -> np.ndarray:
+    """Nullspace vectors of one subspace, computed once per (space, t)."""
     if space == "sp_cl":
         rows = np.eye(2 * N_BLADES)[_SP_ALGEBRA_ZERO]
     else:
@@ -277,18 +265,16 @@ def _basis_vectors(space: str, t_bytes: bytes | None, pivot_tol: float) -> np.nd
         if space == "L":
             maps.append(lambda u: u.herm_conj() + u)
         rows = _constraint_rows(maps)
-    vecs = nullspace_basis(rows, pivot_tol)
+    vecs = nullspace_basis(rows)
     vecs.flags.writeable = False
     return vecs
 
 
 def subspace_basis(
-    space: str,
-    t: HermitianIdempotent | CliffordElement | None = None,
-    pivot_tol: float = PIVOT_TOL,
+    space: str, t: HermitianIdempotent | CliffordElement | None = None
 ) -> SubspaceBasis:
     """Real basis of one of the linear subspaces sp_cl, I(t), K(t), L(t)."""
-    return SubspaceBasis(_basis_vectors(space, _basis_key(space, t), pivot_tol))
+    return SubspaceBasis(_basis_vectors(space, _basis_key(space, t)))
 
 
 # -- sampling ------------------------------------------------------------------
@@ -314,7 +300,7 @@ def sample(
     if seeds.ndim > 1:
         raise ValueError("seed must be an int or a 1-D array of seeds")
     algebra_space = {"sp_cl": "sp_cl", "Sp_cl": "sp_cl", "L": "L", "G": "L"}[space]
-    vectors = _basis_vectors(algebra_space, _basis_key(algebra_space, t), PIVOT_TOL)
+    vectors = _basis_vectors(algebra_space, _basis_key(algebra_space, t))
     weights = np.array(
         [np.random.default_rng(s).uniform(-scale, scale, len(vectors)) for s in seeds.ravel()]
     ).reshape(seeds.shape + (len(vectors),))

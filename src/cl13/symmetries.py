@@ -48,6 +48,7 @@ from .fields import (
     ConstantField,
     FieldFamily,
     MappedField,
+    PointSet,
     ProductField,
     TwoYangMillsFieldSet,
     _aggregate,
@@ -260,23 +261,31 @@ def expected_residual_transform(
 
 def covariance_check(
     fs: TwoYangMillsFieldSet,
-    spec: TransformationSpec,
+    specs: list[TransformationSpec],
     points,
-) -> dict[str, np.ndarray]:
-    """Certify the residual transformation law of one transformation: per
-    equation, |r_transformed - expected(r_original)| at each point."""
-    transformed = apply_transformation(fs, spec)
+) -> list[dict[str, np.ndarray]]:
+    """Certify the residual transformation law of each transformation in
+    ``specs``: per spec and equation, |r_transformed - expected(r_original)|
+    at each point.  The original residuals are evaluated once; each spec
+    evaluates its transformed set and its laws in a pass of its own, which
+    starts from the original pass's node values, so no pass holds the node
+    values of every transformation at once."""
     points = _as_points(points)
     before = two_yang_mills_residual_components(fs, points)
-    after = two_yang_mills_residual_components(transformed, points)
-    mismatch = {
-        eq: {
-            idx: after[eq][idx] - expected_residual_transform(spec, eq, r, points)
-            for idx, r in comps.items()
+    out = []
+    for spec in specs:
+        x = PointSet(points.x, points.fd_step)
+        x.values.update(points.values)  # the untransformed nodes, evaluated once
+        after = two_yang_mills_residual_components(apply_transformation(fs, spec), x)
+        mismatch = {
+            eq: {
+                idx: after[eq][idx] - expected_residual_transform(spec, eq, r, x)
+                for idx, r in comps.items()
+            }
+            for eq, comps in before.items()
         }
-        for eq, comps in before.items()
-    }
-    return _aggregate(mismatch, points)
+        out.append(_aggregate(mismatch, x))
+    return out
 
 
 # -- bilinear covariants --------------------------------------------------------

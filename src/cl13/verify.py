@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,6 +105,10 @@ _MASS_LIMIT = 1e45
 # A central-difference step must move the points of the [0, 1]^4 sample box
 # (at least the float spacing there) and stay within the box's side.
 _STEP_RANGE = (np.finfo(float).eps, 1.0)
+# A custom family's bound (FieldFamily.bound) on the sample box widened by
+# the largest grid step, up to which every field suite runs without overflow
+# at every mass below _MASS_LIMIT (tests/test_config_property.py).
+_FAMILY_LIMIT = 10.0
 # The suites draw int64 seed arrays from the seed plus offsets up to +6009.
 _SEED_LIMIT = 2**63 - 1 - 10**4
 
@@ -133,13 +137,13 @@ class ScenarioConfig:
     family: object = "random"  # "random" or a family JSON object
     sample_count: int = 20
     idempotent: object = "t2"  # label or serialized element
-    fmt: str = "json"
+    format: str = "json"
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {self.suite!r}; expected {SUITE_NAMES}")
-        if self.fmt not in ("json", "text"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.format not in ("json", "text"):
+            raise ConfigError(f"unknown format {self.format!r}")
         if not _is_int(self.seed) or not 0 <= self.seed <= _SEED_LIMIT:
             raise ConfigError(f"seed must be an integer in [0, {_SEED_LIMIT}], got {self.seed!r}")
         if not _is_int(self.sample_count) or self.sample_count < 1:
@@ -174,7 +178,10 @@ class ScenarioConfig:
             try:
                 for fam in self.resolve_families():
                     fam.validate_symplectic()
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    size = fam.bound(max(self.grid_steps))
+                    if not size <= _FAMILY_LIMIT:
+                        raise ValueError(f"size {size:.3g} on the box exceeds {_FAMILY_LIMIT:g}")
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad family: {exc!r}") from None
         # The report echoes the config, and a report is strict JSON.
         try:
@@ -199,39 +206,16 @@ class ScenarioConfig:
         return [FieldFamily.from_json_obj(self.family)]
 
     def to_json_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "m_values": list(self.m_values),
-            "grid_steps": list(self.grid_steps),
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "family": self.family if isinstance(self.family, (str, dict)) else None,
-            "sample_count": self.sample_count,
-            "idempotent": self.idempotent,
-            "format": self.fmt,
-        }
+        """The config as its JSON object: one key per field."""
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScenarioConfig":
-        known = {
-            "suite",
-            "seed",
-            "m_values",
-            "grid_steps",
-            "tolerances",
-            "family",
-            "sample_count",
-            "idempotent",
-            "format",
-        }
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "format" in kwargs:
-            kwargs["fmt"] = kwargs.pop("format")
         try:
-            return cls(**kwargs)
+            return cls(**obj)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
@@ -538,21 +522,19 @@ def _suite_symmetries(s: _Suite) -> None:
     )
     nonsolution = random_two_yang_mills_set(cfg.seed + 11, t, cfg.m_values[0])
 
-    on_solution, on_nonsolution = [], []
-    for k, kind in enumerate(TRANSFORM_KINDS):
-        spec = random_transformation(kind, cfg.seed + 100 + k, t)
-        on_solution += covariance_check(solution, spec, points).values()
-        on_nonsolution += covariance_check(nonsolution, spec, points).values()
+    specs = [
+        random_transformation(kind, cfg.seed + 100 + k, t) for k, kind in enumerate(TRANSFORM_KINDS)
+    ]
     s.add(
         "symmetries/covariance-on-solutions",
         "equivalence transformations preserve solutions",
-        on_solution,
+        [r for per_spec in covariance_check(solution, specs, points) for r in per_spec.values()],
         "residual",
     )
     s.add(
         "symmetries/covariance-residual-law",
         "residuals transform by the stated conjugations",
-        on_nonsolution,
+        [r for per_spec in covariance_check(nonsolution, specs, points) for r in per_spec.values()],
         "residual",
     )
     scale = worst(two_yang_mills_residuals(nonsolution, points).values())

@@ -1,15 +1,21 @@
 """Property tests of the config path: a JSON config object is either accepted
-or rejected with ConfigError, a config of legal values is accepted, and an
-accepted config runs the reduction and convergence suites."""
+or rejected with ConfigError, a config of legal values is accepted, an
+accepted config runs the reduction and convergence suites, and a custom
+family up to the size limit runs every field suite without overflow."""
 
 from dataclasses import replace
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cl13.fields import random_family
+from cl13.algebra import CliffordElement
+from cl13.fields import FieldFamily, random_family
+from cl13.shapes import constant_shape
 from cl13.subspaces import IDEMPOTENT_LABELS, fixed_idempotent
 from cl13.verify import (
+    _FAMILY_LIMIT,
     _MASS_LIMIT,
     _SEED_LIMIT,
     _STEP_RANGE,
@@ -88,3 +94,48 @@ def test_a_legal_config_is_accepted_and_runs_reduction_and_convergence(obj):
     cfg = ScenarioConfig.from_json_obj(obj)
     for suite in ("reduction", "convergence"):
         run_scenario(replace(cfg, suite=suite))
+
+
+# The generator along which h = W^-1 e^mu W grows fastest for its size: two
+# commuting boosts, so |h| grows as exp(2 sqrt(2) |v s|).
+_FASTEST = (CliffordElement.from_blade("e01") + CliffordElement.from_blade("e2", 1j)) * 0.5**0.5
+_LARGEST_MASS = float(np.nextafter(_MASS_LIMIT, 0.0))
+
+
+def _family_of_size(size: float, step: float, seed: int, kind: str) -> dict:
+    """random_family(seed), its shapes on the fastest generator, or that
+    generator on a constant shape (which reaches the bound everywhere),
+    rescaled so that its bound at grid step ``step`` is ``size``."""
+    fam = random_family(seed)
+    if kind == "fastest":
+        fam = FieldFamily(tuple((_FASTEST, s) for _, s in fam.factors))
+    if kind == "constant":
+        fam = FieldFamily(((_FASTEST, constant_shape(1.0)),))
+    k = size / fam.bound(step)
+    return FieldFamily(tuple((v * k, s) for v, s in fam.factors)).to_json_obj()
+
+
+# Grid steps (h, 2h), so the bound's widening spans the legal range while the
+# slope fit stays well conditioned.
+STEP_PAIRS = st.floats(_STEP_RANGE[0], _STEP_RANGE[1] / 2).map(lambda h: [h, 2 * h])
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 50),
+    st.sampled_from(["random", "fastest", "constant"]),
+    LEGAL["m_values"],
+    STEP_PAIRS,
+)
+def test_a_family_up_to_the_size_limit_runs_every_field_suite(seed, kind, masses, steps):
+    step = max(steps)
+    cfg = ScenarioConfig(
+        family=_family_of_size(0.999 * _FAMILY_LIMIT, step, seed, kind),
+        m_values=[_LARGEST_MASS, *masses],
+        grid_steps=steps,
+        sample_count=2,
+    )
+    for suite in ("reduction", "symmetries", "convergence"):
+        run_scenario(replace(cfg, suite=suite))
+    with pytest.raises(ConfigError):
+        replace(cfg, family=_family_of_size(1.001 * _FAMILY_LIMIT, step, seed, kind))

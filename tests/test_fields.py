@@ -39,8 +39,8 @@ from cl13.fields import (
 from cl13.rep import gamma_rep
 from cl13.shapes import PolyShape, TrigShape, constant_shape, coordinate_shape
 from cl13.subspaces import (
-    in_sp_algebra,
     sample,
+    sp_algebra_residual,
     sp_group_residual,
     subspace_basis,
 )
@@ -116,8 +116,8 @@ def test_pure_gauge_h_properties(pure_gauge, points):
         res = check_h_identities(h_vals)
         assert max(res.values()) <= 1e-10
         for mu in range(4):
-            assert in_sp_algebra(h_vals[mu] * 1j, 1e-10)
-            assert in_sp_algebra(pure_gauge.c[mu].value(x), 1e-10)
+            assert sp_algebra_residual(h_vals[mu] * 1j) <= 1e-10
+            assert sp_algebra_residual(pure_gauge.c[mu].value(x)) <= 1e-10
 
 
 def test_h_identities_exact_on_generators():
@@ -224,10 +224,10 @@ def test_reduction_theorem_across_masses(family, t2, points):
 def test_reduced_set_memberships(reduced, points):
     for x in points:
         for mu in range(4):
-            assert in_sp_algebra(reduced.b[mu].value(x), 1e-9)
+            assert sp_algebra_residual(reduced.b[mu].value(x)) <= 1e-9
             for nu in range(4):
                 g = reduced.g[mu][nu].value(x)
-                assert in_sp_algebra(g, 1e-9)
+                assert sp_algebra_residual(g) <= 1e-9
                 assert (g + reduced.g[nu][mu].value(x)).is_zero(1e-12)
 
 
@@ -385,15 +385,29 @@ def test_point_set_values_equal_stacked_point_values(family, reduced, t2, points
                 assert np.max(np.abs(got - gamma_rep(r))) <= 1e-12
 
 
+RESIDUAL_FUNCTIONS = {
+    "model_residuals": lambda sets, x: model_residuals(sets[0], x),
+    "two_yang_mills_residuals": lambda sets, x: two_yang_mills_residuals(sets[1], x),
+    "two_yang_mills_residuals_nonsolution": lambda sets, x: two_yang_mills_residuals(sets[2], x),
+    "check_h_identities": lambda sets, x: check_h_identities([f.value(x) for f in sets[0].h]),
+    "check_reduction_identities": lambda sets, x: check_reduction_identities(sets[1], x),
+    "bianchi_current_check": lambda sets, x: bianchi_current_check(sets[2].a, x),
+}
+
+
 def test_residual_arrays_hold_each_point_alone(t2):
-    # Oracle: the same residuals evaluated at one point at a time.
-    fs = random_two_yang_mills_set(31, t2, 1.0)
-    pts = sample_points(3, 6)
-    for eq, per_point in two_yang_mills_residuals(fs, pts).items():
-        assert per_point.shape == (len(pts),)
+    # Oracle: the same residuals evaluated at one point at a time, bit for
+    # bit; the 24 points of a trig family's fields share every kernel call.
+    model = build_pure_gauge(random_family(3), t2, 1.0)
+    sets = (model, reduce_to_two_yang_mills(model), random_two_yang_mills_set(31, t2, 1.0))
+    pts = sample_points(3, 24)
+    for name, fn in RESIDUAL_FUNCTIONS.items():
+        stacked = fn(sets, PointSet(pts))
         for i, x in enumerate(pts):
-            alone = two_yang_mills_residuals(fs, x)[eq]
-            assert abs(per_point[i] - alone) <= 1e-12, eq
+            alone = fn(sets, PointSet(x))
+            for eq, per_point in stacked.items():
+                assert per_point.shape == (len(pts),)
+                assert per_point[i] == alone[eq], (name, eq, i)
 
 
 @pytest.mark.parametrize("where", [0, 2, 4])

@@ -53,6 +53,14 @@ def test_shape_validation():
         shape_from_json({"type": "spline"})
 
 
+def test_trig_stack_equals_its_points_one_at_a_time():
+    # k.x must round the same whether 1 or 320 points share the call.
+    s = TrigShape("sin", 0.7, (0.83, -0.29, 0.61, -0.47), 0.3)
+    xs = np.random.default_rng(0).uniform(-1.0, 1.0, (320, 4))
+    stacked = s.value(xs)
+    assert all(stacked[i] == s.value(x) for i, x in enumerate(xs))
+
+
 def test_json_roundtrip():
     p = PolyShape({(1, 0, 0, 2): -0.25, (0, 0, 0, 0): 1.5})
     q = shape_from_json(p.to_json_obj())

@@ -29,6 +29,7 @@ from cl13.subspaces import (
     nullspace_basis,
     realvec_to_element,
     sample,
+    sp_algebra_residual,
     sp_group_residual,
     subspace_basis,
 )
@@ -74,7 +75,7 @@ def test_ideal_membership_examples(t2):
     assert not in_ideal(u, t2, "K")
     assert (t * u).is_zero(1e-14)
     g = sample("G", t2, seed=3, scale=0.5)
-    assert in_ideal(g, t2, "G", 1e-9)
+    assert ideal_residual(g, t2, "G") <= 1e-9
     with pytest.raises(ValueError):
         in_ideal(t, t2, "Z")
 
@@ -95,7 +96,7 @@ def test_subspace_dimensions_against_svd_oracle():
 
 def test_basis_elements_satisfy_membership(t2):
     for b in subspace_basis("sp_cl").basis:
-        assert in_sp_algebra(b, 1e-12)
+        assert sp_algebra_residual(b) <= 1e-12
     for b in subspace_basis("L", t2).basis:
         assert ideal_residual(b, t2, "L") <= 1e-9
 
@@ -150,7 +151,7 @@ def test_group_closure_and_adjoint_stability():
         w = sample("Sp_cl", seed=900 + j, scale=0.6)
         v = sample("sp_cl", seed=1300 + j)
         conj = inverse(w) * v * w
-        assert in_sp_algebra(conj, 1e-9)
+        assert sp_algebra_residual(conj) <= 1e-9
         worst_adjoint = max(worst_adjoint, sp_group_residual(w))
     assert worst_group <= 1e-9
     assert worst_adjoint <= 1e-9
@@ -160,7 +161,7 @@ def test_algebra_closure_under_commutator():
     for j in range(100):
         u1 = sample("sp_cl", seed=5000 + 2 * j)
         u2 = sample("sp_cl", seed=5000 + 2 * j + 1)
-        assert in_sp_algebra(commutator(u1, u2), 1e-12)
+        assert sp_algebra_residual(commutator(u1, u2)) <= 1e-12
 
 
 def test_realvec_roundtrip(rng):
@@ -173,18 +174,15 @@ def test_realvec_roundtrip(rng):
 # -- stacked samples and cached bases --------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "space, rel_tol, abs_tol",
-    [("sp_cl", 0.0, 1e-15), ("Sp_cl", 1e-13, 0.0), ("L", 0.0, 1e-15), ("G", 1e-13, 0.0)],
-)
-def test_stacked_sample_equals_per_seed_samples(t2, space, rel_tol, abs_tol):
+@pytest.mark.parametrize("space", ["sp_cl", "Sp_cl", "L", "G"])
+def test_stacked_sample_equals_per_seed_samples(t2, space):
+    # Bit for bit: no kernel's rounding may depend on the size of its stack.
     t = t2 if space in ("L", "G") else None
     seeds = np.arange(40, 72)
     stack = gamma_rep(sample(space, t, seed=seeds, scale=0.6))
     assert stack.shape == (len(seeds), 4, 4)
     for entry, seed in zip(stack, seeds):
-        one = gamma_rep(sample(space, t, seed=int(seed), scale=0.6))
-        assert np.max(np.abs(entry - one)) <= abs_tol + rel_tol * np.max(np.abs(one))
+        assert np.array_equal(entry, gamma_rep(sample(space, t, seed=int(seed), scale=0.6)))
 
 
 def test_stacked_group_samples_pass_membership(t2):

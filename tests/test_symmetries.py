@@ -13,8 +13,11 @@ from cl13.algebra import (
 )
 from cl13.fields import (
     FieldFamily,
+    PointSet,
+    build_pure_gauge,
     random_family,
     random_two_yang_mills_set,
+    reduce_to_two_yang_mills,
     sample_points,
     two_yang_mills_residuals,
     worst,
@@ -104,24 +107,37 @@ def test_constant_symplectic_conjugation_preserves_h_relations(reduced, points):
 
 
 def test_covariance_on_solution(reduced, points, t2):
-    for k, kind in enumerate(TRANSFORM_KINDS):
-        spec = random_transformation(kind, 100 + k, t2)
-        rec = covariance_check(reduced, spec, points[:4])
-        assert worst(rec.values()) <= 1e-9, kind
+    specs = [random_transformation(kind, 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
+    for spec, rec in zip(specs, covariance_check(reduced, specs, points[:4])):
+        assert worst(rec.values()) <= 1e-9, spec.kind
         # Transformed solutions stay solutions.
         transformed = apply_transformation(reduced, spec)
         after = two_yang_mills_residuals(transformed, points[:4])
-        assert worst(after.values()) <= 1e-9, kind
+        assert worst(after.values()) <= 1e-9, spec.kind
 
 
 def test_covariance_residual_law_on_nonsolutions(t2):
     fs = random_two_yang_mills_set(71, t2, 1.0)
     base = two_yang_mills_residuals(fs, PTS[:3])
     assert worst(base.values()) > 1e-2
-    for k, kind in enumerate(TRANSFORM_KINDS):
-        spec = random_transformation(kind, 200 + k, t2)
-        rec = covariance_check(fs, spec, PTS[:3])
-        assert worst(rec.values()) <= 1e-9, kind
+    specs = [random_transformation(kind, 200 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
+    for spec, rec in zip(specs, covariance_check(fs, specs, PTS[:3])):
+        assert worst(rec.values()) <= 1e-9, spec.kind
+
+
+def test_covariance_and_current_arrays_hold_each_point_alone(t2):
+    # Bit for bit against one point at a time, over 24 points of a trig family.
+    specs = [random_transformation(kind, 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
+    solution = reduce_to_two_yang_mills(build_pure_gauge(random_family(3), t2, 1.0))
+    nonsolution = random_two_yang_mills_set(31, t2, 1.0)
+    pts = sample_points(3, 24)
+    for fs in (solution, nonsolution):
+        stacked = [*covariance_check(fs, specs, pts), check_current_conservation(fs, pts)]
+        for i, x in enumerate(pts):
+            alone = [*covariance_check(fs, specs, x), check_current_conservation(fs, PointSet(x))]
+            for whole, one in zip(stacked, alone):
+                for eq, per_point in whole.items():
+                    assert per_point[i] == one[eq], (eq, i)
 
 
 def test_gauge_composition(reduced, points, t2):

@@ -33,7 +33,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json_obj({"suite": "algebra", "mystery": 1})
     cfg = ScenarioConfig.from_json_obj({"suite": "algebra", "format": "text"})
-    assert cfg.fmt == "text"
+    assert cfg.format == "text"
 
 
 def test_empty_report_schema():
@@ -78,31 +78,22 @@ def _write_family(tmp_path, obj) -> str:
 
 
 def _overflowing_family() -> dict:
-    # Fields of this size overflow to inf and NaN at the sample points.
+    # Fields of this size would overflow to inf and NaN at the sample points.
     gen = sample("sp_cl", seed=3, scale=0.5) * 1000
     return FieldFamily(((gen, random_family(1042).factors[0][1]),)).to_json_obj()
 
 
-def test_a_family_that_overflows_fails_the_reduction(tmp_path, capsys):
+def test_a_family_that_overflows_is_a_config_error(tmp_path, capsys):
     path = _write_family(tmp_path, _overflowing_family())
-    with pytest.warns(RuntimeWarning):
-        assert main(["verify", "reduction", "--family", path]) == 1
-    checks = json.loads(capsys.readouterr().out, parse_constant=_reject)["checks"]
-    failed = {c["name"] for c in checks if c["status"] == "fail"}
-    assert failed == {
-        "reduction/h-identities",
-        "reduction/pure-gauge-model-residuals",
-        "reduction/two-yang-mills-residuals",
-        "reduction/transport-identities",
-    }
-    assert all(c["residual"] is None for c in checks if c["name"] in failed)
+    assert main(["verify", "reduction", "--family", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad family")
 
 
-def test_a_family_that_overflows_fails_covariance_on_solutions():
-    with pytest.warns(RuntimeWarning):
-        report = run_scenario(ScenarioConfig(suite="symmetries", family=_overflowing_family()))
-    status = {c.name: c.status for c in report.checks}
-    assert status["symmetries/covariance-on-solutions"] == "fail"
+def test_a_family_that_overflows_is_rejected_before_the_symmetries_run(tmp_path, capsys):
+    path = _write_family(tmp_path, _overflowing_family())
+    assert main(["verify", "symmetries", "--family", path]) == 2
+    assert capsys.readouterr().err.startswith("error: bad family")
 
 
 def test_an_unmeasurable_slope_is_written_as_null(tmp_path, capsys):
