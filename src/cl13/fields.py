@@ -76,10 +76,11 @@ class PointSet:
     rule of the pass over them, and the value of every field node evaluated
     on them so far.
 
-    One pass (a residual or identity call) owns one PointSet, so a node
-    shared by its equations is evaluated once; no node holds point values.
-    The pass differentiates exactly when ``fd_step`` is None and by central
-    differences of that step otherwise.
+    One pass owns one PointSet, so a node shared by its equations is
+    evaluated once; no node holds point values.  A suite that evaluates
+    several field sets sharing nodes on the same points hands one pass to
+    all of them, or ``branch``es it.  The pass differentiates exactly when
+    ``fd_step`` is None and by central differences of that step otherwise.
     """
 
     __slots__ = ("x", "fd_step", "values", "_shifts")
@@ -91,6 +92,15 @@ class PointSet:
         self.fd_step = fd_step
         self.values: dict[CliffordField, CliffordElement] = {}
         self._shifts: dict[tuple[int, float], PointSet] = {}
+
+    def branch(self) -> "PointSet":
+        """A new pass over the same points and derivative rule that starts
+        from this pass's node values (no array is copied); the values it
+        adds are dropped with it, so this pass does not grow.  Shifted
+        point sets are not shared: a branch builds its own."""
+        out = PointSet(self.x, self.fd_step)
+        out.values = dict(self.values)
+        return out
 
     def shifted(self, mu: int, h: float) -> "PointSet":
         """The same points moved by h along axis mu, built once per pass."""
@@ -321,6 +331,19 @@ class FieldFamily:
         which bounds the exponents of W and W^-1 there."""
         with np.errstate(over="ignore"):
             return sum(float(v.norm()) * s.bound(step) for v, s in self.factors)
+
+    def derivative_bound(self, step: float) -> float:
+        """sum_j |v_j| max_{mu,nu} (max|d_mu s_j|, max|d_mu d_nu s_j|) on the
+        box of ``bound``, which bounds the first and second derivatives of
+        the exponents there (inf or NaN when one of those bounds overflows)."""
+
+        def peak(s: Shape) -> float:
+            firsts = [s.deriv(mu) for mu in range(4)]
+            shapes = firsts + [d.deriv(nu) for d in firsts for nu in range(4)]
+            return float(np.max([d.bound(step) for d in shapes]))
+
+        with np.errstate(over="ignore"):
+            return sum(float(v.norm()) * peak(s) for v, s in self.factors)
 
     def group_field(self) -> CliffordField:
         return self._fields[0]
@@ -670,12 +693,13 @@ def two_yang_mills_residuals(fs: TwoYangMillsFieldSet, points) -> dict[str, np.n
     return _aggregate(two_yang_mills_residual_components(fs, points), points)
 
 
-def source_norm(fs: TwoYangMillsFieldSet, x) -> float:
+def source_norm(fs: TwoYangMillsFieldSet, points) -> np.ndarray:
     """Norm scale (3/16)|m|^3 max_nu |i h^nu| of the sourced equation's
-    right-hand side at one point: nonzero certifies the source is there."""
-    x = _as_points(x)
+    right-hand side at each point: nonzero certifies the source is there."""
+    points = _as_points(points)
     m3 = SOURCE_COUPLING * abs(fs.mass) ** 3
-    return worst((fs.h[nu].value(x) * (1j * m3)).norm() for nu in range(4))
+    rhs = {(nu,): fs.h[nu].value(points) * (1j * m3) for nu in range(4)}
+    return _aggregate({"source": rhs}, points)["source"]
 
 
 # -- identity checks --------------------------------------------------------------

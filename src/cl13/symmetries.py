@@ -48,7 +48,6 @@ from .fields import (
     ConstantField,
     FieldFamily,
     MappedField,
-    PointSet,
     ProductField,
     TwoYangMillsFieldSet,
     _aggregate,
@@ -266,16 +265,15 @@ def covariance_check(
 ) -> list[dict[str, np.ndarray]]:
     """Certify the residual transformation law of each transformation in
     ``specs``: per spec and equation, |r_transformed - expected(r_original)|
-    at each point.  The original residuals are evaluated once; each spec
-    evaluates its transformed set and its laws in a pass of its own, which
-    starts from the original pass's node values, so no pass holds the node
-    values of every transformation at once."""
+    at each point.  The original residuals are evaluated once, in the pass
+    ``points`` (which a caller may share); each spec evaluates its
+    transformed set and its laws in a branch of that pass, so no pass holds
+    the node values of every transformation at once."""
     points = _as_points(points)
     before = two_yang_mills_residual_components(fs, points)
     out = []
     for spec in specs:
-        x = PointSet(points.x, points.fd_step)
-        x.values.update(points.values)  # the untransformed nodes, evaluated once
+        x = points.branch()
         after = two_yang_mills_residual_components(apply_transformation(fs, spec), x)
         mismatch = {
             eq: {

@@ -105,9 +105,10 @@ _MASS_LIMIT = 1e45
 # A central-difference step must move the points of the [0, 1]^4 sample box
 # (at least the float spacing there) and stay within the box's side.
 _STEP_RANGE = (np.finfo(float).eps, 1.0)
-# A custom family's bound (FieldFamily.bound) on the sample box widened by
-# the largest grid step, up to which every field suite runs without overflow
-# at every mass below _MASS_LIMIT (tests/test_config_property.py).
+# A custom family's bounds (FieldFamily.bound and .derivative_bound) on the
+# sample box widened by the largest grid step, up to which every field suite
+# runs without overflow at every mass below _MASS_LIMIT
+# (tests/test_config_property.py).
 _FAMILY_LIMIT = 10.0
 # The suites draw int64 seed arrays from the seed plus offsets up to +6009.
 _SEED_LIMIT = 2**63 - 1 - 10**4
@@ -159,6 +160,11 @@ class ScenarioConfig:
             raise ConfigError(f"grid steps must lie in [{_STEP_RANGE[0]:.3g}, {_STEP_RANGE[1]:g}]")
         if len(set(self.grid_steps)) < 2:
             raise ConfigError("the convergence slope needs at least two distinct grid steps")
+        # np.polyfit's own rank test of the slope fit: its degree-1 Vandermonde
+        # matrix of log steps, columns scaled to unit norm, at its rcond.
+        logs = np.vander(np.log(self.grid_steps), 2)
+        if np.linalg.matrix_rank(logs / np.linalg.norm(logs, axis=0)) < 2:
+            raise ConfigError("the grid steps are too close for a well-conditioned slope fit")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object of tolerance class: value")
         for key, val in self.tolerances.items():
@@ -176,11 +182,13 @@ class ScenarioConfig:
             raise ConfigError(f"bad idempotent: {exc}") from None
         if self.family != "random":
             try:
+                step = max(self.grid_steps)
                 for fam in self.resolve_families():
                     fam.validate_symplectic()
-                    size = fam.bound(max(self.grid_steps))
-                    if not size <= _FAMILY_LIMIT:
-                        raise ValueError(f"size {size:.3g} on the box exceeds {_FAMILY_LIMIT:g}")
+                    sizes = {"size": fam.bound(step), "derivative size": fam.derivative_bound(step)}
+                    for what, size in sizes.items():
+                        if not size <= _FAMILY_LIMIT:
+                            raise ValueError(f"{what} {size:.3g} on the box exceeds {_FAMILY_LIMIT:g}")
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad family: {exc!r}") from None
         # The report echoes the config, and a report is strict JSON.
@@ -450,22 +458,23 @@ def _suite_reduction(s: _Suite) -> None:
     t = cfg.resolve_idempotent()
     points = sample_points(cfg.seed, cfg.sample_count)
 
-    # One walk per family: h and C do not depend on m, so the model set of
-    # the first mass serves the h identities and every reduced set, and each
-    # reduced set is checked by both the residuals and the identities.
+    # One pass per family: W, h and C do not depend on m, so the model set
+    # of the first mass serves the h identities and every reduced set.  The
+    # model residuals and the h identities fill the pass; each mass checks
+    # its reduced set in a branch of it, which drops the mass's own nodes.
     model, h_identities, two_ym, identities, sources = [], [], [], [], []
     for fam in cfg.resolve_families():
         fs = build_pure_gauge(fam, t, cfg.m_values[0])
-        # The model residuals and the h identities share one pass over the points.
         pts = PointSet(points)
         model += model_residuals(fs, pts).values()
         h_identities += check_h_identities([f.value(pts) for f in fs.h]).values()
         for m in cfg.m_values:
             reduced = reduce_to_two_yang_mills(replace(fs, mass=float(m)))
-            two_ym += two_yang_mills_residuals(reduced, points).values()
+            branch = pts.branch()
+            two_ym += two_yang_mills_residuals(reduced, branch).values()
             if m != 0:
-                sources.append(source_norm(reduced, points[0]))
-            identities += check_reduction_identities(reduced, points).values()
+                sources.append(source_norm(reduced, branch)[0])
+            identities += check_reduction_identities(reduced, branch).values()
 
     s.add(
         "reduction/pure-gauge-model-residuals",
@@ -501,12 +510,13 @@ def _suite_reduction(s: _Suite) -> None:
 
     # Constant-field oracle: empty family, m = 1, both sides norm 3/16.
     fs0 = reduce_to_two_yang_mills(build_pure_gauge(FieldFamily(()), t, 1.0))
+    pts0 = PointSet(points[:1])
     s.add(
         "reduction/constant-source-norm",
         "constant fields: source norm = 3/16 at m = 1",
         [
-            two_yang_mills_residuals(fs0, points[:1])["source_b"],
-            abs(source_norm(fs0, points[0]) - 3.0 / 16.0),
+            two_yang_mills_residuals(fs0, pts0)["source_b"],
+            abs(source_norm(fs0, pts0) - 3.0 / 16.0),
         ],
         "residual",
     )
@@ -522,22 +532,33 @@ def _suite_symmetries(s: _Suite) -> None:
     )
     nonsolution = random_two_yang_mills_set(cfg.seed + 11, t, cfg.m_values[0])
 
+    # One pass per field set, shared by every check of that set on these points.
+    on_solution, on_nonsolution = PointSet(points), PointSet(points)
+
     specs = [
         random_transformation(kind, cfg.seed + 100 + k, t) for k, kind in enumerate(TRANSFORM_KINDS)
     ]
     s.add(
         "symmetries/covariance-on-solutions",
         "equivalence transformations preserve solutions",
-        [r for per_spec in covariance_check(solution, specs, points) for r in per_spec.values()],
+        [
+            r
+            for per_spec in covariance_check(solution, specs, on_solution)
+            for r in per_spec.values()
+        ],
         "residual",
     )
     s.add(
         "symmetries/covariance-residual-law",
         "residuals transform by the stated conjugations",
-        [r for per_spec in covariance_check(nonsolution, specs, points) for r in per_spec.values()],
+        [
+            r
+            for per_spec in covariance_check(nonsolution, specs, on_nonsolution)
+            for r in per_spec.values()
+        ],
         "residual",
     )
-    scale = worst(two_yang_mills_residuals(nonsolution, points).values())
+    scale = worst(two_yang_mills_residuals(nonsolution, on_nonsolution).values())
     s.add(
         "symmetries/nonsolution-scale",
         "non-solution residuals are order one",
@@ -570,7 +591,7 @@ def _suite_symmetries(s: _Suite) -> None:
     s.add(
         "symmetries/current-trivial-on-zero-phi",
         "d_mu J^mu - [A_mu, J^mu] = 0",
-        check_current_conservation(solution, points).values(),
+        check_current_conservation(solution, on_solution).values(),
         "residual",
     )
     s.add(
@@ -606,11 +627,9 @@ def _bilinear_checks(s: _Suite, t: HermitianIdempotent) -> None:
     rng = np.random.default_rng(cfg.seed + 999)
     fam = random_family(cfg.seed + 55, n_factors=1)
     hermitian, member, eig = [], [], []
-    x = np.array([0.3, 0.1, 0.7, 0.2])
-    h_vals = [
-        (fam.inverse_field().value(x) * g) * fam.group_field().value(x)
-        for g in GENERATORS
-    ]
+    x = PointSet([0.3, 0.1, 0.7, 0.2])
+    winv, w = fam.inverse_field().value(x), fam.group_field().value(x)
+    h_vals = [(winv * g) * w for g in GENERATORS]
     tf = t.element.to_float()
     for _ in range(6):
         phi = random_element(rng, 0.8) * tf

@@ -1,7 +1,8 @@
 """Property tests of the config path: a JSON config object is either accepted
 or rejected with ConfigError, a config of legal values is accepted, an
 accepted config runs the reduction and convergence suites, and a custom
-family up to the size limit runs every field suite without overflow."""
+family up to the size limits (of its values and of its derivatives) runs
+every field suite without overflow."""
 
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from cl13.algebra import CliffordElement
 from cl13.fields import FieldFamily, random_family
-from cl13.shapes import constant_shape
+from cl13.shapes import TrigShape, constant_shape
 from cl13.subspaces import IDEMPOTENT_LABELS, fixed_idempotent
 from cl13.verify import (
     _FAMILY_LIMIT,
@@ -103,15 +104,20 @@ _LARGEST_MASS = float(np.nextafter(_MASS_LIMIT, 0.0))
 
 
 def _family_of_size(size: float, step: float, seed: int, kind: str) -> dict:
-    """random_family(seed), its shapes on the fastest generator, or that
-    generator on a constant shape (which reaches the bound everywhere),
-    rescaled so that its bound at grid step ``step`` is ``size``."""
+    """random_family(seed), its shapes on the fastest generator, that
+    generator on a constant shape (which reaches the bound everywhere), or
+    that generator on a plane wave of wave vector up to 10^(1 + seed % 3) per
+    axis (whose derivative bound exceeds its value bound), rescaled so that
+    the larger of its two bounds at grid step ``step`` is ``size``."""
     fam = random_family(seed)
     if kind == "fastest":
         fam = FieldFamily(tuple((_FASTEST, s) for _, s in fam.factors))
     if kind == "constant":
         fam = FieldFamily(((_FASTEST, constant_shape(1.0)),))
-    k = size / fam.bound(step)
+    if kind == "steep":
+        wave = np.random.default_rng(seed).uniform(-1.0, 1.0, 4) * 10.0 ** (1 + seed % 3)
+        fam = FieldFamily(((_FASTEST, TrigShape("sin", 1.0, wave)),))
+    k = size / max(fam.bound(step), fam.derivative_bound(step))
     return FieldFamily(tuple((v * k, s) for v, s in fam.factors)).to_json_obj()
 
 
@@ -139,3 +145,19 @@ def test_a_family_up_to_the_size_limit_runs_every_field_suite(seed, kind, masses
         run_scenario(replace(cfg, suite=suite))
     with pytest.raises(ConfigError):
         replace(cfg, family=_family_of_size(1.001 * _FAMILY_LIMIT, step, seed, kind))
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(st.integers(0, 50), LEGAL["m_values"], STEP_PAIRS)
+def test_a_family_up_to_the_derivative_limit_runs_every_field_suite(seed, masses, steps):
+    step = max(steps)
+    family = _family_of_size(0.999 * _FAMILY_LIMIT, step, seed, "steep")
+    fam = FieldFamily.from_json_obj(family)
+    assert fam.bound(step) < fam.derivative_bound(step) < _FAMILY_LIMIT
+    cfg = ScenarioConfig(
+        family=family, m_values=[_LARGEST_MASS, *masses], grid_steps=steps, sample_count=2
+    )
+    for suite in ("reduction", "symmetries", "convergence"):
+        run_scenario(replace(cfg, suite=suite))
+    with pytest.raises(ConfigError):
+        replace(cfg, family=_family_of_size(1.001 * _FAMILY_LIMIT, step, seed, "steep"))

@@ -39,6 +39,7 @@ from cl13.fields import (
 from cl13.rep import gamma_rep
 from cl13.shapes import PolyShape, TrigShape, constant_shape, coordinate_shape
 from cl13.subspaces import (
+    fixed_idempotent,
     sample,
     sp_algebra_residual,
     sp_group_residual,
@@ -179,7 +180,7 @@ def test_reduce_zero_mass(pure_gauge, points):
             assert red.g[mu][nu].value(x).is_zero(1e-15)
     rec = two_yang_mills_residuals(red, points[:3])
     assert worst(rec.values()) <= 1e-10
-    assert source_norm(red, points[0]) == 0.0
+    assert np.all(source_norm(red, points[:3]) == 0.0)
 
 
 def test_reduce_constant_field_oracle(t2):
@@ -207,7 +208,9 @@ def test_constant_field_source_equation_balances(t2):
     pts = sample_points(2, 3)
     rec = two_yang_mills_residuals(red, pts)
     assert np.max(rec["source_b"]) <= 1e-14
-    assert abs(source_norm(red, pts[0]) - 0.1875) <= 1e-15
+    norms = source_norm(red, pts)
+    assert norms.shape == (3,)
+    assert np.max(np.abs(norms - 0.1875)) <= 1e-15
 
 
 def test_reduction_theorem_across_masses(family, t2, points):
@@ -215,9 +218,9 @@ def test_reduction_theorem_across_masses(family, t2, points):
         red = reduce_to_two_yang_mills(build_pure_gauge(family, t2, m))
         assert worst(two_yang_mills_residuals(red, points).values()) <= 1e-9
         expected_rhs = 3.0 / 16.0 * abs(m) ** 3
-        x0 = points[0]
-        h_norm = max((red.h[nu].value(x0) * 1j).norm() for nu in range(4))
-        assert abs(source_norm(red, x0) - expected_rhs * h_norm) <= 1e-9
+        for i, x in enumerate(points):
+            h_norm = max((red.h[nu].value(x) * 1j).norm() for nu in range(4))
+            assert abs(source_norm(red, points)[i] - expected_rhs * h_norm) <= 1e-9
         assert worst(check_reduction_identities(red, points).values()) <= 1e-9
 
 
@@ -392,6 +395,7 @@ RESIDUAL_FUNCTIONS = {
     "check_h_identities": lambda sets, x: check_h_identities([f.value(x) for f in sets[0].h]),
     "check_reduction_identities": lambda sets, x: check_reduction_identities(sets[1], x),
     "bianchi_current_check": lambda sets, x: bianchi_current_check(sets[2].a, x),
+    "source_norm": lambda sets, x: {"source": source_norm(sets[1], x)},
 }
 
 
@@ -416,3 +420,41 @@ def test_worst_propagates_a_nan_wherever_it_stands(where):
     residuals[where] = np.array([0.1, np.nan]) if where == 2 else np.nan
     assert np.isnan(worst(residuals))
     assert worst([0.5, np.array([1.0, 2.0]), 3.0]) == 3.0
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-3])
+def test_a_branch_starts_from_its_pass_and_leaves_it_unchanged(pure_gauge, points, fd_step):
+    pts = PointSet(points, fd_step)
+    model_residuals(pure_gauge, pts)
+    values, shifts = dict(pts.values), dict(pts._shifts)
+    shifted_values = {key: dict(p.values) for key, p in shifts.items()}
+    branch = pts.branch()
+    assert branch.x is pts.x and branch.fd_step == fd_step
+    assert branch.values.keys() == values.keys()
+    assert all(branch.values[node] is val for node, val in values.items())
+    check_reduction_identities(reduce_to_two_yang_mills(pure_gauge), branch)
+    assert len(branch.values) > len(values)
+    assert pts.values.keys() == values.keys() and pts._shifts == shifts
+    assert {key: p.values.keys() for key, p in shifts.items()} == {
+        key: vals.keys() for key, vals in shifted_values.items()
+    }
+
+
+@pytest.mark.parametrize("label", ["t1", "t2", "t3", "t4"])
+def test_each_mass_checked_in_a_branch_equals_a_fresh_pass(family, points, label):
+    # The reduction suite's layout: the model residuals and h identities
+    # fill one pass, and each mass runs in a branch of it.  Oracle: every
+    # function on a PointSet of its own, bit for bit.
+    fs = build_pure_gauge(family, fixed_idempotent(label), 1.0)
+    pts = PointSet(points)
+    model_residuals(fs, pts)
+    check_h_identities([f.value(pts) for f in fs.h])
+    for m in (0.0, -2.0, 7.0):
+        reduced = reduce_to_two_yang_mills(replace(fs, mass=m))
+        branch = pts.branch()
+        for fn in (two_yang_mills_residuals, check_reduction_identities):
+            shared, fresh = fn(reduced, branch), fn(reduced, PointSet(points))
+            assert shared.keys() == fresh.keys()
+            for eq in fresh:
+                assert np.array_equal(shared[eq], fresh[eq]), (m, fn.__name__, eq)
+        assert np.array_equal(source_norm(reduced, branch), source_norm(reduced, points))

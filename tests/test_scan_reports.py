@@ -1,0 +1,46 @@
+"""tools/scan_reports.py: the report scan that compares two source trees."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("scan_reports", ROOT / "tools" / "scan_reports.py")
+scan_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scan_reports)
+
+
+def test_the_scan_covers_328_reports():
+    assert len(scan_reports.SCAN) == 328
+    assert len({tuple(args) for args in scan_reports.SCAN}) == 328
+
+
+def test_a_tree_compared_with_itself_is_byte_identical(capsys):
+    src = str(ROOT / "src")
+    scan = [["algebra", "--seed", "1"], ["reduction", "--seed", "3"]]
+    assert scan_reports.main([src, src], scan=scan) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "2 of 2 reports byte-identical"
+    assert "max |delta residual| 0.000e+00  reduction/h-identities" in lines
+
+
+def _report(status: str, residual) -> str:
+    return json.dumps({"checks": [{"name": "c", "status": status, "residual": residual}]})
+
+
+def test_a_status_or_exit_code_change_is_reported_and_fails_the_scan():
+    scan = [["a"], ["b"], ["c"]]
+    before = [[0, _report("pass", 1e-12), ""], [0, _report("pass", 0.0), ""], [1, "", ""]]
+    after = [[0, _report("pass", 3e-12), ""], [1, _report("fail", None), ""], [2, "", "error: x"]]
+    lines, changed = scan_reports.compare(scan, before, after)
+    assert changed
+    assert lines == [
+        "0 of 3 reports byte-identical",
+        "exit code 0 -> 1: verify b",
+        "c pass -> fail: verify b",
+        "exit code 1 -> 2: verify c",
+        "max |delta residual| inf  c",
+    ]
+    lines, changed = scan_reports.compare(scan[:1], before[:1], after[:1])
+    assert not changed
+    assert lines == ["0 of 1 reports byte-identical", "max |delta residual| 2.000e-12  c"]

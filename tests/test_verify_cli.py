@@ -1,6 +1,7 @@
 """Scenario runner, report schema and CLI behaviour."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from cl13 import verify
 from cl13.algebra import random_element
 from cl13.cli import main
-from cl13.fields import FieldFamily, random_family
+from cl13.fields import ExpField, FieldFamily, random_family
+from cl13.shapes import TrigShape
 from cl13.subspaces import sample
 from cl13.verify import (
     Check,
@@ -299,6 +301,61 @@ def test_cli_malformed_config_value(tmp_path, capsys, obj):
     cfg_path.write_text(json.dumps(obj))
     assert main(["verify", "reduction", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_rejects_a_family_whose_derivatives_exceed_the_limit(tmp_path, capsys):
+    # A plane wave of wave vector 1e160: small values, derivatives that overflow.
+    wave = TrigShape("sin", 1.0, (1e160, 1e160, 0, 0))
+    fam = FieldFamily(((sample("sp_cl", seed=3, scale=0.5), wave),))
+    assert fam.bound(1e-2) <= verify._FAMILY_LIMIT < fam.derivative_bound(1e-2)
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(fam.to_json_obj()))
+    assert main(["verify", "reduction", "--family", str(fam_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "steps, well_conditioned",
+    [
+        ((1e-2, 5e-3, 2.5e-3), True),
+        ((1e-3, 1.000000000001e-3), True),
+        ((float(np.finfo(float).eps), 1.0), True),
+        ((2.220446049250313e-16, 2.2204460492503136e-16), False),
+    ],
+)
+def test_grid_steps_are_a_config_error_exactly_when_the_slope_fit_is_rank_deficient(
+    capsys, steps, well_conditioned
+):
+    # np.polyfit warns (RankWarning, a RuntimeWarning) on the steps that
+    # the config rejects, and runs silently on those it accepts.
+    fit = lambda: np.polyfit(np.log(steps), np.log(np.arange(1.0, len(steps) + 1)), 1)
+    argv = ["verify", "convergence", "--grid-steps", ",".join(map(repr, steps))]
+    if well_conditioned:
+        fit()
+        assert main(argv) in (0, 1)
+    else:
+        with pytest.warns(RuntimeWarning):
+            fit()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_reduction_report_evaluates_each_exponential_once(monkeypatch):
+    # W and W^-1 of the three families hold 12 exponentials; the model pass
+    # evaluates each, and every mass branch reuses them.
+    counts = Counter()
+    evaluate = ExpField._evaluate
+
+    def counted(self, points):
+        counts[self] += 1
+        return evaluate(self, points)
+
+    monkeypatch.setattr(ExpField, "_evaluate", counted)
+    cfg = ScenarioConfig(suite="reduction", seed=1, sample_count=128)
+    for _ in range(2):
+        counts.clear()
+        run_scenario(cfg)
+        assert len(counts) == 12 and set(counts.values()) == {1}
 
 
 def test_cli_negative_seed_flag():

@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Compare the reports of two cl13 source trees over a fixed scan.
+
+    python3 tools/scan_reports.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories that hold the ``cl13`` package
+(a checkout's ``src``).  Each tree runs the same 328 reports, in a
+subprocess of its own whose PYTHONPATH is that tree:
+
+  * ``verify reduction`` at seeds 0-199 (20 points),
+  * ``verify all`` at seeds 1, 7, 42 and 123,
+  * ``verify algebra``, ``subspaces`` and ``idempotents`` at seeds 40-79,
+  * ``verify reduction --sample-count 128`` at seeds 1, 3, 5 and 9.
+
+The scan prints how many reports are byte-identical, every check whose
+status changed and every changed exit code, and per check the largest
+|residual difference| over the scan.  It exits 1 on any status or exit-code
+change and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import traceback
+
+SCAN = (
+    [["reduction", "--seed", str(seed)] for seed in range(200)]
+    + [["all", "--seed", str(seed)] for seed in (1, 7, 42, 123)]
+    + [
+        [suite, "--seed", str(seed)]
+        for seed in range(40, 80)
+        for suite in ("algebra", "subspaces", "idempotents")
+    ]
+    + [["reduction", "--sample-count", "128", "--seed", str(seed)] for seed in (1, 3, 5, 9)]
+)
+
+
+def _worker() -> None:
+    """Run ``cl13 verify`` on each argument list read from stdin and write
+    [exit code, stdout, stderr] per report to stdout, as one JSON list.  A
+    report that raises gets what the command would give: exit code 1 and
+    the traceback on stderr."""
+    from cl13.cli import main
+
+    out = []
+    for args in json.load(sys.stdin):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(["verify", *args])
+            except Exception:
+                traceback.print_exc()
+                code = 1
+        out.append([code, stdout.getvalue(), stderr.getvalue()])
+    json.dump(out, sys.stdout)
+
+
+def _start(src: str, scan) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--worker"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    proc.stdin.write(json.dumps(scan))
+    proc.stdin.close()
+    return proc
+
+
+def run_reports(sources, scan=SCAN) -> list[list]:
+    """Per source tree, [exit code, stdout, stderr] of every report of the
+    scan; the trees run at once, one subprocess each."""
+    procs = [_start(src, scan) for src in sources]
+    results = []
+    for proc, src in zip(procs, sources):
+        text = proc.stdout.read()
+        if proc.wait() != 0:
+            raise SystemExit(f"scan_reports: the reports of {src} did not run")
+        results.append(json.loads(text))
+    return results
+
+
+def _checks(stdout: str) -> dict:
+    """{check name: (status, residual)} of a JSON report; empty otherwise."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return {}
+    return {c["name"]: (c["status"], c["residual"]) for c in report["checks"]}
+
+
+def compare(scan, before, after) -> tuple[list[str], bool]:
+    """The summary lines of two runs of the scan, and whether any status or
+    exit code changed between them."""
+    lines, changed, identical, delta = [], False, 0, {}
+    for args, (code0, out0, err0), (code1, out1, err1) in zip(scan, before, after):
+        label = "verify " + " ".join(args)
+        identical += (code0, out0, err0) == (code1, out1, err1)
+        if code0 != code1:
+            changed = True
+            lines.append(f"exit code {code0} -> {code1}: {label}")
+        checks0, checks1 = _checks(out0), _checks(out1)
+        for name in sorted(checks0.keys() | checks1.keys()):
+            status0, res0 = checks0.get(name, ("missing", None))
+            status1, res1 = checks1.get(name, ("missing", None))
+            if status0 != status1:
+                changed = True
+                lines.append(f"{name} {status0} -> {status1}: {label}")
+            if res0 == res1:
+                diff = 0.0
+            elif res0 is None or res1 is None:
+                diff = float("inf")
+            else:
+                diff = abs(res0 - res1)
+            delta[name] = max(delta.get(name, 0.0), diff)
+    lines.insert(0, f"{identical} of {len(scan)} reports byte-identical")
+    lines += [f"max |delta residual| {delta[name]:.3e}  {name}" for name in sorted(delta)]
+    return lines, changed
+
+
+def main(argv=None, scan=SCAN) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src", nargs="?")
+    parser.add_argument("change_src", nargs="?")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _worker()
+        return 0
+    if args.change_src is None:
+        parser.error("PARENT_SRC and CHANGE_SRC are required")
+    before, after = run_reports([args.parent_src, args.change_src], scan)
+    lines, changed = compare(scan, before, after)
+    print("\n".join(lines))
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
