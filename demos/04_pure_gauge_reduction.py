@@ -37,17 +37,17 @@ for j in range(3):
     print(f"family {j}: model-system residual {model_res:.2e}, h identities {h_res:.2e}")
 
 print("\n== reduction for several masses ==")
-# W, h and C do not depend on m: one pass evaluates them, and each mass
-# checks its reduced set in a branch of that pass, which reuses them.
+# W, h and C do not depend on m: one pass evaluates them once for every
+# mass.  A pass keeps a node's value while the node exists, so each mass's
+# own nodes (B, G) leave it when the next reduced set replaces them.
 model = build_pure_gauge(random_family(42), t, 1.0)
 shared = PointSet(points)
 model_residuals(model, shared)
 for m in (0.5, 1.0, 2.0):
     reduced = reduce_to_two_yang_mills(replace(model, mass=m))
-    branch = shared.branch()
-    residuals = two_yang_mills_residuals(reduced, branch)
-    ids = worst(check_reduction_identities(reduced, branch).values())
-    sources = source_norm(reduced, branch)  # one norm per point
+    residuals = two_yang_mills_residuals(reduced, shared)
+    ids = worst(check_reduction_identities(reduced, shared).values())
+    sources = source_norm(reduced, shared)  # one norm per point
     print(
         f"m={m}: max residual {worst(residuals.values()):.2e} over "
         f"{sorted(residuals)}; source norm {sources.min():.4f} to {sources.max():.4f} "

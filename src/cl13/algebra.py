@@ -56,9 +56,6 @@ BLADE_LABELS = tuple(
 )
 _LABEL_TO_MASK = {label: mask for mask, label in enumerate(BLADE_LABELS)}
 GRADES = tuple(grade_of(mask) for mask in range(N_BLADES))
-GRADE_MASKS = tuple(
-    tuple(m for m in range(N_BLADES) if GRADES[m] == k) for k in range(5)
-)
 # Reversion sign (-1)^{k(k-1)/2} per blade.
 REVERSION_SIGNS = tuple((-1) ** (GRADES[m] * (GRADES[m] - 1) // 2) for m in range(N_BLADES))
 

@@ -130,6 +130,5 @@ class RationalComplex:
         return f"RationalComplex({self.re!r}, {self.im!r})"
 
 
-RC_ZERO = RationalComplex(0)
 RC_ONE = RationalComplex(1)
 RC_I = RationalComplex(0, 1)

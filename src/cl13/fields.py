@@ -37,6 +37,7 @@ to solutions of the second; ``reduce_to_two_yang_mills`` implements it.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -73,14 +74,16 @@ _ZERO = CliffordElement.zero()
 
 class PointSet:
     """One point (shape (4,)) or N points (shape (N, 4)), the derivative
-    rule of the pass over them, and the value of every field node evaluated
-    on them so far.
+    rule of the pass over them, and the value of every live field node
+    evaluated on them so far.
 
     One pass owns one PointSet, so a node shared by its equations is
-    evaluated once; no node holds point values.  A suite that evaluates
-    several field sets sharing nodes on the same points hands one pass to
-    all of them, or ``branch``es it.  The pass differentiates exactly when
-    ``fd_step`` is None and by central differences of that step otherwise.
+    evaluated once; no node holds point values.  Values are keyed weakly
+    by node: a value stays in the pass exactly as long as its node exists,
+    so suites hand one pass to every field set on the same points and the
+    nodes of a field set they let go leave with it.  The pass
+    differentiates exactly when ``fd_step`` is None and by central
+    differences of that step otherwise.
     """
 
     __slots__ = ("x", "fd_step", "values", "_shifts")
@@ -90,17 +93,10 @@ class PointSet:
             raise ValueError(f"fd_step must be positive, got {fd_step!r}")
         self.x = np.asarray(x, dtype=float)
         self.fd_step = fd_step
-        self.values: dict[CliffordField, CliffordElement] = {}
+        self.values: weakref.WeakKeyDictionary[CliffordField, CliffordElement] = (
+            weakref.WeakKeyDictionary()
+        )
         self._shifts: dict[tuple[int, float], PointSet] = {}
-
-    def branch(self) -> "PointSet":
-        """A new pass over the same points and derivative rule that starts
-        from this pass's node values (no array is copied); the values it
-        adds are dropped with it, so this pass does not grow.  Shifted
-        point sets are not shared: a branch builds its own."""
-        out = PointSet(self.x, self.fd_step)
-        out.values = dict(self.values)
-        return out
 
     def shifted(self, mu: int, h: float) -> "PointSet":
         """The same points moved by h along axis mu, built once per pass."""
@@ -120,12 +116,18 @@ class CliffordField:
     """Clifford-valued field on R^{1,3} with structural exact derivatives.
 
     ``value`` takes one point, an (N, 4) array of points or a PointSet and
-    returns one element or a stack of N; values are memoized in the
-    PointSet.  ``partial`` nodes are built once and shared, so repeated
-    evaluation across equations reuses subexpressions.
+    returns one element or a stack of N; the PointSet keeps the value while
+    this node exists.  ``partial`` nodes are built once and shared, so
+    repeated evaluation across equations reuses subexpressions.
+
+    Nodes form no reference cycle: a node holds its operands and its
+    partials, and the nodes that a partial of theirs holds back (see
+    ``ExpField``) hold their partials weakly.  So reference counting frees
+    a node, and its values in every pass, as soon as the last holder lets
+    go.
     """
 
-    __slots__ = ("_partials",)
+    __slots__ = ("_partials", "__weakref__")
 
     def __init__(self):
         self._partials: dict[int, CliffordField] = {}
@@ -168,13 +170,15 @@ class CliffordField:
 
 
 class ConstantField(CliffordField):
+    """One element at every point; it holds its value, so no pass stores it."""
+
     __slots__ = ("element",)
 
     def __init__(self, element: CliffordElement):
         super().__init__()
         self.element = element.to_float()
 
-    def _evaluate(self, points):
+    def value(self, x):
         return self.element
 
     def _differentiate(self, mu):
@@ -235,12 +239,19 @@ class ProductField(CliffordField):
 
 
 class ExpField(CliffordField):
-    """exp(v * s(x)) for a constant generator v and scalar shape s."""
+    """exp(v * s(x)) for a constant generator v and scalar shape s.
+
+    d_mu exp(v s) holds this node, and d_nu d_mu exp(v s) holds
+    d_nu exp(v s), so this node and its partials memoize their own
+    partials weakly: a strong memo would close a reference cycle.  Such a
+    partial lives while a tree that uses it does.
+    """
 
     __slots__ = ("generator", "shape")
 
     def __init__(self, generator: CliffordElement, shape: Shape):
         super().__init__()
+        self._partials = weakref.WeakValueDictionary()
         self.generator = generator.to_float()
         self.shape = shape
 
@@ -249,7 +260,9 @@ class ExpField(CliffordField):
 
     def _differentiate(self, mu):
         # v commutes with exp(v s), so d_mu exp(v s) = (d_mu s) v exp(v s).
-        return ProductField(ShapeField(self.shape.deriv(mu), self.generator), self)
+        out = ProductField(ShapeField(self.shape.deriv(mu), self.generator), self)
+        out._partials = weakref.WeakValueDictionary()
+        return out
 
 
 class MappedField(CliffordField):

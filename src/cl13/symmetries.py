@@ -25,6 +25,7 @@ configuration solves the system.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -202,11 +203,10 @@ def _steps(kind: str, family: FieldFamily | None) -> tuple:
     if kind == "gauge_unitary":  # U(x) in G(t) commutes with t
         return (_Unitary(u, uinv),)
 
-    def moved(t):  # a constant U moves t to U^{-1} t U
-        u0 = family.value((0.0, 0.0, 0.0, 0.0))
-        return HermitianIdempotent(inverse(u0) * t.element * u0, None)
-
-    return (_Unitary(u, uinv, moved),)
+    # A constant U moves t to U^{-1} t U; U is read at the origin once.
+    u0 = family.value((0.0, 0.0, 0.0, 0.0))
+    u0inv = inverse(u0)
+    return (_Unitary(u, uinv, lambda t: HermitianIdempotent(u0inv * t.element * u0, None)),)
 
 
 @dataclass(frozen=True)
@@ -259,31 +259,24 @@ def expected_residual_transform(
 
 
 def covariance_check(
-    fs: TwoYangMillsFieldSet,
-    specs: list[TransformationSpec],
-    points,
-) -> list[dict[str, np.ndarray]]:
-    """Certify the residual transformation law of each transformation in
-    ``specs``: per spec and equation, |r_transformed - expected(r_original)|
-    at each point.  The original residuals are evaluated once, in the pass
-    ``points`` (which a caller may share); each spec evaluates its
-    transformed set and its laws in a branch of that pass, so no pass holds
-    the node values of every transformation at once."""
-    points = _as_points(points)
-    before = two_yang_mills_residual_components(fs, points)
-    out = []
-    for spec in specs:
-        x = points.branch()
-        after = two_yang_mills_residual_components(apply_transformation(fs, spec), x)
-        mismatch = {
-            eq: {
-                idx: after[eq][idx] - expected_residual_transform(spec, eq, r, x)
-                for idx, r in comps.items()
-            }
-            for eq, comps in before.items()
+    fs: TwoYangMillsFieldSet, spec: TransformationSpec, points
+) -> dict[str, np.ndarray]:
+    """Certify the residual transformation law of one transformation: per
+    equation, |r_transformed - expected(r_original)| at each point.  A
+    caller that shares the pass ``points`` between field sets and specs
+    evaluates each node they share once there; the transformed set's own
+    nodes leave the pass when this returns."""
+    x = _as_points(points)
+    before = two_yang_mills_residual_components(fs, x)
+    after = two_yang_mills_residual_components(apply_transformation(fs, spec), x)
+    mismatch = {
+        eq: {
+            idx: after[eq][idx] - expected_residual_transform(spec, eq, r, x)
+            for idx, r in comps.items()
         }
-        out.append(_aggregate(mismatch, x))
-    return out
+        for eq, comps in before.items()
+    }
+    return _aggregate(mismatch, x)
 
 
 # -- bilinear covariants --------------------------------------------------------
@@ -298,25 +291,14 @@ class BilinearForm:
     value: CliffordElement
 
 
-def _permutations_with_sign(items: tuple[int, ...]):
-    items = list(items)
-    n = len(items)
-    if n == 1:
-        yield 1, tuple(items)
-        return
-    for i in range(n):
-        rest = items[:i] + items[i + 1 :]
-        sign = (-1) ** i
-        for s, perm in _permutations_with_sign(tuple(rest)):
-            yield sign * s, (items[i],) + perm
-
-
 def antisymmetrized_product(h_vals, indices: tuple[int, ...]) -> CliffordElement:
-    """h^{[mu1} ... h^{muk]} with 1/k! normalization."""
+    """h^{[mu1} ... h^{muk]} with 1/k! normalization; each ordering of the
+    index positions carries the sign of its inversion count."""
     exact = all(h.exact for h in h_vals)
     total = _total(
-        reduce(operator.mul, (h_vals[mu] for mu in perm)) * sign
-        for sign, perm in _permutations_with_sign(tuple(indices))
+        reduce(operator.mul, (h_vals[indices[p]] for p in perm))
+        * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        for perm in itertools.permutations(range(len(indices)))
     )
     fact = math.factorial(len(indices))
     scale = Fraction(1, fact) if exact else 1.0 / fact

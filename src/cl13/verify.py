@@ -459,9 +459,9 @@ def _suite_reduction(s: _Suite) -> None:
     points = sample_points(cfg.seed, cfg.sample_count)
 
     # One pass per family: W, h and C do not depend on m, so the model set
-    # of the first mass serves the h identities and every reduced set.  The
-    # model residuals and the h identities fill the pass; each mass checks
-    # its reduced set in a branch of it, which drops the mass's own nodes.
+    # of the first mass serves the h identities and every reduced set, all
+    # in the family's pass.  Each mass's own nodes leave the pass with its
+    # reduced set; W, h, C and their partials stay for the next mass.
     model, h_identities, two_ym, identities, sources = [], [], [], [], []
     for fam in cfg.resolve_families():
         fs = build_pure_gauge(fam, t, cfg.m_values[0])
@@ -470,11 +470,10 @@ def _suite_reduction(s: _Suite) -> None:
         h_identities += check_h_identities([f.value(pts) for f in fs.h]).values()
         for m in cfg.m_values:
             reduced = reduce_to_two_yang_mills(replace(fs, mass=float(m)))
-            branch = pts.branch()
-            two_ym += two_yang_mills_residuals(reduced, branch).values()
+            two_ym += two_yang_mills_residuals(reduced, pts).values()
             if m != 0:
-                sources.append(source_norm(reduced, branch)[0])
-            identities += check_reduction_identities(reduced, branch).values()
+                sources.append(source_norm(reduced, pts))
+            identities += check_reduction_identities(reduced, pts).values()
 
     s.add(
         "reduction/pure-gauge-model-residuals",
@@ -494,7 +493,8 @@ def _suite_reduction(s: _Suite) -> None:
         two_ym,
         "residual",
     )
-    # np.min propagates a NaN source norm, which then fails the floor.
+    # The floor holds at every point; np.min propagates a NaN source norm,
+    # which then fails it.
     s.add(
         "reduction/source-nonzero",
         "source (3/16) m^3 i h^nu stays nonzero",
@@ -532,33 +532,28 @@ def _suite_symmetries(s: _Suite) -> None:
     )
     nonsolution = random_two_yang_mills_set(cfg.seed + 11, t, cfg.m_values[0])
 
-    # One pass per field set, shared by every check of that set on these points.
-    on_solution, on_nonsolution = PointSet(points), PointSet(points)
-
-    specs = [
-        random_transformation(kind, cfg.seed + 100 + k, t) for k, kind in enumerate(TRANSFORM_KINDS)
-    ]
+    # One pass shared by every check on these points.  Each transformation
+    # is drawn, checked against both field sets and let go, so its payload
+    # is evaluated once and leaves the pass before the next is drawn.
+    pts = PointSet(points)
+    on_solution, on_nonsolution = [], []
+    for k, kind in enumerate(TRANSFORM_KINDS):
+        spec = random_transformation(kind, cfg.seed + 100 + k, t)
+        on_solution += covariance_check(solution, spec, pts).values()
+        on_nonsolution += covariance_check(nonsolution, spec, pts).values()
     s.add(
         "symmetries/covariance-on-solutions",
         "equivalence transformations preserve solutions",
-        [
-            r
-            for per_spec in covariance_check(solution, specs, on_solution)
-            for r in per_spec.values()
-        ],
+        on_solution,
         "residual",
     )
     s.add(
         "symmetries/covariance-residual-law",
         "residuals transform by the stated conjugations",
-        [
-            r
-            for per_spec in covariance_check(nonsolution, specs, on_nonsolution)
-            for r in per_spec.values()
-        ],
+        on_nonsolution,
         "residual",
     )
-    scale = worst(two_yang_mills_residuals(nonsolution, on_nonsolution).values())
+    scale = worst(two_yang_mills_residuals(nonsolution, pts).values())
     s.add(
         "symmetries/nonsolution-scale",
         "non-solution residuals are order one",
@@ -576,7 +571,6 @@ def _suite_symmetries(s: _Suite) -> None:
             "gauge_unitary", compose_unitary_payloads(u1.family, u2.family)
         ),
     )
-    pts = PointSet(points)
     pairs = [(once.phi, combined.phi), *zip(once.a, combined.a)]
     s.add(
         "symmetries/gauge-composition",
@@ -591,7 +585,7 @@ def _suite_symmetries(s: _Suite) -> None:
     s.add(
         "symmetries/current-trivial-on-zero-phi",
         "d_mu J^mu - [A_mu, J^mu] = 0",
-        check_current_conservation(solution, on_solution).values(),
+        check_current_conservation(solution, pts).values(),
         "residual",
     )
     s.add(

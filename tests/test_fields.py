@@ -1,5 +1,6 @@
 """Field families, pure-gauge construction, residuals and the reduction."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -423,38 +424,54 @@ def test_worst_propagates_a_nan_wherever_it_stands(where):
 
 
 @pytest.mark.parametrize("fd_step", [None, 1e-3])
-def test_a_branch_starts_from_its_pass_and_leaves_it_unchanged(pure_gauge, points, fd_step):
-    pts = PointSet(points, fd_step)
-    model_residuals(pure_gauge, pts)
-    values, shifts = dict(pts.values), dict(pts._shifts)
-    shifted_values = {key: dict(p.values) for key, p in shifts.items()}
-    branch = pts.branch()
-    assert branch.x is pts.x and branch.fd_step == fd_step
-    assert branch.values.keys() == values.keys()
-    assert all(branch.values[node] is val for node, val in values.items())
-    check_reduction_identities(reduce_to_two_yang_mills(pure_gauge), branch)
-    assert len(branch.values) > len(values)
-    assert pts.values.keys() == values.keys() and pts._shifts == shifts
-    assert {key: p.values.keys() for key, p in shifts.items()} == {
-        key: vals.keys() for key, vals in shifted_values.items()
-    }
+def test_a_pass_forgets_a_node_once_the_node_is_gone(pure_gauge, t2, points, fd_step):
+    # The collector is off, so reference counting alone must free the nodes:
+    # a node caught in a reference cycle would keep its values in the pass.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pts = PointSet(points, fd_step)
+        model_residuals(pure_gauge, pts)
+        # A first reduced set, let go at once, leaves the model set's
+        # partials that it read (d_mu C_nu among them) in the pass.
+        check_reduction_identities(reduce_to_two_yang_mills(pure_gauge), pts)
+        passes = [pts, *pts._shifts.values()]
+        assert len(passes) == (1 if fd_step is None else 9)
+        model = [dict(p.values) for p in passes]
+        reduced = reduce_to_two_yang_mills(replace(pure_gauge, mass=2.0))
+        check_reduction_identities(reduced, pts)
+        assert len(pts._shifts) == len(passes) - 1
+        assert all(len(p.values) > len(before) for p, before in zip(passes, model))
+        del reduced
+        for p, before in zip(passes, model):
+            assert set(p.values) == set(before)
+            assert all(p.values[node] is val for node, val in before.items())
+        # A family's own nodes, the exponentials and their first and second
+        # partials among them, leave with the last set that holds them.
+        other = build_pure_gauge(random_family(8), t2, 1.0)
+        model_residuals(other, pts)
+        check_reduction_identities(reduce_to_two_yang_mills(other), pts)
+        del other
+        assert [set(p.values) for p in passes] == [set(before) for before in model]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("label", ["t1", "t2", "t3", "t4"])
-def test_each_mass_checked_in_a_branch_equals_a_fresh_pass(family, points, label):
-    # The reduction suite's layout: the model residuals and h identities
-    # fill one pass, and each mass runs in a branch of it.  Oracle: every
-    # function on a PointSet of its own, bit for bit.
+def test_each_mass_checked_in_the_family_pass_equals_a_fresh_pass(family, points, label):
+    # The reduction suite's layout: the model residuals, the h identities
+    # and every mass share one pass.  Oracle: every function on a PointSet
+    # of its own, bit for bit.
     fs = build_pure_gauge(family, fixed_idempotent(label), 1.0)
     pts = PointSet(points)
     model_residuals(fs, pts)
     check_h_identities([f.value(pts) for f in fs.h])
     for m in (0.0, -2.0, 7.0):
         reduced = reduce_to_two_yang_mills(replace(fs, mass=m))
-        branch = pts.branch()
         for fn in (two_yang_mills_residuals, check_reduction_identities):
-            shared, fresh = fn(reduced, branch), fn(reduced, PointSet(points))
+            shared, fresh = fn(reduced, pts), fn(reduced, PointSet(points))
             assert shared.keys() == fresh.keys()
             for eq in fresh:
                 assert np.array_equal(shared[eq], fresh[eq]), (m, fn.__name__, eq)
-        assert np.array_equal(source_norm(reduced, branch), source_norm(reduced, points))
+        assert np.array_equal(source_norm(reduced, pts), source_norm(reduced, points))

@@ -9,7 +9,15 @@ import pytest
 from cl13 import verify
 from cl13.algebra import random_element
 from cl13.cli import main
-from cl13.fields import ExpField, FieldFamily, random_family
+from cl13.fields import (
+    CliffordField,
+    ExpField,
+    FieldFamily,
+    ProductField,
+    ShapeField,
+    SumField,
+    random_family,
+)
 from cl13.shapes import TrigShape
 from cl13.subspaces import sample
 from cl13.verify import (
@@ -340,22 +348,57 @@ def test_grid_steps_are_a_config_error_exactly_when_the_slope_fit_is_rank_defici
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _count_evaluations(monkeypatch, classes):
+    """Per (node, point array), how often the nodes of ``classes`` are
+    evaluated; every node and array seen is held, so no identity is reused."""
+    counts, arrays = Counter(), []
+    for cls in classes:
+
+        def counted(self, points, evaluate=vars(cls)["_evaluate"]):
+            arrays.append(points.x)
+            counts[self, id(points.x)] += 1
+            return evaluate(self, points)
+
+        monkeypatch.setattr(cls, "_evaluate", counted)
+    return counts
+
+
 def test_a_reduction_report_evaluates_each_exponential_once(monkeypatch):
-    # W and W^-1 of the three families hold 12 exponentials; the model pass
-    # evaluates each, and every mass branch reuses them.
-    counts = Counter()
-    evaluate = ExpField._evaluate
-
-    def counted(self, points):
-        counts[self] += 1
-        return evaluate(self, points)
-
-    monkeypatch.setattr(ExpField, "_evaluate", counted)
+    # W and W^-1 of the three families hold 12 exponentials.  Every node of
+    # the report, d_mu C_nu among them, is evaluated once per point array:
+    # each family's pass evaluates W, h, C and their partials for all masses.
+    classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
+    assert {ExpField, ProductField, ShapeField, SumField} <= set(classes)
+    counts = _count_evaluations(monkeypatch, classes)
     cfg = ScenarioConfig(suite="reduction", seed=1, sample_count=128)
     for _ in range(2):
         counts.clear()
         run_scenario(cfg)
-        assert len(counts) == 12 and set(counts.values()) == {1}
+        assert set(counts.values()) == {1}
+        assert sum(isinstance(node, ExpField) for node, _ in counts) == 12
+
+
+def test_a_symmetries_report_evaluates_each_exponential_once_per_point_array(monkeypatch):
+    # Each transformation's payload is evaluated once for both field sets,
+    # and the global_unitary payload once at the origin for its t-law.
+    counts = _count_evaluations(monkeypatch, [ExpField])
+    run_scenario(ScenarioConfig(suite="symmetries", seed=42))
+    assert set(counts.values()) == {1}
+
+
+def test_source_nonzero_fails_when_one_point_has_no_source(monkeypatch):
+    # The 1e-6 floor holds at every sample point, not only the first.
+    source_norm = verify.source_norm
+
+    def no_source_at_the_last_point(fs, points):
+        norms = source_norm(fs, points).copy()
+        norms[-1] = 0.0
+        return norms
+
+    monkeypatch.setattr(verify, "source_norm", no_source_at_the_last_point)
+    report = run_scenario(ScenarioConfig(suite="reduction", seed=1))
+    status = {c.name: c.status for c in report.checks}
+    assert status["reduction/source-nonzero"] == "fail"
 
 
 def test_cli_negative_seed_flag():

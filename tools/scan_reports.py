@@ -4,13 +4,15 @@
     python3 tools/scan_reports.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``cl13`` package
-(a checkout's ``src``).  Each tree runs the same 328 reports, in a
+(a checkout's ``src``).  Each tree runs the same 330 reports, in a
 subprocess of its own whose PYTHONPATH is that tree:
 
   * ``verify reduction`` at seeds 0-199 (20 points),
   * ``verify all`` at seeds 1, 7, 42 and 123,
   * ``verify algebra``, ``subspaces`` and ``idempotents`` at seeds 40-79,
-  * ``verify reduction --sample-count 128`` at seeds 1, 3, 5 and 9.
+  * ``verify reduction --sample-count 128`` at seeds 1, 3, 5 and 9,
+  * ``verify symmetries --sample-count 40`` at seeds 0 and 3 (10 points;
+    the other scanned reports run the symmetries suite on 5).
 
 The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
@@ -38,6 +40,7 @@ SCAN = (
         for suite in ("algebra", "subspaces", "idempotents")
     ]
     + [["reduction", "--sample-count", "128", "--seed", str(seed)] for seed in (1, 3, 5, 9)]
+    + [["symmetries", "--sample-count", "40", "--seed", str(seed)] for seed in (0, 3)]
 )
 
 
