@@ -51,17 +51,17 @@ print("\n== bilinear covariants ==")
 phi = t.element
 h_vals = list(GENERATORS)
 j0 = bilinear_form(phi, h_vals, (0,))
-print("rank-1 form with phi = t2: J^0 =", j0.value.to_json_obj())
-print("its eigenvalues:", hermitian_eigenvalues(j0.value))
+print("rank-1 form with phi = t2: J^0 =", j0.to_json_obj())
+print("its eigenvalues:", hermitian_eigenvalues(j0))
 rng = np.random.default_rng(3)
 phi = random_element(rng, 0.8) * t.element
 for indices in [(0, 1), (0, 1, 2), (0, 1, 2, 3)]:
-    bf = bilinear_form(phi, h_vals, indices)
+    j = bilinear_form(phi, h_vals, indices)
     swapped = (indices[1], indices[0]) + indices[2:]
     flipped = bilinear_form(phi, h_vals, swapped)
     print(
-        f"k={bf.k}: antisymmetry {(bf.value + flipped.value).norm():.2e}, "
-        f"hermiticity {(bf.value.herm_conj() - bf.value).norm():.2e}, "
-        f"iJ in L(t) residual {ideal_residual(bf.value * 1j, t, 'L'):.2e}"
+        f"k={len(indices)}: antisymmetry {(j + flipped).norm():.2e}, "
+        f"hermiticity {(j.herm_conj() - j).norm():.2e}, "
+        f"iJ in L(t) residual {ideal_residual(j * 1j, t, 'L'):.2e}"
     )
-print("repeated index gives zero:", bilinear_form(phi, h_vals, (2, 2)).value.is_zero())
+print("repeated index gives zero:", bilinear_form(phi, h_vals, (2, 2)).is_zero())

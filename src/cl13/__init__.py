@@ -9,7 +9,6 @@ from .algebra import (
     E1,
     E2,
     E3,
-    ETA,
     GENERATORS,
     J,
     METRIC_DIAG,
@@ -60,8 +59,6 @@ from .shapes import PolyShape, TrigShape, constant_shape, shape_from_json
 from .subspaces import (
     HermitianIdempotent,
     SubspaceBasis,
-    SymplecticMatrixSpace,
-    build_matrix_symplectic_space,
     fixed_idempotent,
     in_ideal,
     in_sp_algebra,
@@ -72,11 +69,9 @@ from .subspaces import (
     subspace_basis,
 )
 from .symmetries import (
-    BilinearForm,
     TransformationSpec,
     apply_transformation,
     bilinear_form,
-    check_current_conservation,
     covariance_check,
     random_transformation,
 )

@@ -29,11 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import RC_ONE, RationalComplex
+from .exactnum import RC_ONE, RationalComplex, is_finite_real
 
 N_BLADES = 16
 METRIC_DIAG = (1, -1, -1, -1)
-ETA = np.diag(METRIC_DIAG).astype(int)
 
 DEFAULT_TOL = 1e-12
 # Series terms of exp after scaling to coefficient norm <= 1.  The Dirac
@@ -137,10 +136,6 @@ _CONJ_INV = _CONJ.conj().T
 _IDENTITY = BLADE_REPS[0]
 
 
-def _coerce_scalar_exact(value) -> RationalComplex:
-    return RationalComplex.from_value(value)
-
-
 def _mask_of(blade) -> int:
     mask = label_to_mask(blade) if isinstance(blade, str) else int(blade)
     if not 0 <= mask < N_BLADES:
@@ -166,7 +161,7 @@ class CliffordElement:
 
     def __init__(self, coeffs, exact: bool = False):
         if exact:
-            data = tuple(_coerce_scalar_exact(c) for c in coeffs)
+            data = tuple(RationalComplex.from_value(c) for c in coeffs)
             if len(data) != N_BLADES:
                 raise ValueError("need exactly 16 coefficients")
             object.__setattr__(self, "_coeffs", data)
@@ -212,7 +207,7 @@ class CliffordElement:
         coeffs = [RationalComplex(0) if exact else 0j] * N_BLADES
         for blade, coeff in mapping.items():
             mask = _mask_of(blade)
-            add = _coerce_scalar_exact(coeff) if exact else complex(coeff)
+            add = RationalComplex.from_value(coeff) if exact else complex(coeff)
             coeffs[mask] = coeffs[mask] + add
         return cls(coeffs, exact)
 
@@ -261,7 +256,7 @@ class CliffordElement:
         """Product with a scalar, or in float mode with an array of one
         scalar per element of a stack."""
         if self.exact and isinstance(scalar, (int, Fraction, RationalComplex)):
-            s = _coerce_scalar_exact(scalar)
+            s = RationalComplex.from_value(scalar)
             return CliffordElement([c * s for c in self._coeffs], exact=True)
         scalar = scalar[..., None, None] if isinstance(scalar, np.ndarray) else complex(scalar)
         return CliffordElement._from_matrix(self.to_float()._mat * scalar)
@@ -282,7 +277,7 @@ class CliffordElement:
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction, RationalComplex)) and self.exact:
-            one = RC_ONE / _coerce_scalar_exact(scalar)
+            one = RC_ONE / RationalComplex.from_value(scalar)
             return self._scalar_mul(one)
         return self._scalar_mul(1.0 / complex(scalar))
 
@@ -371,6 +366,8 @@ class CliffordElement:
     @classmethod
     def from_json_obj(cls, obj: dict, exact: bool = False) -> "CliffordElement":
         def coeff(re, im):
+            if not (is_finite_real(re) and is_finite_real(im)):
+                raise ValueError(f"a coefficient needs two finite numbers, got {[re, im]}")
             return RationalComplex(Fraction(re), Fraction(im)) if exact else complex(re, im)
 
         return cls.from_coeff_map({label: coeff(*pair) for label, pair in obj.items()}, exact)

@@ -3,11 +3,33 @@
 Python's ``complex`` only holds doubles, so the exact coefficient mode of
 the algebra stores each coefficient as a :class:`RationalComplex`: a pair
 of ``fractions.Fraction`` values and a formal imaginary unit.
+
+Config and JSON readers take numbers and keys by the rules below: a bool or
+a string is no number, and an unknown key is an error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
+
+
+def is_int(value, types=(int, np.integer)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A finite number, not a bool; an integer too large for a float is not."""
+    real = is_int(value, (int, float, np.integer, np.floating))
+    return real and abs(value) <= float(np.finfo(float).max)
+
+
+def known_keys(obj: dict, keys, what: str) -> dict:
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return obj
 
 
 def _as_fraction(value) -> Fraction:

@@ -55,11 +55,11 @@ from .algebra import (
     generators,
     unit,
 )
+from .exactnum import known_keys
 from .shapes import PolyShape, Shape, TrigShape, shape_from_json
 from .subspaces import (
     MEMBERSHIP_TOL,
     HermitianIdempotent,
-    fixed_idempotent,
     sp_algebra_residual,
     subspace_basis,
 )
@@ -377,14 +377,12 @@ class FieldFamily:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FieldFamily":
-        factors = tuple(
-            (
-                CliffordElement.from_json_obj(f["generator"]),
-                shape_from_json(f["shape"]),
-            )
-            for f in obj["factors"]
-        )
-        return cls(factors)
+        factors = []
+        for f in known_keys(obj, ("factors",), "family")["factors"]:
+            known_keys(f, ("generator", "shape"), "family factor")
+            gen = CliffordElement.from_json_obj(f["generator"])
+            factors.append((gen, shape_from_json(f["shape"])))
+        return cls(tuple(factors))
 
 
 def random_family(seed: int, n_factors: int = 2, scale: float = 0.5) -> FieldFamily:
@@ -432,13 +430,11 @@ def _random_poly(rng: np.random.Generator, scale: float = 1.0) -> PolyShape:
     return PolyShape(terms)
 
 
-def _random_span_field(
-    rng: np.random.Generator, basis_elements, n_terms: int = 2, scale: float = 0.5
-) -> CliffordField:
+def _random_span_field(rng: np.random.Generator, basis_elements) -> CliffordField:
     parts = []
-    for _ in range(n_terms):
+    for _ in range(2):
         idx = int(rng.integers(0, len(basis_elements)))
-        parts.append(ShapeField(_random_poly(rng, scale), basis_elements[idx]))
+        parts.append(ShapeField(_random_poly(rng, 0.5), basis_elements[idx]))
     return SumField((1, p) for p in parts)
 
 
@@ -483,11 +479,7 @@ def antisymmetric_pair_fields(components) -> tuple[tuple[CliffordField, ...], ..
     return tuple(tuple(row) for row in grid)
 
 
-def build_pure_gauge(
-    family: FieldFamily,
-    t: HermitianIdempotent | None = None,
-    mass: float = 1.0,
-) -> ModelFieldSet:
+def build_pure_gauge(family: FieldFamily, t: HermitianIdempotent, mass: float) -> ModelFieldSet:
     """Pure-gauge solution of the model system.
 
     h^mu = W^{-1} e^mu W,  C_mu = -W^{-1} d_mu W,  phi = 0,  A = F = 0.
@@ -496,8 +488,6 @@ def build_pure_gauge(
     equation is the Maurer-Cartan identity of W.
     """
     family.validate_symplectic()
-    if t is None:
-        t = fixed_idempotent("t2")
     w = family.group_field()
     winv = family.inverse_field()
     gens = generators()
@@ -516,9 +506,7 @@ def build_pure_gauge(
     )
 
 
-def random_two_yang_mills_set(
-    seed: int, t: HermitianIdempotent | None = None, mass: float = 1.0
-) -> TwoYangMillsFieldSet:
+def random_two_yang_mills_set(seed: int, t: HermitianIdempotent, mass: float) -> TwoYangMillsFieldSet:
     """A membership-valid configuration that does not solve the system.
 
     h stays pure gauge (its algebraic constraint is part of the variable
@@ -526,8 +514,6 @@ def random_two_yang_mills_set(
     respective spaces; every equation residual is then of order one.
     """
     rng = np.random.default_rng(seed)
-    if t is None:
-        t = fixed_idempotent("t2")
     base = build_pure_gauge(random_family(seed + 17), t, mass)
 
     t_elem = t.element.to_float()

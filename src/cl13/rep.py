@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import BLADE_REPS, CliffordElement  # noqa: F401  (BLADE_REPS kept importable here)
+from .algebra import CliffordElement
 
 COND_CAP = 1e12  # inverse: a larger condition number counts as singular
 RANK_TOL = 1e-9  # rep_rank: singular values below RANK_TOL * max(1, s_max) are zero

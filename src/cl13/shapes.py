@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exactnum import is_finite_real, is_int, known_keys
+
 
 class PolyShape:
     """Sum of c * x0^p0 x1^p1 x2^p2 x3^p3 terms; powers are 4-tuples."""
@@ -131,10 +133,17 @@ def coordinate_shape(axis: int, coeff: float = 1.0) -> PolyShape:
 
 
 def shape_from_json(obj: dict) -> Shape:
-    kind = obj.get("type")
+    """The shape of a JSON object: powers are non-negative integers, the
+    other numbers finite (a string or a bool is neither)."""
+    kind = known_keys(obj, ("type", "coeffs"), "shape").get("type")
     if kind == "poly":
-        return PolyShape({tuple(p): c for p, c in obj["coeffs"]})
+        terms = {tuple(p): c for p, c in obj["coeffs"]}
+        if all(is_int(k) for p in terms for k in p) and all(map(is_finite_real, terms.values())):
+            return PolyShape(terms)
+        raise ValueError(f"poly powers must be integers, coefficients numbers: {obj['coeffs']}")
     if kind == "trig":
-        c = obj["coeffs"]
-        return TrigShape(c["kind"], c["amplitude"], c["wave_vector"], c.get("phase", 0.0))
+        c = known_keys(obj["coeffs"], ("kind", "amplitude", "wave_vector", "phase"), "trig shape")
+        if all(map(is_finite_real, (c["amplitude"], *c["wave_vector"], c.get("phase", 0.0)))):
+            return TrigShape(c["kind"], c["amplitude"], c["wave_vector"], c.get("phase", 0.0))
+        raise ValueError(f"trig amplitude, wave vector and phase must be numbers: {c}")
     raise ValueError(f"unknown shape type {kind!r}")

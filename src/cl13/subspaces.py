@@ -13,7 +13,8 @@ Definitions in force here:
 
 Linear subspaces are handled over the 32 real coordinates (re, im per
 blade); bases come out of a dense row reduction with partial pivoting and
-are computed once per process, then shared as read-only arrays.
+are computed once per process, then shared as read-only arrays.  The same
+row reduction gives dim sp(m, R), the cross-check of dim sp(cl(1,3)) = 10.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .algebra import (
     unit,
 )
 from .exactnum import RC_I, RC_ONE, RationalComplex
-from .rep import inverse
 
 MEMBERSHIP_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -146,13 +146,6 @@ class HermitianIdempotent:
         if not ok:
             raise ValueError(f"not a Hermitian idempotent: residuals {residuals}")
         return cls(element, label)
-
-    @property
-    def exact(self) -> bool:
-        return self.element.exact
-
-    def to_float(self) -> "HermitianIdempotent":
-        return HermitianIdempotent(self.element.to_float(), self.label)
 
 
 def hermitian_idempotent_residuals(t: CliffordElement) -> dict[str, float]:
@@ -322,25 +315,10 @@ def sample(
 # -- matrix symplectic cross-check ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymplecticMatrixSpace:
-    """Brute-force model of sp(m, R) inside 2m x 2m real matrices."""
-
-    m: int
-    s: np.ndarray
-    basis: np.ndarray  # (dim, 2m, 2m)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
 @cache
-def build_matrix_symplectic_space(m: int) -> SymplecticMatrixSpace:
-    """Nullspace of u^T S + S u = 0 by dense row reduction; capped at m = 8.
-
-    Built once per m; its arrays are read-only.
-    """
+def matrix_sp_dimension(m: int) -> int:
+    """dim sp(m, R): the nullity of u^T S + S u = 0 over real 2m x 2m
+    matrices u, by dense row reduction; capped at m = 8."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if m > 8:
@@ -349,25 +327,8 @@ def build_matrix_symplectic_space(m: int) -> SymplecticMatrixSpace:
     s = np.zeros((n, n))
     s[:m, m:] = -np.eye(m)
     s[m:, :m] = np.eye(m)
-    rows = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            r = i * n + j
-            for a in range(n):
-                rows[r, a * n + i] += s[a, j]  # (u^T S)[i, j]
-                rows[r, a * n + j] += s[i, a]  # (S u)[i, j]
-    basis = nullspace_basis(rows).reshape(-1, n, n)
-    s.flags.writeable = basis.flags.writeable = False
-    return SymplecticMatrixSpace(m, s, basis)
-
-
-def matrix_sp_dimension(m: int) -> int:
-    return build_matrix_symplectic_space(m).dim
-
-
-# -- convenience: commutator closure helper used by the verify suites ----------
-
-
-def adjoint_conjugate(w: CliffordElement, v: CliffordElement) -> CliffordElement:
-    """W^{-1} v W for group element W (float mode)."""
-    return inverse(w) * v * w
+    one = np.eye(n)
+    # Row (i, j), column (a, b): the coefficient of u[a, b] in
+    # (u^T S)[i, j] = sum_a u[a, i] S[a, j] plus (S u)[i, j] = sum_a S[i, a] u[a, j].
+    rows = np.einsum("ib,aj->ijab", one, s) + np.einsum("ia,jb->ijab", s, one)
+    return len(nullspace_basis(rows.reshape(n * n, n * n)))

@@ -54,8 +54,6 @@ from .fields import (
     _aggregate,
     _as_points,
     _total,
-    bianchi_current_check,
-    current_vector,
     random_family,
     two_yang_mills_residual_components,
 )
@@ -282,15 +280,6 @@ def covariance_check(
 # -- bilinear covariants --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """Antisymmetrized fermion covariant of rank k with Hermitian value."""
-
-    k: int
-    indices: tuple[int, ...]
-    value: CliffordElement
-
-
 def antisymmetrized_product(h_vals, indices: tuple[int, ...]) -> CliffordElement:
     """h^{[mu1} ... h^{muk]} with 1/k! normalization; each ordering of the
     index positions carries the sign of its inversion count."""
@@ -305,13 +294,11 @@ def antisymmetrized_product(h_vals, indices: tuple[int, ...]) -> CliffordElement
     return total * scale
 
 
-def bilinear_form(
-    phi: CliffordElement, h_vals, indices: tuple[int, ...]
-) -> BilinearForm:
+def bilinear_form(phi: CliffordElement, h_vals, indices: tuple[int, ...]) -> CliffordElement:
     """J^{mu1...muk} = i^{k(k-1)/2} phi^dag beta h^{[mu1}...h^{muk]} phi.
 
-    The stored value is J itself; the covariant that lives in L(t) is
-    i*J.  Repeated indices collapse to zero by antisymmetry.
+    The value is J itself; the covariant that lives in L(t) is i*J.
+    Repeated indices collapse to zero by antisymmetry.
     """
     k = len(indices)
     if not 1 <= k <= 4:
@@ -322,25 +309,4 @@ def bilinear_form(
     core = phi.herm_conj() * beta * middle * phi
     p = k * (k - 1) // 2
     factor = RC_I**p if exact else 1j**p
-    return BilinearForm(k, tuple(indices), core * factor)
-
-
-def check_current_conservation(fs: TwoYangMillsFieldSet, points) -> dict[str, np.ndarray]:
-    """Non-abelian conservation of the Dirac current.
-
-    For phi identically zero the law is the trivial 0 = 0 statement, whose
-    residual is the current itself; otherwise it is the antisymmetry-forced
-    identity of the induced current, delegated to the Bianchi check on the
-    A fields.
-    """
-    x = _as_points(points)
-    phi = fs.phi.value(x)
-    if not np.max(phi.norm()) <= 1e-14:
-        return bianchi_current_check(fs.a, points)
-    current = current_vector(phi, [f.value(x) for f in fs.h])
-    return _aggregate({"current_conservation": dict(enumerate(current))}, x)
-
-
-def compose_unitary_payloads(f1: FieldFamily, f2: FieldFamily) -> FieldFamily:
-    """Payload for the composite transformation: first f1, then f2."""
-    return FieldFamily(f1.factors + f2.factors)
+    return core * factor

@@ -211,12 +211,12 @@ def test_criterion_11_bilinear_forms(t2, families):
     hx = list(GENERATORS_EXACT)
     ok = True
     for k, indices in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3))):
-        base = bilinear_form(t2x, hx, indices).value
+        base = bilinear_form(t2x, hx, indices)
         for i in range(k - 1):
             swapped = list(indices)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            ok = ok and (base + bilinear_form(t2x, hx, tuple(swapped)).value).is_zero()
-    ok = ok and bilinear_form(t2x, hx, (1, 1)).value.is_zero()
+            ok = ok and (base + bilinear_form(t2x, hx, tuple(swapped))).is_zero()
+    ok = ok and bilinear_form(t2x, hx, (1, 1)).is_zero()
 
     # Float suite: Hermiticity, membership, real eigenvalues.
     rng = np.random.default_rng(SEED + 999)
@@ -231,7 +231,7 @@ def test_criterion_11_bilinear_forms(t2, families):
     for _ in range(6):
         phi = random_element(rng, 0.8) * t2.element
         for indices in [(0,), (1,), (0, 1), (0, 2, 3), (0, 1, 2, 3)]:
-            j = bilinear_form(phi, h_vals, indices).value
+            j = bilinear_form(phi, h_vals, indices)
             worst_herm = max(worst_herm, (j.herm_conj() - j).norm())
             worst_member = max(worst_member, ideal_residual(j * 1j, t2, "L"))
             eigs = np.linalg.eigvals(gamma_rep(j))

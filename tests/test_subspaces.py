@@ -17,7 +17,6 @@ from cl13.subspaces import (
     IDEMPOTENT_LABELS,
     MEMBERSHIP_TOL,
     HermitianIdempotent,
-    build_matrix_symplectic_space,
     element_to_realvec,
     fixed_idempotent,
     ideal_residual,
@@ -105,10 +104,8 @@ def test_matrix_sp_dimensions():
     assert matrix_sp_dimension(1) == 3
     assert matrix_sp_dimension(2) == 10
     assert matrix_sp_dimension(3) == 21
-    space = build_matrix_symplectic_space(2)
-    assert np.allclose(space.s @ space.s, -np.eye(4))
-    for u in space.basis:
-        assert np.allclose(u.T @ space.s, -space.s @ u, atol=1e-12)
+    for m in range(4, 9):
+        assert matrix_sp_dimension(m) == m * (2 * m + 1)
     with pytest.raises(ValueError):
         matrix_sp_dimension(9)
     with pytest.raises(ValueError):
@@ -239,12 +236,3 @@ def test_cached_basis_is_read_only_and_equals_a_fresh_row_reduction():
                 sb.vectors[..., 0] = 1.0
             fresh = nullspace_basis(_constraint_rows_by_blade(space, t))
             assert np.array_equal(sb.vectors, fresh)
-
-
-def test_matrix_symplectic_space_is_built_once_and_read_only():
-    space = build_matrix_symplectic_space(3)
-    assert build_matrix_symplectic_space(3) is space
-    with pytest.raises(ValueError):
-        space.basis[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        space.s[0, 0] = 1.0

@@ -14,7 +14,9 @@ from cl13.algebra import (
 from cl13.fields import (
     FieldFamily,
     PointSet,
+    bianchi_current_check,
     build_pure_gauge,
+    current_vector,
     random_family,
     random_two_yang_mills_set,
     reduce_to_two_yang_mills,
@@ -32,13 +34,10 @@ from cl13.subspaces import (
 )
 from cl13.symmetries import (
     TRANSFORM_KINDS,
-    BilinearForm,
     TransformationSpec,
     antisymmetrized_product,
     apply_transformation,
     bilinear_form,
-    check_current_conservation,
-    compose_unitary_payloads,
     covariance_check,
     random_transformation,
 )
@@ -125,6 +124,17 @@ def test_covariance_residual_law_on_nonsolutions(t2):
         assert worst(covariance_check(fs, spec, PTS[:3]).values()) <= 1e-9, spec.kind
 
 
+def _current_laws(fs, x) -> dict:
+    """Both current laws at the points x: the current itself, which
+    vanishes where phi = 0, and the conservation of the current induced by A."""
+    pts = PointSet(x)
+    current = current_vector(fs.phi.value(pts), [f.value(pts) for f in fs.h])
+    return {
+        "current": np.max([j.norm() for j in current], axis=0),
+        **bianchi_current_check(fs.a, pts),
+    }
+
+
 def test_covariance_and_current_arrays_hold_each_point_alone(t2):
     # Bit for bit against one point at a time, over 24 points of a trig family.
     specs = [random_transformation(kind, 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
@@ -133,10 +143,10 @@ def test_covariance_and_current_arrays_hold_each_point_alone(t2):
     pts = sample_points(3, 24)
     for fs in (solution, nonsolution):
         stacked = [covariance_check(fs, spec, pts) for spec in specs]
-        stacked.append(check_current_conservation(fs, pts))
+        stacked.append(_current_laws(fs, pts))
         for i, x in enumerate(pts):
             alone = [covariance_check(fs, spec, x) for spec in specs]
-            alone.append(check_current_conservation(fs, PointSet(x)))
+            alone.append(_current_laws(fs, x))
             for whole, one in zip(stacked, alone):
                 for eq, per_point in whole.items():
                     assert per_point[i] == one[eq], (eq, i)
@@ -148,7 +158,7 @@ def test_gauge_composition(reduced, points, t2):
     once = apply_transformation(apply_transformation(reduced, u1), u2)
     combined = apply_transformation(
         reduced,
-        TransformationSpec("gauge_unitary", compose_unitary_payloads(u1.family, u2.family)),
+        TransformationSpec("gauge_unitary", FieldFamily(u1.family.factors + u2.family.factors)),
     )
     for x in points[:3]:
         assert (once.phi.value(x) - combined.phi.value(x)).norm() <= 1e-10
@@ -180,29 +190,28 @@ def test_discrete_j_is_conjugation_then_the_constant_unitary_j():
 
 def test_bilinear_form_zero_phi():
     zero = CliffordElement.zero()
-    bf = bilinear_form(zero, list(GENERATORS), (0, 1))
-    assert bf.value.is_zero()
+    assert bilinear_form(zero, list(GENERATORS), (0, 1)).is_zero()
 
 
 def test_bilinear_form_rank1_matches_idempotent(t2):
     # J^0 = phi^dag beta e^0 phi = t2 for phi = t2 (beta e^0 = e).
-    bf = bilinear_form(t2.element, list(GENERATORS), (0,))
-    assert bf.value.equals(t2.element, 1e-14)
-    assert np.allclose(hermitian_eigenvalues(bf.value), [0, 0, 1, 1], atol=1e-12)
+    j0 = bilinear_form(t2.element, list(GENERATORS), (0,))
+    assert j0.equals(t2.element, 1e-14)
+    assert np.allclose(hermitian_eigenvalues(j0), [0, 0, 1, 1], atol=1e-12)
 
 
 def test_bilinear_form_exact_antisymmetry():
     t2x = fixed_idempotent("t2", exact=True).element
     h = list(GENERATORS_EXACT)
     for k, indices in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3))):
-        base = bilinear_form(t2x, h, indices).value
+        base = bilinear_form(t2x, h, indices)
         for i in range(k - 1):
             swapped = list(indices)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            other = bilinear_form(t2x, h, tuple(swapped)).value
+            other = bilinear_form(t2x, h, tuple(swapped))
             assert (base + other).is_zero()
-    assert bilinear_form(t2x, h, (0, 0)).value.is_zero()
-    assert bilinear_form(t2x, h, (3, 3, 1)).value.is_zero()
+    assert bilinear_form(t2x, h, (0, 0)).is_zero()
+    assert bilinear_form(t2x, h, (3, 3, 1)).is_zero()
     with pytest.raises(ValueError):
         bilinear_form(t2x, h, ())
 
@@ -223,9 +232,8 @@ def test_bilinear_form_hermitian_and_in_l(rng, t2, family):
     for _ in range(5):
         phi = random_element(rng, 0.8) * t2.element
         for indices in [(0,), (2,), (0, 1), (1, 2, 3), (0, 1, 2, 3)]:
-            bf = bilinear_form(phi, h_vals, indices)
-            assert isinstance(bf, BilinearForm)
-            j = bf.value
+            j = bilinear_form(phi, h_vals, indices)
+            assert isinstance(j, CliffordElement) and not j.exact
             assert (j.herm_conj() - j).norm() <= 1e-12
             assert ideal_residual(j * 1j, t2, "L") <= 1e-9
             eigs = hermitian_eigenvalues(j)
@@ -238,11 +246,14 @@ def test_bilinear_form_hermitian_and_in_l(rng, t2, family):
 
 
 def test_current_conservation_trivial_for_zero_phi(reduced, points):
-    rec = check_current_conservation(reduced, points[:4])
-    assert np.max(rec["current_conservation"]) == 0.0
+    # A pure-gauge solution has phi = 0, so its current vanishes outright.
+    x = PointSet(points[:4])
+    current = current_vector(reduced.phi.value(x), [f.value(x) for f in reduced.h])
+    assert worst(j.norm() for j in current) == 0.0
 
 
 def test_current_conservation_nontrivial(t2):
+    # On a non-solution the current induced by A is still conserved.
     fs = random_two_yang_mills_set(55, t2, 1.0)
-    rec = check_current_conservation(fs, PTS[:3])
+    rec = bianchi_current_check(fs.a, PTS[:3])
     assert np.max(rec["current_conservation"]) <= 1e-8

@@ -311,6 +311,53 @@ def test_cli_malformed_config_value(tmp_path, capsys, obj):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _family(generator=None, shape=None) -> dict:
+    generator = generator or {"e12": [0.5, 0.0]}
+    shape = shape or {"type": "poly", "coeffs": [[[1, 0, 0, 0], 0.5]]}
+    return {"family": {"factors": [{"generator": generator, "shape": shape}]}}
+
+
+def _poly(powers, coeff) -> dict:
+    return _family(shape={"type": "poly", "coeffs": [[powers, coeff]]})
+
+
+def _trig(**coeffs) -> dict:
+    wave = {"kind": "sin", "amplitude": 0.5, "wave_vector": [1.0, 0.0, 0.0, 0.0]}
+    return _family(shape={"type": "trig", "coeffs": {**wave, **coeffs}})
+
+
+_MALFORMED = {
+    "idempotent-overflow": ({"idempotent": {"e": [10**400, 0]}}, []),
+    "fractional-power": (_poly([1.5, 0, 0, 0], 0.5), []),
+    "string-power": (_poly(["1", 0, 0, 0], 0.5), []),
+    "bool-power": (_poly([True, 0, 0, 0], 0.5), []),
+    "string-poly-coefficient": (_poly([1, 0, 0, 0], "0.5"), []),
+    "bool-poly-coefficient": (_poly([1, 0, 0, 0], True), []),
+    "string-amplitude": (_trig(amplitude="0.5"), []),
+    "string-wave-vector": (_trig(wave_vector=["1", "0", "0", "0"]), []),
+    "bool-phase": (_trig(phase=True), []),
+    "bool-generator-coefficient": (_family({"e12": [True, 0]}), []),
+    "bool-idempotent-coefficient": ({"idempotent": {"e": [True, 0]}}, []),
+    "misspelt-phase": (_trig(phse=0.3), []),
+    "huge-sample-count": ({}, ["--sample-count", "1000000000000000000000"]),
+}
+
+
+@pytest.mark.parametrize("config, flags", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_cli_rejects_a_malformed_json_number_or_key(tmp_path, capsys, config, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["verify", "reduction", "--config", str(cfg_path), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_the_sample_count_limit_is_accepted_and_one_more_is_not():
+    assert verify._SAMPLE_LIMIT >= 2000
+    ScenarioConfig(sample_count=verify._SAMPLE_LIMIT)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(sample_count=verify._SAMPLE_LIMIT + 1)
+
+
 def test_cli_rejects_a_family_whose_derivatives_exceed_the_limit(tmp_path, capsys):
     # A plane wave of wave vector 1e160: small values, derivatives that overflow.
     wave = TrigShape("sin", 1.0, (1e160, 1e160, 0, 0))

@@ -4,7 +4,7 @@
     python3 tools/scan_reports.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``cl13`` package
-(a checkout's ``src``).  Each tree runs the same 330 reports, in a
+(a checkout's ``src``).  Each tree runs the same 335 reports, in a
 subprocess of its own whose PYTHONPATH is that tree:
 
   * ``verify reduction`` at seeds 0-199 (20 points),
@@ -12,7 +12,11 @@ subprocess of its own whose PYTHONPATH is that tree:
   * ``verify algebra``, ``subspaces`` and ``idempotents`` at seeds 40-79,
   * ``verify reduction --sample-count 128`` at seeds 1, 3, 5 and 9,
   * ``verify symmetries --sample-count 40`` at seeds 0 and 3 (10 points;
-    the other scanned reports run the symmetries suite on 5).
+    the other scanned reports run the symmetries suite on 5),
+  * ``verify all --seed 42`` with each of the idempotents t1, t3 and t4
+    (every other scanned report uses t2),
+  * ``verify reduction --m 0,-2,7 --seed 1`` (a zero and a negative mass),
+  * ``verify convergence`` with four grid steps at seed 3.
 
 The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
@@ -41,6 +45,9 @@ SCAN = (
     ]
     + [["reduction", "--sample-count", "128", "--seed", str(seed)] for seed in (1, 3, 5, 9)]
     + [["symmetries", "--sample-count", "40", "--seed", str(seed)] for seed in (0, 3)]
+    + [["all", "--idempotent", label, "--seed", "42"] for label in ("t1", "t3", "t4")]
+    + [["reduction", "--m", "0,-2,7", "--seed", "1"]]
+    + [["convergence", "--grid-steps", "2e-2,1e-2,5e-3,2.5e-3", "--seed", "3"]]
 )
 
 
