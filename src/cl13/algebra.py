@@ -245,7 +245,9 @@ class CliffordElement:
     def __sub__(self, other):
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        return self + (-other)
+        if self.exact and other.exact:
+            return self + (-other)
+        return CliffordElement._from_matrix(self.to_float()._mat - other.to_float()._mat)
 
     def __neg__(self):
         if self.exact:

@@ -14,16 +14,17 @@ from .exactnum import is_finite_real, is_int, known_keys
 
 
 class PolyShape:
-    """Sum of c * x0^p0 x1^p1 x2^p2 x3^p3 terms; powers are 4-tuples."""
+    """Sum of c * x0^p0 x1^p1 x2^p2 x3^p3 terms; powers are 4-tuples of
+    non-negative integers (a float or a bool power raises ValueError)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int, int, int], float]):
         clean = {}
         for powers, c in terms.items():
-            powers = tuple(int(p) for p in powers)
-            if len(powers) != 4 or any(p < 0 for p in powers):
+            if len(powers) != 4 or not all(is_int(p) and p >= 0 for p in powers):
                 raise ValueError(f"bad power tuple {powers}")
+            powers = tuple(int(p) for p in powers)
             c = float(c)
             if c != 0.0:
                 clean[powers] = clean.get(powers, 0.0) + c
@@ -138,9 +139,9 @@ def shape_from_json(obj: dict) -> Shape:
     kind = known_keys(obj, ("type", "coeffs"), "shape").get("type")
     if kind == "poly":
         terms = {tuple(p): c for p, c in obj["coeffs"]}
-        if all(is_int(k) for p in terms for k in p) and all(map(is_finite_real, terms.values())):
-            return PolyShape(terms)
-        raise ValueError(f"poly powers must be integers, coefficients numbers: {obj['coeffs']}")
+        if all(map(is_finite_real, terms.values())):
+            return PolyShape(terms)  # which checks the powers
+        raise ValueError(f"poly coefficients must be numbers: {obj['coeffs']}")
     if kind == "trig":
         c = known_keys(obj["coeffs"], ("kind", "amplitude", "wave_vector", "phase"), "trig shape")
         if all(map(is_finite_real, (c["amplitude"], *c["wave_vector"], c.get("phase", 0.0)))):

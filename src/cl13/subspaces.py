@@ -158,7 +158,17 @@ def hermitian_idempotent_residuals(t: CliffordElement) -> dict[str, float]:
 
 
 def is_hermitian_idempotent(t: CliffordElement) -> tuple[bool, dict[str, float]]:
-    """Check the three idempotent conditions; returns (ok, residuals)."""
+    """Check the three idempotent conditions; returns (ok, residuals).
+
+    A Hermitian idempotent is an orthogonal projector, so its coefficient
+    norm |M|_F / 2 is at most 1.  A larger float t is rejected by that norm
+    before t * t is formed, which could overflow.
+    """
+    if not t.exact:
+        with np.errstate(over="ignore"):
+            size = float(t.norm())
+        if not size <= 1.0 + MEMBERSHIP_TOL:
+            return False, {"norm": size}
     residuals = hermitian_idempotent_residuals(t)
     ok = all(r <= MEMBERSHIP_TOL for r in residuals.values()) and not t.is_zero(MEMBERSHIP_TOL)
     return ok, residuals

@@ -257,15 +257,18 @@ def expected_residual_transform(
 
 
 def covariance_check(
-    fs: TwoYangMillsFieldSet, spec: TransformationSpec, points
+    fs: TwoYangMillsFieldSet, spec: TransformationSpec, points, before=None
 ) -> dict[str, np.ndarray]:
     """Certify the residual transformation law of one transformation: per
     equation, |r_transformed - expected(r_original)| at each point.  A
     caller that shares the pass ``points`` between field sets and specs
     evaluates each node they share once there; the transformed set's own
-    nodes leave the pass when this returns."""
+    nodes leave the pass when this returns.  ``before`` holds the residual
+    components of ``fs`` on ``points``, which do not depend on the spec: a
+    caller that checks several specs computes them once and passes them."""
     x = _as_points(points)
-    before = two_yang_mills_residual_components(fs, x)
+    if before is None:
+        before = two_yang_mills_residual_components(fs, x)
     after = two_yang_mills_residual_components(apply_transformation(fs, spec), x)
     mismatch = {
         eq: {

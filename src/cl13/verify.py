@@ -44,6 +44,7 @@ from .fields import (
     reduce_to_two_yang_mills,
     sample_points,
     source_norm,
+    two_yang_mills_residual_components,
     two_yang_mills_residuals,
     worst,
 )
@@ -526,15 +527,19 @@ def _suite_symmetries(s: _Suite) -> None:
     )
     nonsolution = random_two_yang_mills_set(cfg.seed + 11, t, cfg.m_values[0])
 
-    # One pass shared by every check on these points.  Each transformation
-    # is drawn, checked against both field sets and let go, so its payload
-    # is evaluated once and leaves the pass before the next is drawn.
+    # One pass shared by every check on these points.  The untransformed
+    # residual components of each field set are computed once.  Each
+    # transformation is drawn, checked against both field sets and let go,
+    # so its payload is evaluated once and leaves the pass before the next
+    # is drawn.
     pts = PointSet(points)
+    solution_before = two_yang_mills_residual_components(solution, pts)
+    nonsolution_before = two_yang_mills_residual_components(nonsolution, pts)
     on_solution, on_nonsolution = [], []
     for k, kind in enumerate(TRANSFORM_KINDS):
         spec = random_transformation(kind, cfg.seed + 100 + k, t)
-        on_solution += covariance_check(solution, spec, pts).values()
-        on_nonsolution += covariance_check(nonsolution, spec, pts).values()
+        on_solution += covariance_check(solution, spec, pts, solution_before).values()
+        on_nonsolution += covariance_check(nonsolution, spec, pts, nonsolution_before).values()
     s.add(
         "symmetries/covariance-on-solutions",
         "equivalence transformations preserve solutions",
@@ -547,7 +552,7 @@ def _suite_symmetries(s: _Suite) -> None:
         on_nonsolution,
         "residual",
     )
-    scale = worst(two_yang_mills_residuals(nonsolution, pts).values())
+    scale = worst(r.norm() for comps in nonsolution_before.values() for r in comps.values())
     s.add(
         "symmetries/nonsolution-scale",
         "non-solution residuals are order one",

@@ -53,6 +53,20 @@ def test_shape_validation():
         shape_from_json({"type": "spline"})
 
 
+@pytest.mark.parametrize("power", [1.5, 1.0, True, np.float64(2.0)])
+def test_a_power_that_is_not_an_integer_raises_and_is_not_floored(power):
+    with pytest.raises(ValueError, match="bad power tuple"):
+        PolyShape({(power, 0, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="bad power tuple"):
+        shape_from_json({"type": "poly", "coeffs": [[[0, 0, power, 0], 1.0]]})
+
+
+def test_integer_powers_of_numpy_type_are_accepted():
+    p = PolyShape({(np.int64(2), 0, 0, np.int32(1)): 0.5})
+    assert p.terms == {(2, 0, 0, 1): 0.5}
+    assert all(type(k) is int for k in next(iter(p.terms)))
+
+
 def test_trig_stack_equals_its_points_one_at_a_time():
     # k.x must round the same whether 1 or 320 points share the call.
     s = TrigShape("sin", 0.7, (0.83, -0.29, 0.61, -0.47), 0.3)

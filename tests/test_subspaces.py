@@ -64,6 +64,14 @@ def test_hermitian_idempotent_examples():
         HermitianIdempotent.checked(E1)
 
 
+def test_an_idempotent_larger_than_a_projector_is_rejected_by_its_norm():
+    # A Hermitian idempotent is an orthogonal projector: |M|_F / 2 <= 1,
+    # with equality for t4 = e, which still passes.
+    assert is_hermitian_idempotent(fixed_idempotent("t4").element)[0]
+    ok, residuals = is_hermitian_idempotent(E * 2.0)
+    assert not ok and residuals == {"norm": 2.0}
+
+
 def test_ideal_membership_examples(t2):
     t = t2.element
     assert in_ideal(t, t2, "I")

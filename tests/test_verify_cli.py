@@ -1,6 +1,7 @@
 """Scenario runner, report schema and CLI behaviour."""
 
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -264,6 +265,16 @@ def test_cli_non_idempotent_custom_idempotent(tmp_path, suite):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"idempotent": {"e": [2, 0], "e0": [1, 0]}}))
     assert main(["verify", suite, "--config", str(cfg_path)]) == 2
+
+
+def test_an_idempotent_too_large_to_square_is_a_config_error_without_warnings(tmp_path):
+    # |M|_F / 2 <= 1 for an orthogonal projector, so 1e300 e is rejected by
+    # its norm before t * t overflows; any numpy warning fails the test.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"idempotent": {"e": [1e300, 0]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "idempotents", "--config", str(cfg_path)]) == 2
 
 
 def test_cli_unknown_idempotent_label():
