@@ -14,6 +14,12 @@ by the trace formula only where they are needed.  An exact element
 carries 16 RationalComplex coefficients and certifies algebraic
 identities with zero rounding; it is the oracle of the float mode.
 
+Every float product of element matrices runs as one real GEMM
+(``_matmul``), because with numpy 2.4 a stacked complex 4x4 ``@`` costs
+about 0.35 us per slice and a real GEMM about 0.1 us.  Elements stay
+stored as complex 4x4 matrices; only the real (..., 8, 8) expansion of a
+right-hand factor is a temporary.
+
 Involutions:
   * pseudo-Hermitian conjugation ``pseudo_conj`` fixes each generator,
     conjugates scalars and reverses products: on a grade-k blade it is the
@@ -96,6 +102,32 @@ for _a in range(N_BLADES):
         _PROD_MASK[_a, _b] = _m
 
 
+# -- the float product kernel ---------------------------------------------------
+#
+# For complex (..., 4, 4) arrays A and B, A.view(float) is the (..., 4, 8)
+# array [Re a_i0, Im a_i0, Re a_i1, ...].  The (..., 8, 8) real matrix R
+# whose row 2k is row k of B and whose row 2k + 1 is row k of iB, both read
+# as interleaved floats, gives A.view(float) @ R = (A @ B).view(float).
+# Each slice of a stack is one GEMM of fixed size, so an element's product
+# does not depend on the stack it sits in.
+
+
+def _expand(b: np.ndarray) -> np.ndarray:
+    """The (..., 8, 8) real right-hand factor R of b (see above)."""
+    b = np.ascontiguousarray(b)
+    return np.concatenate((b, 1j * b), -1).view(float).reshape(b.shape[:-2] + (8, 8))
+
+
+def _times(a: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """a @ b for the expansion ``right`` of b, as one real matmul."""
+    return (np.ascontiguousarray(a).view(float) @ right).view(complex)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex (..., 4, 4) arrays, broadcast over leading axes."""
+    return _times(a, _expand(b))
+
+
 # -- the Dirac representation ------------------------------------------------
 #
 # rep(e0) = diag(+1, +1, -1, -1) and rep(ek) = [[0, sigma_k], [-sigma_k, 0]].
@@ -121,7 +153,7 @@ BLADE_REPS = np.zeros((N_BLADES, 4, 4), dtype=complex)
 for _mask in range(N_BLADES):
     _rep = np.eye(4, dtype=complex)
     for _a in _bits(_mask):
-        _rep = _rep @ _GAMMA[_a]
+        _rep = _matmul(_rep, _GAMMA[_a])
     BLADE_REPS[_mask] = _rep
 
 # coefficients (..., 16) @ _TO_MATRIX -> flattened matrices (..., 16), and back
@@ -130,9 +162,13 @@ _TO_COEFFS = _TO_MATRIX.conj().T / 4
 # pseudo_conj is gamma0 M^dagger gamma0, an entrywise sign since gamma0 is diagonal
 _GAMMA0_SIGNS = np.outer(np.diag(_GAMMA[0]), np.diag(_GAMMA[0]))
 # conj is C conj(M) C^-1 with C = rep(e013): C commutes with the real
-# matrices rep(e0), rep(e1), rep(e3) and anticommutes with the imaginary rep(e2)
+# matrices rep(e0), rep(e1), rep(e3) and anticommutes with the imaginary
+# rep(e2).  C is a signed permutation, C_ik = s_i [k = p(i)], so the
+# conjugation moves entries exactly: (C X C^-1)_ij = s_i conj(s_j) X_p(i)p(j).
 _CONJ = BLADE_REPS[label_to_mask("e013")]
-_CONJ_INV = _CONJ.conj().T
+_CONJ_PERM = np.argmax(np.abs(_CONJ), axis=1)
+_s = _CONJ[range(4), _CONJ_PERM]
+_CONJ_SIGNS = np.outer(_s, _s.conj())
 _IDENTITY = BLADE_REPS[0]
 
 
@@ -267,7 +303,8 @@ class CliffordElement:
         if isinstance(other, CliffordElement):
             if self.exact and other.exact:
                 return _mul_exact(self, other)
-            return CliffordElement._from_matrix(self.to_float()._mat @ other.to_float()._mat)
+            product = _matmul(self.to_float()._mat, other.to_float()._mat)
+            return CliffordElement._from_matrix(product)
         if isinstance(other, _SCALARS):
             return self._scalar_mul(other)
         return NotImplemented
@@ -319,7 +356,8 @@ class CliffordElement:
         """Complex conjugation: coefficients conjugate, blades fixed."""
         if self.exact:
             return CliffordElement([c.conjugate() for c in self._coeffs], exact=True)
-        return CliffordElement._from_matrix(_CONJ @ self._mat.conj() @ _CONJ_INV)
+        mat = self._mat[..., _CONJ_PERM[:, None], _CONJ_PERM]
+        return CliffordElement._from_matrix(mat.conj() * _CONJ_SIGNS)
 
     # -- metrics -------------------------------------------------------------
 
@@ -435,14 +473,15 @@ def exp_element(u: CliffordElement) -> CliffordElement:
     if not np.all(np.isfinite(n)):
         raise ValueError(f"exp_element needs finite coefficients with a finite norm, got norm {n}")
     squarings = np.where(n > 1.0, np.ceil(np.log2(np.maximum(n, 1.0))), 0.0).astype(int)
-    v = u._mat * (0.5**squarings)[..., None, None]
+    # The scaled exponent is expanded once and serves every term.
+    v = _expand(u._mat * (0.5**squarings)[..., None, None])
     total = term = _IDENTITY
     for k in range(1, _EXP_TERMS + 1):
-        term = term @ v * (1.0 / k)
+        term = _times(term, v) * (1.0 / k)
         total = total + term
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(int(np.max(squarings))):
-            total = np.where((j < squarings)[..., None, None], total @ total, total)
+            total = np.where((j < squarings)[..., None, None], _matmul(total, total), total)
     if not np.all(np.isfinite(total)):
         raise ValueError(f"exp_element overflows: exp of an element of norm {np.max(n):g} is not finite")
     return CliffordElement._from_matrix(total)

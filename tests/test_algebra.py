@@ -1,10 +1,16 @@
 """Blade products, involutions and the exponential map."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cl13
 from cl13.algebra import (
     BLADE_LABELS,
     E,
@@ -14,6 +20,7 @@ from cl13.algebra import (
     GENERATORS_EXACT,
     METRIC_DIAG,
     CliffordElement,
+    _matmul,
     anticommutator,
     blade_mul,
     commutator,
@@ -253,3 +260,87 @@ def test_blade_labels_cover_all_16():
     assert BLADE_LABELS[0] == "e"
     assert BLADE_LABELS[-1] == "e0123"
     assert (blade("e0123") * blade("e0123")).equals(E * -1, 0.0)
+
+
+# -- the real-GEMM product kernel ------------------------------------------------
+
+U = 2.0**-53  # unit round-off of a double
+
+
+def _random_coeffs(rng, count):
+    """Dense complex coefficients over six orders of magnitude."""
+    scale = 10.0 ** rng.uniform(-3, 3, (count, 1))
+    return scale * (rng.standard_normal((count, 16)) + 1j * rng.standard_normal((count, 16)))
+
+
+def test_matmul_matches_the_exact_blade_table_within_8u_per_coefficient(rng):
+    worst = 0.0
+    for cu, cv in zip(_random_coeffs(rng, 60), _random_coeffs(rng, 60)):
+        u, v = CliffordElement(list(cu), exact=True), CliffordElement(list(cv), exact=True)
+        want = np.array([complex(c) for c in (u * v).coefficients()])
+        got = CliffordElement._from_matrix(
+            _matmul(gamma_rep(u.to_float()), gamma_rep(v.to_float()))
+        ).coefficients()
+        worst = max(worst, float(np.max(np.abs(got - want))) / (U * u.norm() * v.norm()))
+    assert worst <= 8.0
+
+
+def test_matmul_matches_complex_matmul_within_8u_per_entry(rng):
+    a = gamma_rep(CliffordElement(_random_coeffs(rng, 500)))
+    b = gamma_rep(CliffordElement(_random_coeffs(rng, 500)))
+    bound = 8 * U * (np.linalg.norm(a, axis=(1, 2)) / 2) * (np.linalg.norm(b, axis=(1, 2)) / 2)
+    err = np.max(np.abs(_matmul(a, b) - a @ b), axis=(1, 2))
+    assert np.all(err <= bound)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 128, 2000])
+def test_matmul_of_a_stack_entry_equals_its_product_alone(rng, n):
+    a = gamma_rep(CliffordElement(_random_coeffs(rng, n)))
+    b = gamma_rep(CliffordElement(_random_coeffs(rng, n)))
+    # Each right-hand side is a single x single product.
+    one_a, one_b = a[n // 2], b[0]
+    pairs = [
+        (_matmul(a, b), [_matmul(a[i], b[i]) for i in range(n)]),  # stack x stack
+        (_matmul(a, one_b), [_matmul(a[i], one_b) for i in range(n)]),  # stack x single
+        (_matmul(one_a, b), [_matmul(one_a, b[i]) for i in range(n)]),  # single x stack
+    ]
+    for stacked, alone in pairs:
+        assert all(_same_bits(x, y) for x, y in zip(stacked, alone, strict=True))
+
+
+def test_matmul_reads_non_contiguous_operands_as_their_values(rng):
+    u = CliffordElement(_random_coeffs(rng, 64))
+    a, b = u.herm_conj()._mat, gamma_rep(CliffordElement(_random_coeffs(rng, 64)))
+    assert not a.flags.c_contiguous
+    dense = np.ascontiguousarray(a)
+    for left, right in ((a, b), (b, a), (a, a)):
+        want = _matmul(*(dense if x is a else x for x in (left, right)))
+        assert _same_bits(_matmul(left, right), want)
+    assert _same_bits(_matmul(a[3], b[3]), _matmul(dense[3], b[3]))
+
+
+_MUTATED_REP = """
+import json, numpy as np
+from cl13 import algebra
+from cl13.cli import main
+# Negate one nonzero entry of rep(e02) and the coefficient table derived from it.
+reps = algebra.BLADE_REPS
+i, j = np.argwhere(reps[5])[0]
+reps[5, i, j] *= -1
+algebra._TO_COEFFS[...] = algebra._TO_MATRIX.conj().T / 4
+raise SystemExit(main(["verify", "algebra", "--seed", "1"]))
+"""
+
+
+def test_rep_homomorphism_fails_when_one_blade_matrix_is_wrong():
+    env = dict(os.environ, PYTHONPATH=str(Path(cl13.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MUTATED_REP], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 1, proc.stderr
+    status = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+    assert status["algebra/rep-homomorphism"] == "fail"
