@@ -16,13 +16,13 @@ from cl13 import (
     exp_element,
     random_element,
 )
-from cl13.algebra import GENERATORS_EXACT, METRIC_DIAG, unit
+from cl13.algebra import GENERATORS_EXACT, METRIC_DIAG
 
 print("== generator relations ==")
 for a in range(4):
     for b in range(4):
         ac = anticommutator(GENERATORS_EXACT[a], GENERATORS_EXACT[b])
-        expected = unit(True) * (2 * METRIC_DIAG[a]) if a == b else unit(True) * 0
+        expected = E * (2 * METRIC_DIAG[a] * (a == b))
         assert (ac - expected).is_zero()
 print("e^a e^b + e^b e^a = 2 eta^{ab} e holds exactly for all 16 pairs")
 

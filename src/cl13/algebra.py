@@ -14,6 +14,12 @@ by the trace formula only where they are needed.  An exact element
 carries 16 RationalComplex coefficients and certifies algebraic
 identities with zero rounding; it is the oracle of the float mode.
 
+A result is exact iff an element operand is exact.  The other operand,
+a float element or a real or complex scalar, is then lifted to rationals
+exactly, since every double is a rational; a float stack or an array of
+scalars cannot be lifted, because an exact element holds one value.  So
+the float constants below (``E``, ``BETA``, ``J``) serve both modes.
+
 Every float product of element matrices runs as one real GEMM
 (``_matmul``), because with numpy 2.4 a stacked complex 4x4 ``@`` costs
 about 0.35 us per slice and a real GEMM about 0.1 us.  Elements stay
@@ -239,12 +245,12 @@ class CliffordElement:
 
     @classmethod
     def from_coeff_map(cls, mapping, exact: bool = False) -> "CliffordElement":
-        """Build from {blade label or mask: coefficient}."""
-        coeffs = [RationalComplex(0) if exact else 0j] * N_BLADES
+        """Build from {blade label or mask: coefficient}; coefficients given
+        for one blade twice are added as given."""
+        coeffs = [0] * N_BLADES
         for blade, coeff in mapping.items():
             mask = _mask_of(blade)
-            add = RationalComplex.from_value(coeff) if exact else complex(coeff)
-            coeffs[mask] = coeffs[mask] + add
+            coeffs[mask] = coeffs[mask] + coeff
         return cls(coeffs, exact)
 
     # -- mode handling -----------------------------------------------------
@@ -272,18 +278,17 @@ class CliffordElement:
     def __add__(self, other):
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        if self.exact and other.exact:
-            return CliffordElement(
-                [a + b for a, b in zip(self._coeffs, other._coeffs)], exact=True
-            )
-        return CliffordElement._from_matrix(self.to_float()._mat + other.to_float()._mat)
+        if self.exact or other.exact:
+            pairs = zip(_exact_coeffs(self), _exact_coeffs(other))
+            return CliffordElement([a + b for a, b in pairs], exact=True)
+        return CliffordElement._from_matrix(self._mat + other._mat)
 
     def __sub__(self, other):
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        if self.exact and other.exact:
+        if self.exact or other.exact:
             return self + (-other)
-        return CliffordElement._from_matrix(self.to_float()._mat - other.to_float()._mat)
+        return CliffordElement._from_matrix(self._mat - other._mat)
 
     def __neg__(self):
         if self.exact:
@@ -293,18 +298,17 @@ class CliffordElement:
     def _scalar_mul(self, scalar):
         """Product with a scalar, or in float mode with an array of one
         scalar per element of a stack."""
-        if self.exact and isinstance(scalar, (int, Fraction, RationalComplex)):
-            s = RationalComplex.from_value(scalar)
+        if self.exact:
+            s = _exact_scalar(scalar)
             return CliffordElement([c * s for c in self._coeffs], exact=True)
         scalar = scalar[..., None, None] if isinstance(scalar, np.ndarray) else complex(scalar)
-        return CliffordElement._from_matrix(self.to_float()._mat * scalar)
+        return CliffordElement._from_matrix(self._mat * scalar)
 
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
-            if self.exact and other.exact:
+            if self.exact or other.exact:
                 return _mul_exact(self, other)
-            product = _matmul(self.to_float()._mat, other.to_float()._mat)
-            return CliffordElement._from_matrix(product)
+            return CliffordElement._from_matrix(_matmul(self._mat, other._mat))
         if isinstance(other, _SCALARS):
             return self._scalar_mul(other)
         return NotImplemented
@@ -315,9 +319,8 @@ class CliffordElement:
         return NotImplemented
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, (int, Fraction, RationalComplex)) and self.exact:
-            one = RC_ONE / RationalComplex.from_value(scalar)
-            return self._scalar_mul(one)
+        if self.exact:
+            return self._scalar_mul(RC_ONE / _exact_scalar(scalar))
         return self._scalar_mul(1.0 / complex(scalar))
 
     # -- grade structure ----------------------------------------------------
@@ -349,7 +352,7 @@ class CliffordElement:
     def herm_conj(self) -> "CliffordElement":
         """Hermitian conjugation U -> beta U* beta, beta = e0 (M^dagger)."""
         if self.exact:
-            return E0_EXACT * self.pseudo_conj() * E0_EXACT
+            return E0 * self.pseudo_conj() * E0
         return CliffordElement._from_matrix(_dagger(self._mat))
 
     def conj(self) -> "CliffordElement":
@@ -404,13 +407,13 @@ class CliffordElement:
         return out
 
     @classmethod
-    def from_json_obj(cls, obj: dict, exact: bool = False) -> "CliffordElement":
+    def from_json_obj(cls, obj: dict) -> "CliffordElement":
         def coeff(re, im):
             if not (is_finite_real(re) and is_finite_real(im)):
                 raise ValueError(f"a coefficient needs two finite numbers, got {[re, im]}")
-            return RationalComplex(Fraction(re), Fraction(im)) if exact else complex(re, im)
+            return complex(re, im)
 
-        return cls.from_coeff_map({label: coeff(*pair) for label, pair in obj.items()}, exact)
+        return cls.from_coeff_map({label: coeff(*pair) for label, pair in obj.items()})
 
     def __repr__(self):
         if not self.exact and self._mat.ndim > 2:
@@ -434,12 +437,34 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
     return np.swapaxes(mat, -1, -2).conj()
 
 
+_RC_ZERO = RationalComplex(0)
+
+
+def _exact_coeffs(u: CliffordElement) -> tuple[RationalComplex, ...]:
+    """The 16 coefficients of u as rationals.  Every double is a rational,
+    so a float element lifts without rounding; a float stack raises
+    TypeError, since an exact element holds one value."""
+    if u.exact:
+        return u._coeffs
+    if u._mat.ndim > 2:
+        raise TypeError("a float stack cannot meet an exact element")
+    coeffs = u.coefficients().tolist()
+    return tuple(RationalComplex.from_value(c) if c else _RC_ZERO for c in coeffs)
+
+
+def _exact_scalar(scalar) -> RationalComplex:
+    if isinstance(scalar, np.ndarray):
+        raise TypeError("an array of scalars cannot meet an exact element")
+    return RationalComplex.from_value(scalar)
+
+
 def _mul_exact(u: CliffordElement, v: CliffordElement) -> CliffordElement:
-    coeffs = [RationalComplex(0)] * N_BLADES
-    for a, ca in enumerate(u._coeffs):
+    coeffs = [_RC_ZERO] * N_BLADES
+    v_coeffs = _exact_coeffs(v)
+    for a, ca in enumerate(_exact_coeffs(u)):
         if not ca:
             continue
-        for b, cb in enumerate(v._coeffs):
+        for b, cb in enumerate(v_coeffs):
             if not cb:
                 continue
             m = _PROD_MASK[a, b]
@@ -506,17 +531,4 @@ BETA = E0
 # Fixed bivector J = -e1 e3 entering the idempotent condition bar(t) J = J t.
 J = CliffordElement.from_blade("e13", -1)
 
-E_EXACT = CliffordElement.from_blade("e", RC_ONE, exact=True)
-E0_EXACT = CliffordElement.from_blade("e0", RC_ONE, exact=True)
-GENERATORS_EXACT = tuple(
-    CliffordElement.from_blade(f"e{a}", RC_ONE, exact=True) for a in range(4)
-)
-J_EXACT = CliffordElement.from_blade("e13", RationalComplex(-1), exact=True)
-
-
-def unit(exact: bool = False) -> CliffordElement:
-    return E_EXACT if exact else E
-
-
-def generators(exact: bool = False) -> tuple[CliffordElement, ...]:
-    return GENERATORS_EXACT if exact else GENERATORS
+GENERATORS_EXACT = tuple(CliffordElement.from_blade(f"e{a}", exact=True) for a in range(4))

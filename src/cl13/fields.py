@@ -47,13 +47,12 @@ import numpy as np
 from .algebra import (
     BETA,
     E,
+    GENERATORS,
     METRIC_DIAG,
     CliffordElement,
     anticommutator,
     commutator,
     exp_element,
-    generators,
-    unit,
 )
 from .exactnum import known_keys
 from .shapes import PolyShape, Shape, TrigShape, shape_from_json
@@ -285,10 +284,6 @@ class MappedField(CliffordField):
 ZERO_FIELD = ConstantField(_ZERO)
 
 
-def field_commutator(f: CliffordField, g: CliffordField) -> CliffordField:
-    return ProductField(f, g) - ProductField(g, f)
-
-
 def _total(terms) -> CliffordElement:
     """Left-to-right sum of a non-empty sequence of elements."""
     return reduce(operator.add, terms)
@@ -490,10 +485,7 @@ def build_pure_gauge(family: FieldFamily, t: HermitianIdempotent, mass: float) -
     family.validate_symplectic()
     w = family.group_field()
     winv = family.inverse_field()
-    gens = generators()
-    h = tuple(
-        ProductField(ProductField(winv, ConstantField(gens[mu])), w) for mu in range(4)
-    )
+    h = tuple(ProductField(ProductField(winv, ConstantField(g)), w) for g in GENERATORS)
     c = tuple(-ProductField(winv, w.partial(mu)) for mu in range(4))
     return ModelFieldSet(
         mass=float(mass),
@@ -554,7 +546,7 @@ def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
     ih_lower = tuple((1j * METRIC_DIAG[mu]) * fs.h[mu] for mu in range(4))
     b = tuple(SumField(((1, fs.c[mu]), (-m4, ih_lower[mu]))) for mu in range(4))
     g = tuple(
-        tuple(-(m4**2) * field_commutator(ih_lower[mu], ih_lower[nu]) for nu in range(4))
+        tuple(-(m4**2) * commutator(ih_lower[mu], ih_lower[nu]) for nu in range(4))
         for mu in range(4)
     )
     return TwoYangMillsFieldSet(
@@ -710,17 +702,15 @@ def check_h_identities(h_vals) -> dict[str, float]:
     h^mu h^nu + h^nu h^mu = 2 eta^{mu nu} e ; (1/4) h^mu h_mu = e ;
     h^mu h^nu h_mu = h_mu h^nu h^mu = -2 h^nu (sum over mu).
     """
-    e = unit(h_vals[0].exact)
     clifford = _peak(
-        (anticommutator(h_vals[mu], h_vals[nu]) - e * (2 * METRIC_DIAG[mu] * (mu == nu))).norm()
+        (anticommutator(h_vals[mu], h_vals[nu]) - E * (2 * METRIC_DIAG[mu] * (mu == nu))).norm()
         for mu in range(4)
         for nu in range(4)
     )
 
     h_lower = [h_vals[mu] * METRIC_DIAG[mu] for mu in range(4)]
     contraction = _total(h_vals[mu] * h_lower[mu] for mu in range(4))
-    quarter = Fraction(1, 4) if contraction.exact else 0.25
-    contraction_res = (contraction * quarter - e).norm()
+    contraction_res = (contraction * Fraction(1, 4) - E).norm()
 
     sandwich = _peak(
         (side - h_vals[nu] * (-2)).norm()
@@ -785,7 +775,7 @@ def bianchi_current_check(a_fields, points) -> dict[str, np.ndarray]:
                 (
                     (1, a_fields[nu].partial(mu)),
                     (-1, a_fields[mu].partial(nu)),
-                    (-1, field_commutator(a_fields[mu], a_fields[nu])),
+                    (-1, commutator(a_fields[mu], a_fields[nu])),
                 )
             )
 
@@ -795,7 +785,7 @@ def bianchi_current_check(a_fields, points) -> dict[str, np.ndarray]:
         for mu in range(4):
             up = (METRIC_DIAG[mu] * METRIC_DIAG[nu]) * f_fields[mu][nu]
             terms.append((1, up.partial(mu)))
-            terms.append((-1, field_commutator(a_fields[mu], up)))
+            terms.append((-1, commutator(a_fields[mu], up)))
         current.append(SumField(terms))
 
     x = _as_points(points)

@@ -25,16 +25,15 @@ from functools import cache
 import numpy as np
 
 from .algebra import (
+    GENERATORS_EXACT,
     GRADES,
     N_BLADES,
     CliffordElement,
-    E_EXACT,
+    E,
     J,
-    J_EXACT,
     exp_element,
-    unit,
 )
-from .exactnum import RC_I, RC_ONE, RationalComplex
+from .exactnum import RC_I
 
 MEMBERSHIP_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -122,7 +121,7 @@ def in_sp_algebra(u: CliffordElement) -> bool:
 
 def sp_group_residual(v: CliffordElement):
     """Distance from the defining conditions of Sp(cl(1,3))."""
-    unitary = (v.pseudo_conj() * v - unit(v.exact)).norm()
+    unitary = (v.pseudo_conj() * v - E).norm()
     return np.maximum(_coordinate_norm(v, _SP_GROUP_ZERO), unitary)
 
 
@@ -149,11 +148,10 @@ class HermitianIdempotent:
 
 
 def hermitian_idempotent_residuals(t: CliffordElement) -> dict[str, float]:
-    j = J_EXACT if t.exact else J
     return {
         "idempotent": (t * t - t).norm(),
         "hermitian": (t.herm_conj() - t).norm(),
-        "j_intertwine": (t.conj() * j - j * t).norm(),
+        "j_intertwine": (t.conj() * J - J * t).norm(),
     }
 
 
@@ -176,20 +174,17 @@ def is_hermitian_idempotent(t: CliffordElement) -> tuple[bool, dict[str, float]]
 
 @cache
 def _idempotent_table(exact: bool) -> dict[str, CliffordElement]:
-    """The reference idempotents t1..t4, built once per mode from the exact table."""
+    """The reference idempotents t1..t4, built once per mode from the exact
+    table; the exact generators lift the float unit E."""
     if not exact:
         return {label: t.to_float() for label, t in _idempotent_table(True).items()}
-    e = E_EXACT
-    e0 = CliffordElement.from_blade("e0", RC_ONE, exact=True)
-    e12 = CliffordElement.from_blade("e12", RC_ONE, exact=True)
-    e012 = CliffordElement.from_blade("e012", RC_ONE, exact=True)
-    quarter = RationalComplex(1) / RationalComplex(4)
-    half = RationalComplex(1) / RationalComplex(2)
+    e0, e1, e2, _ = GENERATORS_EXACT
+    e12 = e1 * e2
     return {
-        "t1": ((e + e0) * (e + RC_I * e12)) * quarter,
-        "t2": (e + e0) * half,
-        "t3": (e * 3 + e0 + RC_I * e12 - RC_I * e012) * quarter,
-        "t4": e,
+        "t1": ((E + e0) * (E + RC_I * e12)) / 4,
+        "t2": (E + e0) / 2,
+        "t3": (E * 3 + e0 + RC_I * e12 - RC_I * e0 * e12) / 4,
+        "t4": e0 * e0,  # = e, exact
     }
 
 
@@ -215,9 +210,8 @@ def ideal_residual(
     if which == "L":
         return np.maximum(ideal_residual(u, tt, "K"), (u.herm_conj() + u).norm())
     if which == "G":
-        one = unit(u.exact and tt.exact)
-        unitary = (u.herm_conj() * u - one).norm()
-        return np.maximum(unitary, ideal_residual(u - one, tt, "K"))
+        unitary = (u.herm_conj() * u - E).norm()
+        return np.maximum(unitary, ideal_residual(u - E, tt, "K"))
     raise ValueError(f"unknown ideal tag {which!r}; expected one of {IDEAL_TAGS}")
 
 

@@ -37,12 +37,10 @@ import numpy as np
 
 from .algebra import (
     BETA,
-    E0_EXACT,
     CliffordElement,
     J,
     random_element,
 )
-from .exactnum import RC_I
 from .fields import (
     ZERO_FIELD,
     CliffordField,
@@ -286,15 +284,13 @@ def covariance_check(
 def antisymmetrized_product(h_vals, indices: tuple[int, ...]) -> CliffordElement:
     """h^{[mu1} ... h^{muk]} with 1/k! normalization; each ordering of the
     index positions carries the sign of its inversion count."""
-    exact = all(h.exact for h in h_vals)
     total = _total(
         reduce(operator.mul, (h_vals[indices[p]] for p in perm))
         * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
         for perm in itertools.permutations(range(len(indices)))
     )
-    fact = math.factorial(len(indices))
-    scale = Fraction(1, fact) if exact else 1.0 / fact
-    return total * scale
+    # In float mode Fraction(1, k!) converts to 1.0 / k! bit for bit.
+    return total * Fraction(1, math.factorial(len(indices)))
 
 
 def bilinear_form(phi: CliffordElement, h_vals, indices: tuple[int, ...]) -> CliffordElement:
@@ -306,10 +302,6 @@ def bilinear_form(phi: CliffordElement, h_vals, indices: tuple[int, ...]) -> Cli
     k = len(indices)
     if not 1 <= k <= 4:
         raise ValueError("rank k must be between 1 and 4")
-    exact = phi.exact and all(h.exact for h in h_vals)
-    beta = E0_EXACT if exact else BETA
     middle = antisymmetrized_product(h_vals, indices)
-    core = phi.herm_conj() * beta * middle * phi
-    p = k * (k - 1) // 2
-    factor = RC_I**p if exact else 1j**p
-    return core * factor
+    core = phi.herm_conj() * BETA * middle * phi
+    return core * 1j ** (k * (k - 1) // 2)

@@ -25,9 +25,8 @@ from .algebra import (
     commutator,
     exp_element,
     random_element,
-    unit,
 )
-from .exactnum import RC_ONE, is_finite_real, is_int
+from .exactnum import is_finite_real, is_int
 from .fields import (
     FieldFamily,
     PointSet,
@@ -297,13 +296,12 @@ class _Suite:
 
 def _suite_algebra(s: _Suite) -> None:
     cfg = s.cfg
-    # Generator relations, exact rational mode.
-    two_e = unit(True) * 2
+    # Generator relations, exact rational mode (the exact sums lift E).
     relations = []
     for a in range(4):
         for b in range(4):
             lhs = GENERATORS_EXACT[a] * GENERATORS_EXACT[b] + GENERATORS_EXACT[b] * GENERATORS_EXACT[a]
-            target = two_e * METRIC_DIAG[a] if a == b else unit(True) * 0
+            target = E * (2 * METRIC_DIAG[a] * (a == b))
             relations.append((lhs - target).norm())
     s.add("algebra/generator-relations-exact", "e^a e^b + e^b e^a = 2 eta^{ab} e", relations, "exact")
 
@@ -333,7 +331,7 @@ def _suite_algebra(s: _Suite) -> None:
     # Representation is a *-homomorphism: the float product and Hermitian
     # conjugation (Dirac matrices) against the exact blade table; by
     # linearity the 256 blade pairs and 16 blades cover every element.
-    blades = [CliffordElement.from_blade(m, RC_ONE, exact=True) for m in range(N_BLADES)]
+    blades = [CliffordElement.from_blade(m, exact=True) for m in range(N_BLADES)]
     floats = [u.to_float() for u in blades]
     pairs = [
         (gamma_rep(fu * fv), gamma_rep(u * v))

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from cl13.algebra import (
+    E,
     GENERATORS,
     GENERATORS_EXACT,
     METRIC_DIAG,
     anticommutator,
     commutator,
     random_element,
-    unit,
 )
 from cl13.fields import (
     FieldFamily,
@@ -84,12 +84,11 @@ def points():
 
 
 def test_criterion_1_generator_relations():
-    e = unit(True)
     ok = True
     for a in range(4):
         for b in range(4):
             lhs = anticommutator(GENERATORS_EXACT[a], GENERATORS_EXACT[b])
-            rhs = e * (2 * METRIC_DIAG[a]) if a == b else e * 0
+            rhs = E * (2 * METRIC_DIAG[a] * (a == b))
             ok = ok and (lhs - rhs).is_zero()
     _verdict(1, "generator-relations-exact", ok)
 
@@ -144,7 +143,7 @@ def test_criterion_5_group_sanity(t2):
             u = sample("G", t, seed=SEED + 7000 + j, scale=0.7)
             worst_gauge = max(
                 worst_gauge,
-                (u.herm_conj() * u - unit()).norm(),
+                (u.herm_conj() * u - E).norm(),
                 commutator(u, t.element).norm(),
             )
     _verdict(5, "group-sanity", worst_product <= 1e-9 and worst_gauge <= 1e-10)

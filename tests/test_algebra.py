@@ -27,7 +27,6 @@ from cl13.algebra import (
     exp_element,
     label_to_mask,
     random_element,
-    unit,
 )
 from cl13.exactnum import RC_I, RationalComplex
 from cl13.rep import gamma_rep
@@ -50,11 +49,10 @@ def test_blade_mul_spec_cases():
 
 
 def test_generator_relations_exact_all_pairs():
-    e = unit(True)
     for a in range(4):
         for b in range(4):
             lhs = anticommutator(GENERATORS_EXACT[a], GENERATORS_EXACT[b])
-            rhs = e * (2 * METRIC_DIAG[a]) if a == b else e * 0
+            rhs = E * (2 * METRIC_DIAG[a] * (a == b))
             assert (lhs - rhs).is_zero()
 
 
@@ -240,11 +238,42 @@ def test_exact_mode_products():
     assert (RC_I * e1 + e1 * RC_I).exact
 
 
-def test_mixed_mode_promotes_to_float():
-    exact = blade("e0", RationalComplex(1), exact=True)
-    mixed = exact + E1
-    assert not mixed.exact
-    assert mixed.equals(E0 + E1, 0.0)
+def test_an_exact_operand_lifts_the_other_exactly(rng):
+    u, _ = eighths(rng)
+    f = random_element(rng)
+    fx = CliffordElement(list(f.coefficients()), exact=True)  # the lift of f
+    z = 0.1 - 2.3j
+    zx = RationalComplex.from_value(z)
+    pairs = [
+        (u + f, u + fx),
+        (f + u, fx + u),
+        (u - f, u - fx),
+        (f - u, fx - u),
+        (u * f, u * fx),
+        (f * u, fx * u),
+        (u * 0.1, u * Fraction(0.1)),
+        (0.1 * u, u * Fraction(0.1)),
+        (u * z, u * zx),
+        (u / 0.1, u * (1 / Fraction(0.1))),
+        (u / z, u * (RationalComplex(1) / zx)),
+    ]
+    for got, want in pairs:
+        assert got.exact and got == want
+    # the double 0.1 enters as itself, not as 1/10
+    assert (blade("e", exact=True) * 0.1).coefficient("e") == Fraction(0.1) != Fraction(1, 10)
+
+    stack = CliffordElement(rng.standard_normal((3, 16)) + 0j)
+    for mixed in (
+        lambda: u + stack,
+        lambda: stack - u,
+        lambda: u * stack,
+        lambda: stack * u,
+        lambda: u * np.ones(3),
+        lambda: np.ones(3) * u,
+        lambda: u / np.ones(3),
+    ):
+        with pytest.raises(TypeError):
+            mixed()
 
 
 def test_serialization_roundtrip(rng):

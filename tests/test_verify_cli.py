@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cl13 import verify
-from cl13.algebra import random_element
+from cl13 import subspaces, verify
+from cl13.algebra import E, J, CliffordElement, random_element
 from cl13.cli import main
 from cl13.fields import (
     CliffordField,
@@ -20,7 +20,7 @@ from cl13.fields import (
     random_family,
 )
 from cl13.shapes import TrigShape
-from cl13.subspaces import sample
+from cl13.subspaces import IDEMPOTENT_LABELS, fixed_idempotent, sample
 from cl13.verify import (
     Check,
     ConfigError,
@@ -535,3 +535,53 @@ def test_involution_laws_check_equals_a_per_pair_loop(seed):
     report = run_scenario(ScenarioConfig(suite="algebra", seed=seed))
     residuals = {c.name: c.residual for c in report.checks}
     assert residuals["algebra/involution-laws"] == _involution_laws_by_pair(seed)
+
+
+# One ulp of a unit coefficient, so the lifted residual stays far above the
+# underflow of the exact norm's float result.
+ULP = np.spacing(1.0)
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant, suite, check",
+    [
+        (verify, "E", E * (1 + ULP), "algebra", "algebra/generator-relations-exact"),
+        (
+            subspaces,
+            "J",
+            J + CliffordElement.from_blade("e1", ULP),
+            "idempotents",
+            "idempotents/defining-conditions-exact",
+        ),
+    ],
+)
+def test_an_exact_check_lifts_its_float_constants_without_rounding(
+    monkeypatch, module, name, mutant, suite, check
+):
+    def residual():
+        report = run_scenario(ScenarioConfig(suite=suite, seed=1))
+        return next(c for c in report.checks if c.name == check)
+
+    assert residual().residual == 0.0
+    monkeypatch.setattr(module, name, mutant)
+    mutated = residual()
+    assert mutated.residual > 0.0 and mutated.status == "fail"
+
+
+def test_no_exact_element_is_made_in_the_field_layer(monkeypatch):
+    # An exact value in a field tree would turn each 4x4 GEMM into a
+    # blade-table loop.  The reference idempotents are built once per
+    # process from their exact table, before counting starts.
+    for label in IDEMPOTENT_LABELS:
+        fixed_idempotent(label)
+    made = Counter()
+    init = CliffordElement.__init__
+
+    def counting_init(self, coeffs, exact=False):
+        made[bool(exact)] += 1
+        init(self, coeffs, exact)
+
+    monkeypatch.setattr(CliffordElement, "__init__", counting_init)
+    for suite in ("reduction", "convergence"):
+        assert run_scenario(ScenarioConfig(suite=suite, seed=1)).failed == 0
+    assert made[False] > 0 and made[True] == 0
