@@ -16,12 +16,13 @@ from cl13 import (
     exp_element,
     random_element,
 )
-from cl13.algebra import GENERATORS_EXACT, METRIC_DIAG
+from cl13.algebra import GENERATORS, METRIC_DIAG
 
 print("== generator relations ==")
+gens = [g.lift() for g in GENERATORS]  # the exact generators
 for a in range(4):
     for b in range(4):
-        ac = anticommutator(GENERATORS_EXACT[a], GENERATORS_EXACT[b])
+        ac = anticommutator(gens[a], gens[b])
         expected = E * (2 * METRIC_DIAG[a] * (a == b))
         assert (ac - expected).is_zero()
 print("e^a e^b + e^b e^a = 2 eta^{ab} e holds exactly for all 16 pairs")

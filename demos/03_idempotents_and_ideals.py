@@ -12,8 +12,8 @@ from cl13.subspaces import IDEMPOTENT_LABELS, hermitian_idempotent_residuals
 
 print("== defining conditions, exact mode ==")
 for label in IDEMPOTENT_LABELS:
-    t = fixed_idempotent(label, exact=True)
-    residuals = hermitian_idempotent_residuals(t.element)
+    t = fixed_idempotent(label).element.lift()
+    residuals = hermitian_idempotent_residuals(t)
     print(f"{label}: residuals {residuals}")
 
 print("\n== ranks, eigenvalues and ideal dimensions ==")

@@ -14,11 +14,14 @@ by the trace formula only where they are needed.  An exact element
 carries 16 RationalComplex coefficients and certifies algebraic
 identities with zero rounding; it is the oracle of the float mode.
 
-A result is exact iff an element operand is exact.  The other operand,
-a float element or a real or complex scalar, is then lifted to rationals
-exactly, since every double is a rational; a float stack or an array of
-scalars cannot be lifted, because an exact element holds one value.  So
-the float constants below (``E``, ``BETA``, ``J``) serve both modes.
+Every exact value is the lift of a float value: ``u.lift()`` is the one
+way into exact mode.  It converts the 16 float coefficients of u to
+rationals without rounding, since every double is a rational; a float
+stack cannot be lifted, because an exact element holds one value.  A
+result is exact iff an element operand is exact; the other operand, a
+float element or a real or complex scalar, is lifted too.  So the float
+constants below (``E``, ``BETA``, ``J``) serve both modes, and
+``[g.lift() for g in GENERATORS]`` are the exact generators.
 
 Every float product of element matrices runs as one real GEMM
 (``_matmul``), because with numpy 2.4 a stacked complex 4x4 ``@`` costs
@@ -193,33 +196,28 @@ def _frobenius_half(mat):
 class CliffordElement:
     """A value of Cl(1,3) over the 16-blade basis.
 
-    Immutable. ``exact`` selects rational-coefficient arithmetic; a float
-    element holds its Dirac matrix, or a stack of them (then norms and
-    coefficients carry the same leading axis).
+    Immutable.  The constructors make float elements, which hold their
+    Dirac matrix, or a stack of them (then norms and coefficients carry the
+    same leading axis); ``lift()`` gives the equal exact element, whose
+    arithmetic is rational.  ``exact`` tells the two apart.
     """
 
     __slots__ = ("_coeffs", "_mat", "exact")
     __array_ufunc__ = None  # array * element defers to __rmul__
 
-    def __init__(self, coeffs, exact: bool = False):
-        if exact:
-            data = tuple(RationalComplex.from_value(c) for c in coeffs)
-            if len(data) != N_BLADES:
-                raise ValueError("need exactly 16 coefficients")
-            object.__setattr__(self, "_coeffs", data)
-        else:
-            arr = np.asarray(
-                coeffs if isinstance(coeffs, np.ndarray) else [complex(c) for c in coeffs],
-                dtype=complex,
-            )
-            if arr.shape[-1:] != (N_BLADES,):
-                raise ValueError("need exactly 16 coefficients")
-            if not np.isfinite(arr).all():
-                raise ValueError("a float element needs finite coefficients")
-            mat = (arr @ _TO_MATRIX).reshape(arr.shape[:-1] + (4, 4))
-            mat.flags.writeable = False
-            object.__setattr__(self, "_mat", mat)
-        object.__setattr__(self, "exact", exact)
+    def __init__(self, coeffs):
+        arr = np.asarray(
+            coeffs if isinstance(coeffs, np.ndarray) else [complex(c) for c in coeffs],
+            dtype=complex,
+        )
+        if arr.shape[-1:] != (N_BLADES,):
+            raise ValueError("need exactly 16 coefficients")
+        if not np.isfinite(arr).all():
+            raise ValueError("a float element needs finite coefficients")
+        mat = (arr @ _TO_MATRIX).reshape(arr.shape[:-1] + (4, 4))
+        mat.flags.writeable = False
+        object.__setattr__(self, "_mat", mat)
+        object.__setattr__(self, "exact", False)
 
     @classmethod
     def _from_matrix(cls, mat: np.ndarray) -> "CliffordElement":
@@ -230,30 +228,51 @@ class CliffordElement:
         object.__setattr__(out, "exact", False)
         return out
 
+    @classmethod
+    def _from_coeffs(cls, coeffs) -> "CliffordElement":
+        """The exact element with these 16 RationalComplex coefficients."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_coeffs", tuple(coeffs))
+        object.__setattr__(out, "exact", True)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("CliffordElement is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, exact: bool = False) -> "CliffordElement":
-        return cls.from_coeff_map({}, exact)
+    def zero(cls) -> "CliffordElement":
+        return cls.from_coeff_map({})
 
     @classmethod
-    def from_blade(cls, blade, coeff=1, exact: bool = False) -> "CliffordElement":
-        return cls.from_coeff_map({blade: coeff}, exact)
+    def from_blade(cls, blade, coeff=1) -> "CliffordElement":
+        return cls.from_coeff_map({blade: coeff})
 
     @classmethod
-    def from_coeff_map(cls, mapping, exact: bool = False) -> "CliffordElement":
+    def from_coeff_map(cls, mapping) -> "CliffordElement":
         """Build from {blade label or mask: coefficient}; coefficients given
         for one blade twice are added as given."""
         coeffs = [0] * N_BLADES
         for blade, coeff in mapping.items():
             mask = _mask_of(blade)
             coeffs[mask] = coeffs[mask] + coeff
-        return cls(coeffs, exact)
+        return cls(coeffs)
 
     # -- mode handling -----------------------------------------------------
+
+    def lift(self) -> "CliffordElement":
+        """The exact element with this element's 16 coefficients, each
+        converted without rounding, since every double is a rational.  A
+        float stack raises TypeError, since an exact element holds one value."""
+        if self.exact:
+            return self
+        if self._mat.ndim > 2:
+            raise TypeError("a float stack cannot be lifted to an exact element")
+        coeffs = self.coefficients().tolist()
+        return CliffordElement._from_coeffs(
+            RationalComplex.from_value(c) if c else _RC_ZERO for c in coeffs
+        )
 
     def to_float(self) -> "CliffordElement":
         if not self.exact:
@@ -279,8 +298,8 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         if self.exact or other.exact:
-            pairs = zip(_exact_coeffs(self), _exact_coeffs(other))
-            return CliffordElement([a + b for a, b in pairs], exact=True)
+            pairs = zip(self.lift()._coeffs, other.lift()._coeffs)
+            return CliffordElement._from_coeffs(a + b for a, b in pairs)
         return CliffordElement._from_matrix(self._mat + other._mat)
 
     def __sub__(self, other):
@@ -292,7 +311,7 @@ class CliffordElement:
 
     def __neg__(self):
         if self.exact:
-            return CliffordElement([-c for c in self._coeffs], exact=True)
+            return CliffordElement._from_coeffs(-c for c in self._coeffs)
         return CliffordElement._from_matrix(-self._mat)
 
     def _scalar_mul(self, scalar):
@@ -300,7 +319,7 @@ class CliffordElement:
         scalar per element of a stack."""
         if self.exact:
             s = _exact_scalar(scalar)
-            return CliffordElement([c * s for c in self._coeffs], exact=True)
+            return CliffordElement._from_coeffs(c * s for c in self._coeffs)
         scalar = scalar[..., None, None] if isinstance(scalar, np.ndarray) else complex(scalar)
         return CliffordElement._from_matrix(self._mat * scalar)
 
@@ -330,11 +349,9 @@ class CliffordElement:
         if not 0 <= k <= 4:
             raise ValueError(f"grade must be in 0..4, got {k}")
         if self.exact:
-            coeffs = [
-                c if GRADES[m] == k else RationalComplex(0)
-                for m, c in enumerate(self._coeffs)
-            ]
-            return CliffordElement(coeffs, exact=True)
+            return CliffordElement._from_coeffs(
+                c if GRADES[m] == k else _RC_ZERO for m, c in enumerate(self._coeffs)
+            )
         return CliffordElement(np.where(np.array(GRADES) == k, self.coefficients(), 0.0))
 
     # -- involutions ---------------------------------------------------------
@@ -343,9 +360,8 @@ class CliffordElement:
         """The * operation: antilinear antiautomorphism fixing each e^a
         (gamma0 M^dagger gamma0 on the Dirac matrix)."""
         if self.exact:
-            return CliffordElement(
-                [c.conjugate() * REVERSION_SIGNS[m] for m, c in enumerate(self._coeffs)],
-                exact=True,
+            return CliffordElement._from_coeffs(
+                c.conjugate() * REVERSION_SIGNS[m] for m, c in enumerate(self._coeffs)
             )
         return CliffordElement._from_matrix(_dagger(self._mat) * _GAMMA0_SIGNS)
 
@@ -358,7 +374,7 @@ class CliffordElement:
     def conj(self) -> "CliffordElement":
         """Complex conjugation: coefficients conjugate, blades fixed."""
         if self.exact:
-            return CliffordElement([c.conjugate() for c in self._coeffs], exact=True)
+            return CliffordElement._from_coeffs(c.conjugate() for c in self._coeffs)
         mat = self._mat[..., _CONJ_PERM[:, None], _CONJ_PERM]
         return CliffordElement._from_matrix(mat.conj() * _CONJ_SIGNS)
 
@@ -440,18 +456,6 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
 _RC_ZERO = RationalComplex(0)
 
 
-def _exact_coeffs(u: CliffordElement) -> tuple[RationalComplex, ...]:
-    """The 16 coefficients of u as rationals.  Every double is a rational,
-    so a float element lifts without rounding; a float stack raises
-    TypeError, since an exact element holds one value."""
-    if u.exact:
-        return u._coeffs
-    if u._mat.ndim > 2:
-        raise TypeError("a float stack cannot meet an exact element")
-    coeffs = u.coefficients().tolist()
-    return tuple(RationalComplex.from_value(c) if c else _RC_ZERO for c in coeffs)
-
-
 def _exact_scalar(scalar) -> RationalComplex:
     if isinstance(scalar, np.ndarray):
         raise TypeError("an array of scalars cannot meet an exact element")
@@ -460,8 +464,8 @@ def _exact_scalar(scalar) -> RationalComplex:
 
 def _mul_exact(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     coeffs = [_RC_ZERO] * N_BLADES
-    v_coeffs = _exact_coeffs(v)
-    for a, ca in enumerate(_exact_coeffs(u)):
+    v_coeffs = v.lift()._coeffs
+    for a, ca in enumerate(u.lift()._coeffs):
         if not ca:
             continue
         for b, cb in enumerate(v_coeffs):
@@ -469,7 +473,7 @@ def _mul_exact(u: CliffordElement, v: CliffordElement) -> CliffordElement:
                 continue
             m = _PROD_MASK[a, b]
             coeffs[m] = coeffs[m] + ca * cb * int(_SIGNS[a, b])
-    return CliffordElement(coeffs, exact=True)
+    return CliffordElement._from_coeffs(coeffs)
 
 
 # -- module-level operations ----------------------------------------------
@@ -530,5 +534,3 @@ GENERATORS = (E0, E1, E2, E3)
 BETA = E0
 # Fixed bivector J = -e1 e3 entering the idempotent condition bar(t) J = J t.
 J = CliffordElement.from_blade("e13", -1)
-
-GENERATORS_EXACT = tuple(CliffordElement.from_blade(f"e{a}", exact=True) for a in range(4))

@@ -10,6 +10,7 @@ a string is no number, and an unknown key is an error.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -140,7 +141,13 @@ class RationalComplex:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Python's hash of a complex, so a value hashes as an equal int,
+        # float, Fraction or complex does.
+        if not self.im:
+            return hash(self.re)
+        width = sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << width)
+        return h - (1 << width) if h >> (width - 1) else h
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -153,4 +160,3 @@ class RationalComplex:
 
 
 RC_ONE = RationalComplex(1)
-RC_I = RationalComplex(0, 1)

@@ -20,20 +20,11 @@ row reduction gives dim sp(m, R), the cross-check of dim sp(cl(1,3)) = 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
-from .algebra import (
-    GENERATORS_EXACT,
-    GRADES,
-    N_BLADES,
-    CliffordElement,
-    E,
-    J,
-    exp_element,
-)
-from .exactnum import RC_I
+from .algebra import GRADES, N_BLADES, CliffordElement, E, E0, E1, E2, J, exp_element
 
 MEMBERSHIP_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -172,47 +163,46 @@ def is_hermitian_idempotent(t: CliffordElement) -> tuple[bool, dict[str, float]]
     return ok, residuals
 
 
-@cache
-def _idempotent_table(exact: bool) -> dict[str, CliffordElement]:
-    """The reference idempotents t1..t4, built once per mode from the exact
-    table; the exact generators lift the float unit E."""
-    if not exact:
-        return {label: t.to_float() for label, t in _idempotent_table(True).items()}
-    e0, e1, e2, _ = GENERATORS_EXACT
-    e12 = e1 * e2
-    return {
-        "t1": ((E + e0) * (E + RC_I * e12)) / 4,
-        "t2": (E + e0) / 2,
-        "t3": (E * 3 + e0 + RC_I * e12 - RC_I * e0 * e12) / 4,
-        "t4": e0 * e0,  # = e, exact
-    }
+# The reference idempotents t1..t4.  Every coefficient is dyadic, so each
+# float value is exact and its lift is the rational idempotent.
+_E12 = E1 * E2
+_IDEMPOTENTS = {
+    "t1": ((E + E0) * (E + 1j * _E12)) / 4,
+    "t2": (E + E0) / 2,
+    "t3": (E * 3 + E0 + 1j * _E12 - 1j * E0 * _E12) / 4,
+    "t4": E0 * E0,  # = e
+}
 
 
-def fixed_idempotent(label: str, exact: bool = False) -> HermitianIdempotent:
-    """One of the four reference idempotents t1..t4."""
-    table = _idempotent_table(exact)
-    if label not in table:
+def fixed_idempotent(label: str) -> HermitianIdempotent:
+    """One of the four reference idempotents t1..t4, as a float element;
+    ``fixed_idempotent(label).element.lift()`` is its exact value."""
+    if label not in _IDEMPOTENTS:
         raise ValueError(f"unknown idempotent label {label!r}")
-    return HermitianIdempotent(table[label], label)
+    return HermitianIdempotent(_IDEMPOTENTS[label], label)
 
 
 # -- ideals -------------------------------------------------------------------
+
+
+def _ideal_conditions(space: str, t: CliffordElement) -> list:
+    """The real-linear maps whose common kernel is I(t), K(t) or L(t)."""
+    conditions = {"I": [lambda u: u - u * t]}
+    conditions["K"] = conditions["I"] + [lambda u: u - t * u]
+    conditions["L"] = conditions["K"] + [lambda u: u.herm_conj() + u]
+    return conditions[space]
 
 
 def ideal_residual(
     u: CliffordElement, t: HermitianIdempotent | CliffordElement, which: str
 ) -> float:
     tt = t.element if isinstance(t, HermitianIdempotent) else t
-    if which == "I":
-        return (u - u * tt).norm()
-    if which == "K":
-        return np.maximum((u - u * tt).norm(), (u - tt * u).norm())
-    if which == "L":
-        return np.maximum(ideal_residual(u, tt, "K"), (u.herm_conj() + u).norm())
     if which == "G":
         unitary = (u.herm_conj() * u - E).norm()
         return np.maximum(unitary, ideal_residual(u - E, tt, "K"))
-    raise ValueError(f"unknown ideal tag {which!r}; expected one of {IDEAL_TAGS}")
+    if which not in IDEAL_TAGS:
+        raise ValueError(f"unknown ideal tag {which!r}; expected one of {IDEAL_TAGS}")
+    return reduce(np.maximum, [f(u).norm() for f in _ideal_conditions(which, tt)])
 
 
 def in_ideal(u: CliffordElement, t: HermitianIdempotent | CliffordElement, which: str) -> bool:
@@ -256,12 +246,7 @@ def _basis_vectors(space: str, t_bytes: bytes | None) -> np.ndarray:
         rows = np.eye(2 * N_BLADES)[_SP_ALGEBRA_ZERO]
     else:
         tt = CliffordElement._from_matrix(np.frombuffer(t_bytes, complex).reshape(4, 4))
-        maps = [lambda u: u - u * tt]
-        if space in ("K", "L"):
-            maps.append(lambda u: u - tt * u)
-        if space == "L":
-            maps.append(lambda u: u.herm_conj() + u)
-        rows = _constraint_rows(maps)
+        rows = _constraint_rows(_ideal_conditions(space, tt))
     vecs = nullspace_basis(rows)
     vecs.flags.writeable = False
     return vecs

@@ -16,12 +16,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .algebra import (
+    BLADE_REPS,
     GENERATORS,
-    GENERATORS_EXACT,
     METRIC_DIAG,
     N_BLADES,
     CliffordElement,
     E,
+    blade_mul,
     commutator,
     exp_element,
     random_element,
@@ -297,10 +298,11 @@ class _Suite:
 def _suite_algebra(s: _Suite) -> None:
     cfg = s.cfg
     # Generator relations, exact rational mode (the exact sums lift E).
+    gens = [g.lift() for g in GENERATORS]
     relations = []
     for a in range(4):
         for b in range(4):
-            lhs = GENERATORS_EXACT[a] * GENERATORS_EXACT[b] + GENERATORS_EXACT[b] * GENERATORS_EXACT[a]
+            lhs = gens[a] * gens[b] + gens[b] * gens[a]
             target = E * (2 * METRIC_DIAG[a] * (a == b))
             relations.append((lhs - target).norm())
     s.add("algebra/generator-relations-exact", "e^a e^b + e^b e^a = 2 eta^{ab} e", relations, "exact")
@@ -328,17 +330,17 @@ def _suite_algebra(s: _Suite) -> None:
         ]
     s.add("algebra/involution-laws", "(UV)* = V* U*, U^dag = beta U* beta", laws, "involution")
 
-    # Representation is a *-homomorphism: the float product and Hermitian
-    # conjugation (Dirac matrices) against the exact blade table; by
-    # linearity the 256 blade pairs and 16 blades cover every element.
-    blades = [CliffordElement.from_blade(m, exact=True) for m in range(N_BLADES)]
-    floats = [u.to_float() for u in blades]
-    pairs = [
-        (gamma_rep(fu * fv), gamma_rep(u * v))
-        for u, fu in zip(blades, floats)
-        for v, fv in zip(blades, floats)
-    ]
-    pairs += [(gamma_rep(fu).conj().T, gamma_rep(u.herm_conj())) for u, fu in zip(blades, floats)]
+    # Representation is a *-homomorphism: the float product of each blade
+    # pair (a Dirac matrix product) against the blade table's signed blade,
+    # and each blade's conjugate transpose against its exact Hermitian
+    # conjugate; by linearity the 256 pairs and 16 blades cover every element.
+    blades = [CliffordElement.from_blade(m) for m in range(N_BLADES)]
+    pairs = []
+    for a, u in enumerate(blades):
+        for b, v in enumerate(blades):
+            sign, mask = blade_mul(a, b)
+            pairs.append((gamma_rep(u * v), sign * BLADE_REPS[mask]))
+    pairs += [(gamma_rep(u).conj().T, gamma_rep(u.lift().herm_conj())) for u in blades]
     s.add(
         "algebra/rep-homomorphism",
         "rep(UV) = rep(U) rep(V)",
@@ -423,11 +425,11 @@ def _suite_subspaces(s: _Suite) -> None:
 
 
 def _suite_idempotents(s: _Suite) -> None:
-    exact = [fixed_idempotent(label, exact=True) for label in IDEMPOTENT_LABELS]
+    exact = [fixed_idempotent(label).element.lift() for label in IDEMPOTENT_LABELS]
     s.add(
         "idempotents/defining-conditions-exact",
         "t^2 = t, t^dag = t, conj(t) J = J t",
-        [r for t in exact for r in hermitian_idempotent_residuals(t.element).values()],
+        [r for t in exact for r in hermitian_idempotent_residuals(t).values()],
         "exact",
     )
 
@@ -596,17 +598,14 @@ def _suite_symmetries(s: _Suite) -> None:
 def _bilinear_checks(s: _Suite, t: HermitianIdempotent) -> None:
     cfg = s.cfg
     # Exact antisymmetry in rational mode on the generator frame.
-    t2x = fixed_idempotent("t2", exact=True)
-    h_exact = list(GENERATORS_EXACT)
+    t2x = fixed_idempotent("t2").element.lift()
+    h_exact = [g.lift() for g in GENERATORS]
     swaps = [((0, 1), (1, 0)), ((0, 1, 2), (1, 0, 2)), ((0, 1, 2, 3), (0, 1, 3, 2))]
     antisymmetry = [
-        (
-            bilinear_form(t2x.element, h_exact, idx)
-            + bilinear_form(t2x.element, h_exact, swapped)
-        ).norm()
+        (bilinear_form(t2x, h_exact, idx) + bilinear_form(t2x, h_exact, swapped)).norm()
         for idx, swapped in swaps
     ]
-    antisymmetry.append(bilinear_form(t2x.element, h_exact, (2, 2)).norm())
+    antisymmetry.append(bilinear_form(t2x, h_exact, (2, 2)).norm())
     s.add(
         "symmetries/bilinear-antisymmetry-exact",
         "J^{...} totally antisymmetric",
@@ -621,9 +620,8 @@ def _bilinear_checks(s: _Suite, t: HermitianIdempotent) -> None:
     x = PointSet([0.3, 0.1, 0.7, 0.2])
     winv, w = fam.inverse_field().value(x), fam.group_field().value(x)
     h_vals = [(winv * g) * w for g in GENERATORS]
-    tf = t.element.to_float()
     for _ in range(6):
-        phi = random_element(rng, 0.8) * tf
+        phi = random_element(rng, 0.8) * t.element
         for indices in [(0,), (1,), (0, 1), (0, 2, 3), (0, 1, 2, 3)]:
             j = bilinear_form(phi, h_vals, indices)
             hermitian.append((j.herm_conj() - j).norm())

@@ -10,7 +10,6 @@ import pytest
 from cl13.algebra import (
     E,
     GENERATORS,
-    GENERATORS_EXACT,
     METRIC_DIAG,
     anticommutator,
     commutator,
@@ -84,10 +83,11 @@ def points():
 
 
 def test_criterion_1_generator_relations():
+    gens = [g.lift() for g in GENERATORS]
     ok = True
     for a in range(4):
         for b in range(4):
-            lhs = anticommutator(GENERATORS_EXACT[a], GENERATORS_EXACT[b])
+            lhs = anticommutator(gens[a], gens[b])
             rhs = E * (2 * METRIC_DIAG[a] * (a == b))
             ok = ok and (lhs - rhs).is_zero()
     _verdict(1, "generator-relations-exact", ok)
@@ -121,8 +121,8 @@ def test_criterion_4_idempotent_suite():
     ok = True
     expected_dims = (1, 4, 9, 16)
     for label, dim in zip(IDEMPOTENT_LABELS, expected_dims):
-        exact = fixed_idempotent(label, exact=True)
-        residuals = hermitian_idempotent_residuals(exact.element)
+        exact = fixed_idempotent(label).element.lift()
+        residuals = hermitian_idempotent_residuals(exact)
         ok = ok and all(r == 0.0 for r in residuals.values())
         t = fixed_idempotent(label)
         rank = rep_rank(t.element)
@@ -206,8 +206,8 @@ def test_criterion_10_covariance(reduced_sets, t2):
 
 def test_criterion_11_bilinear_forms(t2, families):
     # Exact antisymmetry in rational mode.
-    t2x = fixed_idempotent("t2", exact=True).element
-    hx = list(GENERATORS_EXACT)
+    t2x = fixed_idempotent("t2").element.lift()
+    hx = [g.lift() for g in GENERATORS]
     ok = True
     for k, indices in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3))):
         base = bilinear_form(t2x, hx, indices)

@@ -17,7 +17,6 @@ from cl13.algebra import (
     E0,
     E1,
     GENERATORS,
-    GENERATORS_EXACT,
     METRIC_DIAG,
     CliffordElement,
     _matmul,
@@ -28,15 +27,15 @@ from cl13.algebra import (
     label_to_mask,
     random_element,
 )
-from cl13.exactnum import RC_I, RationalComplex
+from cl13.exactnum import RationalComplex
 from cl13.rep import gamma_rep
 from cl13.subspaces import fixed_idempotent
 
 TOL = 1e-12
 
 
-def blade(label, coeff=1, exact=False):
-    return CliffordElement.from_blade(label, coeff, exact)
+def blade(label, coeff=1):
+    return CliffordElement.from_blade(label, coeff)
 
 
 def test_blade_mul_spec_cases():
@@ -49,9 +48,10 @@ def test_blade_mul_spec_cases():
 
 
 def test_generator_relations_exact_all_pairs():
+    gens = [g.lift() for g in GENERATORS]
     for a in range(4):
         for b in range(4):
-            lhs = anticommutator(GENERATORS_EXACT[a], GENERATORS_EXACT[b])
+            lhs = anticommutator(gens[a], gens[b])
             rhs = E * (2 * METRIC_DIAG[a] * (a == b))
             assert (lhs - rhs).is_zero()
 
@@ -185,11 +185,8 @@ def test_exp_matches_scipy_expm(rng):
 def eighths(rng):
     """A random element with coefficients k/8, as an exact and a float copy."""
     re, im = rng.integers(-16, 17, size=(2, 16))
-    exact = CliffordElement(
-        [RationalComplex(Fraction(int(a), 8), Fraction(int(b), 8)) for a, b in zip(re, im)],
-        exact=True,
-    )
-    return exact, exact.to_float()
+    flt = CliffordElement((re + 1j * im) / 8)
+    return flt.lift(), flt
 
 
 def test_float_mode_matches_exact_mode(rng):
@@ -225,23 +222,36 @@ def test_norm():
     assert CliffordElement.zero().norm() == 0.0
     assert E0.norm() == 1.0
     assert abs((E + E0).norm() - np.sqrt(2)) <= 1e-15
-    exact = blade("e01", RationalComplex(3, 4), exact=True)
+    exact = blade("e01", 3 + 4j).lift()
     assert exact.norm() == 5.0
 
 
+def test_equal_exact_and_python_numbers_hash_equal(rng):
+    values = [1, 0, -1, 0.5, Fraction(3, 4), 2**70, 0.5 + 2j, -2j, 1e300 - 1e-300j]
+    values += list(rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200))
+    values += [complex(z) for z in rng.standard_normal((200, 2)) @ [1, 1j]]
+    for value in values:
+        r = RationalComplex.from_value(value)
+        assert r == value and hash(r) == hash(value)
+    assert {1: "x"}.get(RationalComplex(1)) == "x"
+    assert len({RationalComplex(1), 1}) == 1
+    assert len({RationalComplex(0.5, 2), 0.5 + 2j}) == 1
+
+
 def test_exact_mode_products():
-    e01 = blade("e01", RationalComplex(1), exact=True)
-    e1 = blade("e1", RationalComplex(1), exact=True)
+    e01 = blade("e01").lift()
+    e1 = blade("e1").lift()
     prod = e01 * e1
-    expected = blade("e0", RationalComplex(-1), exact=True)
+    expected = blade("e0", -1).lift()
     assert (prod - expected).is_zero()
-    assert (RC_I * e1 + e1 * RC_I).exact
+    i = RationalComplex(0, 1)
+    assert (i * e1 + e1 * i).exact
 
 
 def test_an_exact_operand_lifts_the_other_exactly(rng):
     u, _ = eighths(rng)
     f = random_element(rng)
-    fx = CliffordElement(list(f.coefficients()), exact=True)  # the lift of f
+    fx = f.lift()
     z = 0.1 - 2.3j
     zx = RationalComplex.from_value(z)
     pairs = [
@@ -260,7 +270,7 @@ def test_an_exact_operand_lifts_the_other_exactly(rng):
     for got, want in pairs:
         assert got.exact and got == want
     # the double 0.1 enters as itself, not as 1/10
-    assert (blade("e", exact=True) * 0.1).coefficient("e") == Fraction(0.1) != Fraction(1, 10)
+    assert (E.lift() * 0.1).coefficient("e") == Fraction(0.1) != Fraction(1, 10)
 
     stack = CliffordElement(rng.standard_normal((3, 16)) + 0j)
     for mixed in (
@@ -305,7 +315,7 @@ def _random_coeffs(rng, count):
 def test_matmul_matches_the_exact_blade_table_within_8u_per_coefficient(rng):
     worst = 0.0
     for cu, cv in zip(_random_coeffs(rng, 60), _random_coeffs(rng, 60)):
-        u, v = CliffordElement(list(cu), exact=True), CliffordElement(list(cv), exact=True)
+        u, v = CliffordElement(cu).lift(), CliffordElement(cv).lift()
         want = np.array([complex(c) for c in (u * v).coefficients()])
         got = CliffordElement._from_matrix(
             _matmul(gamma_rep(u.to_float()), gamma_rep(v.to_float()))

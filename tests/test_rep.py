@@ -10,7 +10,6 @@ from cl13.algebra import (
     exp_element,
     random_element,
 )
-from cl13.exactnum import RC_ONE
 from cl13.rep import (
     NotHermitianError,
     SingularElementError,
@@ -44,7 +43,7 @@ def test_rep_homomorphism_on_blade_table():
     # Oracle: the exact blade table.  The float product is the matrix
     # product, so rep(u * v) = rep(u) @ rep(v) would compare a computation
     # with itself; by linearity the 256 blade pairs cover every element.
-    blades = [CliffordElement.from_blade(m, RC_ONE, exact=True) for m in range(16)]
+    blades = [CliffordElement.from_blade(m).lift() for m in range(16)]
     worst = 0.0
     for u in blades:
         worst = max(worst, float(np.max(np.abs(gamma_rep(u).conj().T - gamma_rep(u.herm_conj())))))

@@ -22,6 +22,17 @@ def test_a_tree_compared_with_itself_is_byte_identical(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "2 of 2 reports byte-identical"
     assert "max |delta residual| 0.000e+00  reduction/h-identities" in lines
+    count = scan_reports.nonblank_lines(src)
+    assert lines[-1] == f"cl13/*.py non-blank lines: {count} -> {count}"
+
+
+def test_nonblank_lines_counts_the_package_modules_only(tmp_path):
+    (tmp_path / "cl13" / "sub").mkdir(parents=True)
+    (tmp_path / "cl13" / "a.py").write_text("x = 1\n\n   \n\ty = 2\n")
+    (tmp_path / "cl13" / "b.py").write_text("# one\n")
+    (tmp_path / "cl13" / "notes.txt").write_text("not code\n")
+    (tmp_path / "cl13" / "sub" / "c.py").write_text("z = 3\n")
+    assert scan_reports.nonblank_lines(str(tmp_path)) == 3
 
 
 def _report(status: str, residual) -> str:

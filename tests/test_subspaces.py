@@ -52,8 +52,8 @@ def test_sp_group_membership():
 def test_hermitian_idempotent_examples():
     ok, _ = is_hermitian_idempotent(E)  # t4
     assert ok
-    t1 = fixed_idempotent("t1", exact=True)
-    ok, residuals = is_hermitian_idempotent(t1.element)
+    t1 = fixed_idempotent("t1").element.lift()
+    ok, residuals = is_hermitian_idempotent(t1)
     assert ok and all(r == 0.0 for r in residuals.values())
     ok, residuals = is_hermitian_idempotent(E1)
     assert not ok
@@ -238,8 +238,8 @@ def test_cached_basis_is_read_only_and_equals_a_fresh_row_reduction():
         t = fixed_idempotent(label)
         for space in ("I", "K", "L"):
             sb = subspace_basis(space, t)
-            # The exact idempotent has the same float matrix, so the same entry.
-            assert subspace_basis(space, fixed_idempotent(label, exact=True)).vectors is sb.vectors
+            # The lifted idempotent has the same float matrix, so the same entry.
+            assert subspace_basis(space, t.element.lift()).vectors is sb.vectors
             with pytest.raises(ValueError):
                 sb.vectors[..., 0] = 1.0
             fresh = nullspace_basis(_constraint_rows_by_blade(space, t))

@@ -6,7 +6,6 @@ import pytest
 from cl13.algebra import (
     E,
     GENERATORS,
-    GENERATORS_EXACT,
     J,
     CliffordElement,
     random_element,
@@ -201,8 +200,8 @@ def test_bilinear_form_rank1_matches_idempotent(t2):
 
 
 def test_bilinear_form_exact_antisymmetry():
-    t2x = fixed_idempotent("t2", exact=True).element
-    h = list(GENERATORS_EXACT)
+    t2x = fixed_idempotent("t2").element.lift()
+    h = [g.lift() for g in GENERATORS]
     for k, indices in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3))):
         base = bilinear_form(t2x, h, indices)
         for i in range(k - 1):
@@ -217,10 +216,10 @@ def test_bilinear_form_exact_antisymmetry():
 
 
 def test_antisymmetrized_product_normalization():
-    h = list(GENERATORS_EXACT)
+    h = [g.lift() for g in GENERATORS]
     # Distinct anticommuting generators: h^{[0} h^{1]} = e0 e1 exactly.
     prod = antisymmetrized_product(h, (0, 1))
-    expected = GENERATORS_EXACT[0] * GENERATORS_EXACT[1]
+    expected = h[0] * h[1]
     assert (prod - expected).is_zero()
 
 

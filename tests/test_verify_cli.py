@@ -20,7 +20,7 @@ from cl13.fields import (
     random_family,
 )
 from cl13.shapes import TrigShape
-from cl13.subspaces import IDEMPOTENT_LABELS, fixed_idempotent, sample
+from cl13.subspaces import sample
 from cl13.verify import (
     Check,
     ConfigError,
@@ -570,18 +570,46 @@ def test_an_exact_check_lifts_its_float_constants_without_rounding(
 
 def test_no_exact_element_is_made_in_the_field_layer(monkeypatch):
     # An exact value in a field tree would turn each 4x4 GEMM into a
-    # blade-table loop.  The reference idempotents are built once per
-    # process from their exact table, before counting starts.
-    for label in IDEMPOTENT_LABELS:
-        fixed_idempotent(label)
-    made = Counter()
-    init = CliffordElement.__init__
+    # blade-table loop.  Every exact element, a lift or the result of
+    # exact arithmetic, is made by one constructor.
+    made = []
+    make = vars(CliffordElement)["_from_coeffs"].__func__
 
-    def counting_init(self, coeffs, exact=False):
-        made[bool(exact)] += 1
-        init(self, coeffs, exact)
+    def counting(cls, coeffs):
+        made.append(cls)
+        return make(cls, coeffs)
 
-    monkeypatch.setattr(CliffordElement, "__init__", counting_init)
+    monkeypatch.setattr(CliffordElement, "_from_coeffs", classmethod(counting))
+    assert (E.lift() * E).exact and len(made) == 3  # two lifts and the product
+    made.clear()
     for suite in ("reduction", "convergence"):
         assert run_scenario(ScenarioConfig(suite=suite, seed=1)).failed == 0
-    assert made[False] > 0 and made[True] == 0
+    assert made == []
+
+
+def test_rep_homomorphism_fails_when_the_blade_table_flips_one_sign(monkeypatch):
+    def flipped(a, b, blade_mul=verify.blade_mul):
+        sign, mask = blade_mul(a, b)
+        return (-sign if (a, b) == (3, 6) else sign), mask
+
+    monkeypatch.setattr(verify, "blade_mul", flipped)
+    report = run_scenario(ScenarioConfig(suite="algebra", seed=1))
+    failed = [c for c in report.checks if c.status == "fail"]
+    assert [c.name for c in failed] == ["algebra/rep-homomorphism"]
+    assert failed[0].residual == 2.0
+
+
+def test_an_algebra_report_makes_at_most_32_all_exact_products(monkeypatch):
+    # The exact generator relations take 32; the rep-homomorphism check
+    # compares float products with the blade table and makes none.
+    counts = Counter()
+    mul = CliffordElement.__mul__
+
+    def counted(u, v):
+        if isinstance(v, CliffordElement):
+            counts[u.exact, v.exact] += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(CliffordElement, "__mul__", counted)
+    assert run_scenario(ScenarioConfig(suite="algebra", seed=1)).failed == 0
+    assert counts[False, False] > 0 and counts[True, True] <= 32

@@ -20,7 +20,8 @@ subprocess of its own whose PYTHONPATH is that tree:
 
 The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
-|residual difference| over the scan.  It exits 1 on any status or exit-code
+|residual difference| over the scan.  Its last line gives the non-blank
+line count of ``cl13/*.py`` in each tree.  It exits 1 on any status or exit-code
 change and 0 otherwise.
 """
 
@@ -34,6 +35,7 @@ import os
 import subprocess
 import sys
 import traceback
+from pathlib import Path
 
 SCAN = (
     [["reduction", "--seed", str(seed)] for seed in range(200)]
@@ -136,6 +138,12 @@ def compare(scan, before, after) -> tuple[list[str], bool]:
     return lines, changed
 
 
+def nonblank_lines(src: str) -> int:
+    """Non-blank lines of the ``cl13/*.py`` files under src."""
+    files = sorted(Path(src, "cl13").glob("*.py"))
+    return sum(1 for f in files for line in f.read_text().splitlines() if line.strip())
+
+
 def main(argv=None, scan=SCAN) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_src", nargs="?")
@@ -149,6 +157,8 @@ def main(argv=None, scan=SCAN) -> int:
         parser.error("PARENT_SRC and CHANGE_SRC are required")
     before, after = run_reports([args.parent_src, args.change_src], scan)
     lines, changed = compare(scan, before, after)
+    counts = [nonblank_lines(src) for src in (args.parent_src, args.change_src)]
+    lines.append("cl13/*.py non-blank lines: {} -> {}".format(*counts))
     print("\n".join(lines))
     return 1 if changed else 0
 
