@@ -8,8 +8,6 @@ G_{mu nu} = -(m/4)^2 [i h_mu, i h_nu] then solves the two-field system,
 whose second Yang-Mills pair is sourced by (3/16) m^3 i h^nu.
 """
 
-from dataclasses import replace
-
 from cl13 import (
     PointSet,
     build_pure_gauge,
@@ -19,6 +17,7 @@ from cl13 import (
     model_residuals,
     random_family,
     reduce_to_two_yang_mills,
+    reductions,
     sample_points,
     source_norm,
     two_yang_mills_residuals,
@@ -37,14 +36,16 @@ for j in range(3):
     print(f"family {j}: model-system residual {model_res:.2e}, h identities {h_res:.2e}")
 
 print("\n== reduction for several masses ==")
-# W, h and C do not depend on m: one pass evaluates them once for every
-# mass.  A pass keeps a node's value while the node exists, so each mass's
-# own nodes (B, G) leave it when the next reduced set replaces them.
+# W, h and C do not depend on m, and neither do the i h_mu and their
+# brackets that ``reductions`` builds once for every mass: one pass
+# evaluates them all once.  A pass keeps a node's value while the node
+# exists, so each mass's own nodes (B, G) leave it when the next reduced
+# set replaces them.
 model = build_pure_gauge(random_family(42), t, 1.0)
 shared = PointSet(points)
 model_residuals(model, shared)
-for m in (0.5, 1.0, 2.0):
-    reduced = reduce_to_two_yang_mills(replace(model, mass=m))
+for reduced in reductions(model, (0.5, 1.0, 2.0)):
+    m = reduced.mass
     residuals = two_yang_mills_residuals(reduced, shared)
     ids = worst(check_reduction_identities(reduced, shared).values())
     sources = source_norm(reduced, shared)  # one norm per point

@@ -41,6 +41,7 @@ from .fields import (
     random_family,
     random_two_yang_mills_set,
     reduce_to_two_yang_mills,
+    reductions,
     sample_points,
     source_norm,
     two_yang_mills_residuals,

@@ -31,7 +31,8 @@ Two systems are covered:
 
 The substitution  B_mu = C_mu - (m/4) i h_mu,
 G_{mu nu} = -(m/4)^2 [i h_mu, i h_nu]  maps solutions of the first system
-to solutions of the second; ``reduce_to_two_yang_mills`` implements it.
+to solutions of the second; ``reductions`` implements it for a list of
+masses and ``reduce_to_two_yang_mills`` for the model set's own.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .algebra import (
     exp_element,
 )
 from .exactnum import known_keys
+from .rep import gamma_rep, rep_inverse
 from .shapes import PolyShape, Shape, TrigShape, shape_from_json
 from .subspaces import (
     MEMBERSHIP_TOL,
@@ -82,29 +84,28 @@ class PointSet:
     so suites hand one pass to every field set on the same points and the
     nodes of a field set they let go leave with it.  The pass
     differentiates exactly when ``fd_step`` is None and by central
-    differences of that step otherwise.
+    differences of that step otherwise, over its ``stencil``: the points
+    moved by +step (rows 0-3) and -step (rows 4-7) along each axis, one
+    pass of shape (8, ..., 4) that serves every axis.
     """
 
-    __slots__ = ("x", "fd_step", "values", "_shifts")
+    __slots__ = ("x", "fd_step", "values", "stencil")
 
     def __init__(self, x, fd_step: float | None = None):
-        if fd_step is not None and not fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {fd_step!r}")
+        if fd_step is not None and not 0 < fd_step < np.inf:
+            raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
         self.x = np.asarray(x, dtype=float)
         self.fd_step = fd_step
         self.values: weakref.WeakKeyDictionary[CliffordField, CliffordElement] = (
             weakref.WeakKeyDictionary()
         )
-        self._shifts: dict[tuple[int, float], PointSet] = {}
-
-    def shifted(self, mu: int, h: float) -> "PointSet":
-        """The same points moved by h along axis mu, built once per pass."""
-        out = self._shifts.get((mu, h))
-        if out is None:
-            x = self.x.copy()
-            x[..., mu] += h
-            out = self._shifts[(mu, h)] = PointSet(x)
-        return out
+        self.stencil = None
+        if fd_step is not None:
+            stencil = np.stack([self.x] * 8)
+            for mu in range(4):
+                stencil[mu, ..., mu] += fd_step
+                stencil[4 + mu, ..., mu] -= fd_step
+            self.stencil = PointSet(stencil)
 
 
 def _as_points(x) -> PointSet:
@@ -291,11 +292,14 @@ def _total(terms) -> CliffordElement:
 
 def fd_derivative(func, x, mu: int, step: float):
     """Central difference, with O(step^2) error, along axis mu of a field's
-    ``value`` at a point or point set x (the whole set is shifted at once)."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    points = _as_points(x)
-    return (func(points.shifted(mu, step)) - func(points.shifted(mu, -step))) * (0.5 / step)
+    ``value`` at a point or point set x.  func is evaluated once on the
+    stencil of a pass of this step (x's own when it is one), so the other
+    three axes read the same value."""
+    points = x if isinstance(x, PointSet) and x.fd_step == step else PointSet(_as_points(x).x, step)
+    mat = gamma_rep(func(points.stencil))
+    # A value that does not vary over the stencil is one matrix, not a stack.
+    plus, minus = (mat[mu], mat[4 + mu]) if mat.ndim > 2 else (mat, mat)
+    return rep_inverse(plus - minus) * (0.5 / step)
 
 
 def _field_partial(f: CliffordField, points: PointSet, mu: int) -> CliffordElement:
@@ -540,18 +544,26 @@ def random_two_yang_mills_set(seed: int, t: HermitianIdempotent, mass: float) ->
     )
 
 
-def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
-    """Substitute B_mu = C_mu - (m/4) i h_mu and G_{mu nu} = -(m/4)^2 [i h_mu, i h_nu]."""
-    m4 = fs.mass / 4.0
+def reductions(fs: ModelFieldSet, masses):
+    """Yield the reduced set of fs at each mass in turn:
+    B_mu = C_mu - (m/4) i h_mu and G_{mu nu} = -(m/4)^2 [i h_mu, i h_nu].
+
+    The mass enters only as a weight, so the i h_mu and their brackets are
+    built once and shared by every set yielded; they live as long as this
+    generator or one of those sets, and a pass keeps their values as long.
+    """
     ih_lower = tuple((1j * METRIC_DIAG[mu]) * fs.h[mu] for mu in range(4))
-    b = tuple(SumField(((1, fs.c[mu]), (-m4, ih_lower[mu]))) for mu in range(4))
-    g = tuple(
-        tuple(-(m4**2) * commutator(ih_lower[mu], ih_lower[nu]) for nu in range(4))
-        for mu in range(4)
-    )
-    return TwoYangMillsFieldSet(
-        mass=fs.mass, t=fs.t, phi=fs.phi, h=fs.h, a=fs.a, f=fs.f, b=b, g=g
-    )
+    brackets = [[commutator(ih_lower[mu], ih_lower[nu]) for nu in range(4)] for mu in range(4)]
+    for m in masses:
+        m4 = m / 4.0
+        b = tuple(SumField(((1, fs.c[mu]), (-m4, ih_lower[mu]))) for mu in range(4))
+        g = tuple(tuple(-(m4**2) * brackets[mu][nu] for nu in range(4)) for mu in range(4))
+        yield TwoYangMillsFieldSet(mass=m, t=fs.t, phi=fs.phi, h=fs.h, a=fs.a, f=fs.f, b=b, g=g)
+
+
+def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
+    """The reduced set of fs at its own mass (see ``reductions``)."""
+    return next(reductions(fs, (fs.mass,)))
 
 
 # -- residual evaluation ---------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .fields import (
     random_family,
     random_two_yang_mills_set,
     reduce_to_two_yang_mills,
+    reductions,
     sample_points,
     source_norm,
     two_yang_mills_residual_components,
@@ -455,18 +456,19 @@ def _suite_reduction(s: _Suite) -> None:
 
     # One pass per family: W, h and C do not depend on m, so the model set
     # of the first mass serves the h identities and every reduced set, all
-    # in the family's pass.  Each mass's own nodes leave the pass with its
-    # reduced set; W, h, C and their partials stay for the next mass.
+    # in the family's pass.  ``reductions`` builds the i h_mu and their
+    # brackets once for every mass, so W, h, C, the brackets and all their
+    # partials are evaluated once; only each mass's B and G are new, and
+    # they leave the pass when the next reduced set replaces them.
     model, h_identities, two_ym, identities, sources = [], [], [], [], []
     for fam in cfg.resolve_families():
         fs = build_pure_gauge(fam, t, cfg.m_values[0])
         pts = PointSet(points)
         model += model_residuals(fs, pts).values()
         h_identities += check_h_identities([f.value(pts) for f in fs.h]).values()
-        for m in cfg.m_values:
-            reduced = reduce_to_two_yang_mills(replace(fs, mass=float(m)))
+        for reduced in reductions(fs, cfg.m_values):
             two_ym += two_yang_mills_residuals(reduced, pts).values()
-            if m != 0:
+            if reduced.mass != 0:
                 sources.append(source_norm(reduced, pts))
             identities += check_reduction_identities(reduced, pts).values()
 

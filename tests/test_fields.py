@@ -10,6 +10,7 @@ from cl13.algebra import (
     E,
     E0,
     GENERATORS,
+    METRIC_DIAG,
     CliffordElement,
     commutator,
 )
@@ -20,6 +21,7 @@ from cl13.fields import (
     PointSet,
     ShapeField,
     SumField,
+    TwoYangMillsFieldSet,
     bianchi_current_check,
     build_pure_gauge,
     check_h_identities,
@@ -31,6 +33,7 @@ from cl13.fields import (
     random_family,
     random_two_yang_mills_set,
     reduce_to_two_yang_mills,
+    reductions,
     sample_points,
     source_norm,
     two_yang_mills_residual_components,
@@ -103,6 +106,41 @@ def test_fd_derivative_cases():
     assert (fd_derivative(linear.value, X0, 1, 1e-3) - E0).norm() <= 1e-10
     with pytest.raises(ValueError):
         fd_derivative(const.value, X0, 0, 0.0)
+
+
+def _shifted(x, mu, h):
+    """A pass over the points x moved by h along axis mu."""
+    moved = np.array(x, dtype=float)
+    moved[..., mu] += h
+    return PointSet(moved)
+
+
+@pytest.mark.parametrize("where", ["one point", "eight points"])
+def test_fd_derivative_equals_the_two_shift_formula(where):
+    # Oracle: the central difference written out with two separately
+    # shifted passes, bit for bit; one stencil evaluation serves all axes.
+    x = X0 if where == "one point" else sample_points(6, 8)
+    fields = (
+        random_family(21).group_field(),
+        ShapeField(coordinate_shape(1), E0),
+        ConstantField(E0),  # its value is one 4x4 matrix on any points
+    )
+    for f in fields:
+        for step in (1e-3, 0.25):
+            for mu in range(4):
+                want = (f.value(_shifted(x, mu, step)) - f.value(_shifted(x, mu, -step))) * (
+                    0.5 / step
+                )
+                got = fd_derivative(f.value, x, mu, step)
+                assert np.array_equal(gamma_rep(got), gamma_rep(want)), (f, step, mu)
+
+
+@pytest.mark.parametrize("step", [float("inf"), -float("inf"), float("nan")])
+def test_a_step_that_is_not_finite_raises(step):
+    with pytest.raises(ValueError):
+        PointSet(X0, fd_step=step)
+    with pytest.raises(ValueError):
+        fd_derivative(ConstantField(E0).value, X0, 0, step)
 
 
 def test_pure_gauge_empty_family(t2):
@@ -435,12 +473,12 @@ def test_a_pass_forgets_a_node_once_the_node_is_gone(pure_gauge, t2, points, fd_
         # A first reduced set, let go at once, leaves the model set's
         # partials that it read (d_mu C_nu among them) in the pass.
         check_reduction_identities(reduce_to_two_yang_mills(pure_gauge), pts)
-        passes = [pts, *pts._shifts.values()]
-        assert len(passes) == (1 if fd_step is None else 9)
+        passes = [p for p in (pts, pts.stencil) if p is not None]
+        assert len(passes) == (1 if fd_step is None else 2)
         model = [dict(p.values) for p in passes]
         reduced = reduce_to_two_yang_mills(replace(pure_gauge, mass=2.0))
         check_reduction_identities(reduced, pts)
-        assert len(pts._shifts) == len(passes) - 1
+        assert [p for p in (pts, pts.stencil) if p is not None] == passes
         assert all(len(p.values) > len(before) for p, before in zip(passes, model))
         del reduced
         for p, before in zip(passes, model):
@@ -475,3 +513,50 @@ def test_each_mass_checked_in_the_family_pass_equals_a_fresh_pass(family, points
             for eq in fresh:
                 assert np.array_equal(shared[eq], fresh[eq]), (m, fn.__name__, eq)
         assert np.array_equal(source_norm(reduced, pts), source_norm(reduced, points))
+
+
+def _reduce_with_fresh_brackets(fs: ModelFieldSet, m: float) -> TwoYangMillsFieldSet:
+    """The reduced set of fs at mass m with i h_mu and [i h_mu, i h_nu]
+    built for this mass alone."""
+    m4 = m / 4.0
+    ih_lower = tuple((1j * METRIC_DIAG[mu]) * fs.h[mu] for mu in range(4))
+    b = tuple(SumField(((1, fs.c[mu]), (-m4, ih_lower[mu]))) for mu in range(4))
+    g = tuple(
+        tuple(-(m4**2) * commutator(ih_lower[mu], ih_lower[nu]) for nu in range(4))
+        for mu in range(4)
+    )
+    return TwoYangMillsFieldSet(mass=m, t=fs.t, phi=fs.phi, h=fs.h, a=fs.a, f=fs.f, b=b, g=g)
+
+
+def _reduction_results(fs: TwoYangMillsFieldSet, pts) -> dict:
+    comps = two_yang_mills_residual_components(fs, pts)
+    out = {(eq, idx): gamma_rep(r) for eq, by_index in comps.items() for idx, r in by_index.items()}
+    out.update(check_reduction_identities(fs, pts))
+    out["source"] = source_norm(fs, pts)
+    return out
+
+
+@pytest.mark.parametrize("label", ["t1", "t2", "t3", "t4"])
+@pytest.mark.parametrize("seed", [3, 8])
+def test_reductions_share_brackets_and_equal_a_fresh_reduction_per_mass(points, seed, label):
+    # Oracle: per mass, fresh i h_mu and fresh brackets, bit for bit, with
+    # all masses in one shared pass and with each mass in a pass of its own.
+    fs = build_pure_gauge(random_family(seed), fixed_idempotent(label), 1.0)
+    masses = (0.0, -2.0, 0.5, 7.0)
+    shared, shared_oracle = PointSet(points), PointSet(points)
+    brackets = set()
+    for m, reduced in zip(masses, reductions(fs, masses), strict=True):
+        assert reduced.mass == m
+        oracle = _reduce_with_fresh_brackets(fs, m)
+        brackets.add(tuple(g.terms[0][1] for row in reduced.g for g in row))
+        for got, want in (
+            (_reduction_results(reduced, shared), _reduction_results(oracle, shared_oracle)),
+            (
+                _reduction_results(reduced, PointSet(points)),
+                _reduction_results(oracle, PointSet(points)),
+            ),
+        ):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key]), (m, key)
+    assert len(brackets) == 1

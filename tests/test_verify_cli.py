@@ -436,6 +436,51 @@ def test_a_reduction_report_evaluates_each_exponential_once(monkeypatch):
         assert sum(isinstance(node, ExpField) for node, _ in counts) == 12
 
 
+def _bracket_evaluations(counts):
+    """The counts of the products of two i h_mu factors or of their
+    partials: the nodes of the brackets [i h_mu, i h_nu] and their partials."""
+
+    def ih(node):
+        return isinstance(node, SumField) and len(node.terms) == 1 and node.terms[0][0] in (1j, -1j)
+
+    return {
+        key: n
+        for key, n in counts.items()
+        if isinstance(key[0], ProductField) and ih(key[0].left) and ih(key[0].right)
+    }
+
+
+def test_a_reduction_report_evaluates_the_brackets_once_for_every_mass(monkeypatch):
+    # The brackets do not depend on m, so the masses of a family's pass
+    # share them: three masses evaluate as many bracket nodes as one.
+    classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
+    counts = _count_evaluations(monkeypatch, classes)
+    products = Counter()
+    mul = CliffordElement.__mul__
+
+    def counted(u, v):
+        products[isinstance(v, CliffordElement) and not (u.exact or v.exact)] += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(CliffordElement, "__mul__", counted)
+    run_scenario(ScenarioConfig(suite="reduction", seed=1, sample_count=128))
+    assert sum(counts.values()) <= 2566 and products[True] <= 3686
+    brackets = _bracket_evaluations(counts)
+    assert brackets and set(brackets.values()) == {1}
+    counts.clear()
+    run_scenario(ScenarioConfig(suite="reduction", seed=1, sample_count=128, m_values=(0.5,)))
+    assert len(_bracket_evaluations(counts)) == len(brackets)
+
+
+def test_a_convergence_report_evaluates_each_fd_pass_on_one_stencil(monkeypatch):
+    # Each grid step's pass evaluates a node once on its stencil of eight
+    # shifted point sets, not once per shift.
+    classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
+    counts = _count_evaluations(monkeypatch, classes)
+    run_scenario(ScenarioConfig(suite="convergence", seed=1))
+    assert sum(counts.values()) <= 1472
+
+
 def test_a_symmetries_report_evaluates_each_exponential_once_per_point_array(monkeypatch):
     # Each transformation's payload is evaluated once for both field sets,
     # and the global_unitary payload once at the origin for its t-law.

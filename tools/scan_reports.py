@@ -4,7 +4,7 @@
     python3 tools/scan_reports.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``cl13`` package
-(a checkout's ``src``).  Each tree runs the same 335 reports, in a
+(a checkout's ``src``).  Each tree runs the same 356 reports, in a
 subprocess of its own whose PYTHONPATH is that tree:
 
   * ``verify reduction`` at seeds 0-199 (20 points),
@@ -16,7 +16,11 @@ subprocess of its own whose PYTHONPATH is that tree:
   * ``verify all --seed 42`` with each of the idempotents t1, t3 and t4
     (every other scanned report uses t2),
   * ``verify reduction --m 0,-2,7 --seed 1`` (a zero and a negative mass),
-  * ``verify convergence`` with four grid steps at seed 3.
+  * ``verify convergence`` with four grid steps at seed 3,
+  * ``verify convergence`` at seeds 0-19 (so 28 reports, the seven
+    ``verify all`` ones among them, run a finite-difference pass),
+  * ``verify reduction --sample-count 128 --m 0.5,1,2,4,8 --seed 3`` (five
+    masses sharing one family pass).
 
 The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
@@ -50,6 +54,8 @@ SCAN = (
     + [["all", "--idempotent", label, "--seed", "42"] for label in ("t1", "t3", "t4")]
     + [["reduction", "--m", "0,-2,7", "--seed", "1"]]
     + [["convergence", "--grid-steps", "2e-2,1e-2,5e-3,2.5e-3", "--seed", "3"]]
+    + [["convergence", "--seed", str(seed)] for seed in range(20)]
+    + [["reduction", "--sample-count", "128", "--m", "0.5,1,2,4,8", "--seed", "3"]]
 )
 
 
