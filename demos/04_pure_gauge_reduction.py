@@ -32,7 +32,8 @@ for j in range(3):
     family = random_family(42 + 1000 * j)
     fs = build_pure_gauge(family, t, mass=1.0)
     model_res = worst(model_residuals(fs, points).values())
-    h_res = worst(check_h_identities([f.value(points[:5]) for f in fs.h]).values())
+    # h^mu is one node; its value stacks the four components, index mu first.
+    h_res = worst(check_h_identities(fs.h.value(points[:5])).values())
     print(f"family {j}: model-system residual {model_res:.2e}, h identities {h_res:.2e}")
 
 print("\n== reduction for several masses ==")

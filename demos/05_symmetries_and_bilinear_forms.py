@@ -21,8 +21,7 @@ from cl13 import (
     two_yang_mills_residuals,
     worst,
 )
-from cl13.algebra import GENERATORS
-from cl13.fields import random_two_yang_mills_set
+from cl13.fields import FieldFamily, random_two_yang_mills_set
 from cl13.rep import hermitian_eigenvalues
 from cl13.subspaces import ideal_residual
 from cl13.symmetries import TRANSFORM_KINDS
@@ -49,7 +48,9 @@ for k, kind in enumerate(TRANSFORM_KINDS):
 
 print("\n== bilinear covariants ==")
 phi = t.element
-h_vals = list(GENERATORS)
+# The stacked h^mu of the constant frame W = e, which is e^mu; the forms
+# read its components h_vals[mu].
+h_vals = build_pure_gauge(FieldFamily(()), t, 1.0).h.value(points[0])
 j0 = bilinear_form(phi, h_vals, (0,))
 print("rank-1 form with phi = t2: J^0 =", j0.to_json_obj())
 print("its eigenvalues:", hermitian_eigenvalues(j0))

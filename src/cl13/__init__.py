@@ -29,6 +29,7 @@ from .fields import (
     PointSet,
     ProductField,
     ShapeField,
+    StackField,
     SumField,
     TwoYangMillsFieldSet,
     bianchi_current_check,

@@ -15,9 +15,10 @@ carries 16 RationalComplex coefficients and certifies algebraic
 identities with zero rounding; it is the oracle of the float mode.
 
 Every exact value is the lift of a float value: ``u.lift()`` is the one
-way into exact mode.  It converts the 16 float coefficients of u to
-rationals without rounding, since every double is a rational; a float
-stack cannot be lifted, because an exact element holds one value.  A
+way into exact mode.  It converts the 16 entries of u's Dirac matrix to
+rationals without rounding, since every double is a rational, and reads
+the coefficients off them in exact arithmetic; a float stack cannot be
+lifted, because an exact element holds one value.  A
 result is exact iff an element operand is exact; the other operand, a
 float element or a real or complex scalar, is lifted too.  So the float
 constants below (``E``, ``BETA``, ``J``) serve both modes, and
@@ -181,6 +182,14 @@ _CONJ_SIGNS = np.outer(_s, _s.conj())
 _IDENTITY = BLADE_REPS[0]
 
 
+# The exact trace formula: a blade matrix has one entry 1, -1, i or -i per row, so each
+# part of a coefficient is a quarter of a signed sum of four floats of the flat float view.
+_K = np.nonzero(BLADE_REPS.reshape(N_BLADES, 16))[1].reshape(N_BLADES, 4)
+_UNIT = np.take_along_axis(BLADE_REPS.reshape(N_BLADES, 16), _K, 1).conj()
+_READ_INDEX = 2 * _K[:, None] + np.stack([_UNIT.imag != 0, _UNIT.imag == 0], 1)
+_READ_SIGN = np.stack([_UNIT.real - _UNIT.imag, _UNIT.real + _UNIT.imag], 1).astype(int)
+
+
 def _mask_of(blade) -> int:
     mask = label_to_mask(blade) if isinstance(blade, str) else int(blade)
     if not 0 <= mask < N_BLADES:
@@ -262,16 +271,21 @@ class CliffordElement:
     # -- mode handling -----------------------------------------------------
 
     def lift(self) -> "CliffordElement":
-        """The exact element with this element's 16 coefficients, each
-        converted without rounding, since every double is a rational.  A
+        """The exact element with this element's Dirac matrix, entry by entry
+        (every double is a rational), read by the exact trace formula.  A
         float stack raises TypeError, since an exact element holds one value."""
         if self.exact:
             return self
         if self._mat.ndim > 2:
             raise TypeError("a float stack cannot be lifted to an exact element")
-        coeffs = self.coefficients().tolist()
+        # Over the largest power-of-two denominator every double is an integer.
+        ratios = [x.as_integer_ratio() for x in self._mat.view(float).ravel().tolist()]
+        den = max(d for _, d in ratios)
+        ints = np.array([n * (den // d) for n, d in ratios], dtype=object)
+        parts = (ints[_READ_INDEX] * _READ_SIGN).sum(axis=2).tolist()
         return CliffordElement._from_coeffs(
-            RationalComplex.from_value(c) if c else _RC_ZERO for c in coeffs
+            RationalComplex(Fraction(re, 4 * den), Fraction(im, 4 * den)) if re or im else _RC_ZERO
+            for re, im in parts
         )
 
     def to_float(self) -> "CliffordElement":
@@ -336,6 +350,10 @@ class CliffordElement:
         if isinstance(other, _SCALARS):
             return self._scalar_mul(other)
         return NotImplemented
+
+    def __getitem__(self, key) -> "CliffordElement":
+        """``mat[key]`` of a float stack; the key leaves the matrix axes whole."""
+        return CliffordElement._from_matrix(self._mat[key])
 
     def __truediv__(self, scalar):
         if self.exact:
@@ -477,6 +495,11 @@ def _mul_exact(u: CliffordElement, v: CliffordElement) -> CliffordElement:
 
 
 # -- module-level operations ----------------------------------------------
+
+
+def stack(elements) -> CliffordElement:
+    """The float elements broadcast to one shape and stacked on a new leading axis."""
+    return CliffordElement._from_matrix(np.stack(np.broadcast_arrays(*(u._mat for u in elements))))
 
 
 def commutator(u: CliffordElement, v: CliffordElement) -> CliffordElement:

@@ -41,7 +41,7 @@ import operator
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -51,12 +51,12 @@ from .algebra import (
     GENERATORS,
     METRIC_DIAG,
     CliffordElement,
-    anticommutator,
     commutator,
     exp_element,
+    stack,
 )
 from .exactnum import known_keys
-from .rep import gamma_rep, rep_inverse
+from .rep import gamma_rep
 from .shapes import PolyShape, Shape, TrigShape, shape_from_json
 from .subspaces import (
     MEMBERSHIP_TOL,
@@ -68,6 +68,9 @@ from .subspaces import (
 SOURCE_COUPLING = 3.0 / 16.0  # coefficient of m^3 i h^nu in the sourced equation
 
 _ZERO = CliffordElement.zero()
+_ETA = np.array(METRIC_DIAG, dtype=complex)  # a metric sign multiplies by a complex weight
+_PAIRS = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
+_ROWS, _COLS = map(list, zip(*_PAIRS))
 
 
 # -- differentiable Clifford-valued fields ------------------------------------
@@ -85,8 +88,13 @@ class PointSet:
     nodes of a field set they let go leave with it.  The pass
     differentiates exactly when ``fd_step`` is None and by central
     differences of that step otherwise, over its ``stencil``: the points
-    moved by +step (rows 0-3) and -step (rows 4-7) along each axis, one
-    pass of shape (8, ..., 4) that serves every axis.
+    moved by +step (shifts 0-3) and -step (shifts 4-7) along each axis, one
+    pass of shape (..., 8, 4) that serves every axis.
+
+    Value layout: index axes, then point axes, then the 4x4 matrix, so an
+    index-free value (W, phi, U) broadcasts against an index stack; a value
+    constant over the points has singleton point axes if it has index axes
+    and is one matrix if not; on a stencil the last point axis holds the shifts.
     """
 
     __slots__ = ("x", "fd_step", "values", "stencil")
@@ -101,15 +109,28 @@ class PointSet:
         )
         self.stencil = None
         if fd_step is not None:
-            stencil = np.stack([self.x] * 8)
-            for mu in range(4):
-                stencil[mu, ..., mu] += fd_step
-                stencil[4 + mu, ..., mu] -= fd_step
-            self.stencil = PointSet(stencil)
+            shifts = np.concatenate((np.eye(4), -np.eye(4))) * fd_step
+            self.stencil = PointSet(self.x[..., None, :] + shifts)
 
 
 def _as_points(x) -> PointSet:
     return x if isinstance(x, PointSet) else PointSet(x)
+
+
+def _at_points(u: CliffordElement, rank: int) -> CliffordElement:
+    """u with ``rank`` singleton point axes after its index axes."""
+    return u[(Ellipsis,) + (None,) * rank + (slice(None),) * 2]
+
+
+def _stacked(values, points: PointSet) -> CliffordElement:
+    """The values stacked on a new leading axis, with point axes if none has."""
+    out = stack(values)
+    return _at_points(out, points.x.ndim - 1) if gamma_rep(out).ndim == 3 else out
+
+
+def _by_index(u: CliffordElement, weights: np.ndarray) -> CliffordElement:
+    """u times weights[i] at each index i of its leading index axes."""
+    return u * weights.reshape(weights.shape + (1,) * (gamma_rep(u).ndim - 2 - weights.ndim))
 
 
 class CliffordField:
@@ -119,6 +140,10 @@ class CliffordField:
     returns one element or a stack of N; the PointSet keeps the value while
     this node exists.  ``partial`` nodes are built once and shared, so
     repeated evaluation across equations reuses subexpressions.
+
+    A Lorentz index family is one node with index axes before the point axes
+    (see ``PointSet``); ``f[key]`` is an index view (row mu, ``[:, None]``,
+    ...), a ``MappedField`` that commutes with d_mu, and iteration yields rows.
 
     Nodes form no reference cycle: a node holds its operands and its
     partials, and the nodes that a partial of theirs holds back (see
@@ -168,9 +193,15 @@ class CliffordField:
     def __neg__(self) -> "CliffordField":
         return SumField(((-1, self),))
 
+    def __getitem__(self, key) -> "CliffordField":
+        return MappedField(self, operator.itemgetter(key))
+
+    def __iter__(self):
+        return (self[mu] for mu in range(4))
+
 
 class ConstantField(CliffordField):
-    """One element at every point; it holds its value, so no pass stores it."""
+    """One element or index stack (e^mu) at every point, held here, not by a pass."""
 
     __slots__ = ("element",)
 
@@ -179,7 +210,9 @@ class ConstantField(CliffordField):
         self.element = element.to_float()
 
     def value(self, x):
-        return self.element
+        if gamma_rep(self.element).ndim == 2:
+            return self.element
+        return _at_points(self.element, _as_points(x).x.ndim - 1)
 
     def _differentiate(self, mu):
         return ZERO_FIELD
@@ -282,7 +315,31 @@ class MappedField(CliffordField):
         return MappedField(self.inner.partial(mu), self.op)
 
 
+class StackField(CliffordField):
+    """The family that stacks its rows' trees on a new leading axis; its partial
+    stacks theirs, ``f[mu]`` is row mu's own tree, and a pass holds the rows'
+    values, not their stack."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = tuple(rows)
+
+    def __getitem__(self, key) -> CliffordField:
+        return self.rows[key] if isinstance(key, int) else super().__getitem__(key)
+
+    def value(self, x):
+        points = _as_points(x)
+        return _stacked([f.value(points) for f in self.rows], points)
+
+    def _differentiate(self, mu):
+        return StackField(f.partial(mu) for f in self.rows)
+
+
 ZERO_FIELD = ConstantField(_ZERO)
+_ZERO_POTENTIAL = StackField((ZERO_FIELD,) * 4)
+_ZERO_STRENGTH = StackField((_ZERO_POTENTIAL,) * 4)
 
 
 def _total(terms) -> CliffordElement:
@@ -294,19 +351,14 @@ def fd_derivative(func, x, mu: int, step: float):
     """Central difference, with O(step^2) error, along axis mu of a field's
     ``value`` at a point or point set x.  func is evaluated once on the
     stencil of a pass of this step (x's own when it is one), so the other
-    three axes read the same value."""
+    three axes read the same value: shifts mu and 4 + mu at axis -3."""
     points = x if isinstance(x, PointSet) and x.fd_step == step else PointSet(_as_points(x).x, step)
-    mat = gamma_rep(func(points.stencil))
-    # A value that does not vary over the stencil is one matrix, not a stack.
-    plus, minus = (mat[mu], mat[4 + mu]) if mat.ndim > 2 else (mat, mat)
-    return rep_inverse(plus - minus) * (0.5 / step)
-
-
-def _field_partial(f: CliffordField, points: PointSet, mu: int) -> CliffordElement:
-    """d_mu f over the points, by the derivative rule of their pass."""
-    if points.fd_step is None:
-        return f.partial(mu).value(points)
-    return fd_derivative(f.value, points, mu, points.fd_step)
+    val = func(points.stencil)
+    if gamma_rep(val).shape[-3:-2] == (8,):
+        plus, minus = val[..., mu, :, :], val[..., 4 + mu, :, :]
+    else:  # a value with no 8 shifts at axis -3 does not vary over the stencil
+        plus = minus = val[..., 0, :, :] if gamma_rep(val).ndim > 2 else val
+    return (plus - minus) * (0.5 / step)
 
 
 # -- families of group-valued fields -------------------------------------------
@@ -447,10 +499,10 @@ class ModelFieldSet:
     mass: float
     t: HermitianIdempotent
     phi: CliffordField
-    h: tuple[CliffordField, ...]
-    a: tuple[CliffordField, ...]
-    f: tuple[tuple[CliffordField, ...], ...]
-    c: tuple[CliffordField, ...]
+    h: CliffordField
+    a: CliffordField
+    f: CliffordField
+    c: CliffordField
 
 
 @dataclass(frozen=True)
@@ -460,22 +512,22 @@ class TwoYangMillsFieldSet:
     mass: float
     t: HermitianIdempotent
     phi: CliffordField
-    h: tuple[CliffordField, ...]
-    a: tuple[CliffordField, ...]
-    f: tuple[tuple[CliffordField, ...], ...]
-    b: tuple[CliffordField, ...]
-    g: tuple[tuple[CliffordField, ...], ...]
+    h: CliffordField
+    a: CliffordField
+    f: CliffordField
+    b: CliffordField
+    g: CliffordField
 
 
-def antisymmetric_pair_fields(components) -> tuple[tuple[CliffordField, ...], ...]:
-    """Build the full lower-index antisymmetric grid from {(mu,nu): field}, mu<nu."""
+def antisymmetric_pair_fields(components) -> CliffordField:
+    """The lower-index antisymmetric (4, 4) family from {(mu,nu): field}, mu<nu."""
     grid: list[list[CliffordField]] = [[ZERO_FIELD] * 4 for _ in range(4)]
     for (mu, nu), fld in components.items():
         if mu == nu:
             raise ValueError("diagonal strength components must vanish")
         grid[mu][nu] = fld
         grid[nu][mu] = -fld
-    return tuple(tuple(row) for row in grid)
+    return StackField(StackField(row) for row in grid)
 
 
 def build_pure_gauge(family: FieldFamily, t: HermitianIdempotent, mass: float) -> ModelFieldSet:
@@ -489,16 +541,10 @@ def build_pure_gauge(family: FieldFamily, t: HermitianIdempotent, mass: float) -
     family.validate_symplectic()
     w = family.group_field()
     winv = family.inverse_field()
-    h = tuple(ProductField(ProductField(winv, ConstantField(g)), w) for g in GENERATORS)
-    c = tuple(-ProductField(winv, w.partial(mu)) for mu in range(4))
+    h = ProductField(ProductField(winv, ConstantField(stack(GENERATORS))), w)
+    c = StackField(-ProductField(winv, w.partial(mu)) for mu in range(4))
     return ModelFieldSet(
-        mass=float(mass),
-        t=t,
-        phi=ZERO_FIELD,
-        h=h,
-        a=(ZERO_FIELD,) * 4,
-        f=((ZERO_FIELD,) * 4,) * 4,
-        c=c,
+        mass=float(mass), t=t, phi=ZERO_FIELD, h=h, a=_ZERO_POTENTIAL, f=_ZERO_STRENGTH, c=c
     )
 
 
@@ -521,24 +567,11 @@ def random_two_yang_mills_set(seed: int, t: HermitianIdempotent, mass: float) ->
         phi_span.append(u * t_elem)
     phi = SumField((1, ShapeField(_random_poly(rng, 0.7), u)) for u in phi_span)
 
-    l_basis = subspace_basis("L", t).basis
-    sp_basis = subspace_basis("sp_cl").basis
-    a = tuple(_random_span_field(rng, l_basis) for _ in range(4))
-    f = antisymmetric_pair_fields(
-        {
-            (mu, nu): _random_span_field(rng, l_basis)
-            for mu in range(4)
-            for nu in range(mu + 1, 4)
-        }
-    )
-    b = tuple(_random_span_field(rng, sp_basis) for _ in range(4))
-    g = antisymmetric_pair_fields(
-        {
-            (mu, nu): _random_span_field(rng, sp_basis)
-            for mu in range(4)
-            for nu in range(mu + 1, 4)
-        }
-    )
+    l_basis, sp_basis = subspace_basis("L", t).basis, subspace_basis("sp_cl").basis
+    a = StackField(_random_span_field(rng, l_basis) for _ in range(4))
+    f = antisymmetric_pair_fields({p: _random_span_field(rng, l_basis) for p in _PAIRS})
+    b = StackField(_random_span_field(rng, sp_basis) for _ in range(4))
+    g = antisymmetric_pair_fields({p: _random_span_field(rng, sp_basis) for p in _PAIRS})
     return TwoYangMillsFieldSet(
         mass=float(mass), t=t, phi=phi, h=base.h, a=a, f=f, b=b, g=g
     )
@@ -548,16 +581,16 @@ def reductions(fs: ModelFieldSet, masses):
     """Yield the reduced set of fs at each mass in turn:
     B_mu = C_mu - (m/4) i h_mu and G_{mu nu} = -(m/4)^2 [i h_mu, i h_nu].
 
-    The mass enters only as a weight, so the i h_mu and their brackets are
+    The mass enters only as a weight, so i h_mu and their bracket rows are
     built once and shared by every set yielded; they live as long as this
     generator or one of those sets, and a pass keeps their values as long.
     """
-    ih_lower = tuple((1j * METRIC_DIAG[mu]) * fs.h[mu] for mu in range(4))
-    brackets = [[commutator(ih_lower[mu], ih_lower[nu]) for nu in range(4)] for mu in range(4)]
+    ih_lower = MappedField(fs.h, partial(_by_index, weights=1j * _ETA))
+    brackets = [commutator(ih_lower[mu], ih_lower) for mu in range(4)]
     for m in masses:
         m4 = m / 4.0
-        b = tuple(SumField(((1, fs.c[mu]), (-m4, ih_lower[mu]))) for mu in range(4))
-        g = tuple(tuple(-(m4**2) * brackets[mu][nu] for nu in range(4)) for mu in range(4))
+        b = StackField(SumField(((1, fs.c[mu]), (-m4, ih_lower[mu]))) for mu in range(4))
+        g = StackField(-(m4**2) * row for row in brackets)
         yield TwoYangMillsFieldSet(mass=m, t=fs.t, phi=fs.phi, h=fs.h, a=fs.a, f=fs.f, b=b, g=g)
 
 
@@ -571,101 +604,84 @@ def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
 # Every residual is built from three covariant operators of a potential P,
 # evaluated over a PointSet x at once and differentiated by its rule: the
 # curvature, the covariant derivative and the metric-signed divergence.
-# ``pv`` holds the values P_mu(x).
+# ``pv`` holds the value of P.  A sum over an index is folded left to right.
 
 
-def _values(fields, x):
-    return [f.value(x) for f in fields]
+def _partial(f: CliffordField, x: PointSet, mu: int) -> CliffordElement:
+    """d_mu f over the points, by the derivative rule of their pass."""
+    if x.fd_step is None:
+        return f.partial(mu).value(x)
+    return fd_derivative(f.value, x, mu, x.fd_step)
 
 
-def _curvature(x, pot, pv, mu, nu) -> CliffordElement:
-    """d_mu P_nu - d_nu P_mu - [P_mu, P_nu]."""
-    d1 = _field_partial(pot[nu], x, mu)
-    d2 = _field_partial(pot[mu], x, nu)
-    return d1 - d2 - commutator(pv[mu], pv[nu])
+def _curvature(x, pot, pv) -> CliffordElement:
+    """d_mu P_nu - d_nu P_mu - [P_mu, P_nu] over the pairs mu < nu (12 partials read)."""
+    d1 = _stacked([_partial(pot[nu], x, mu) for mu, nu in _PAIRS], x)
+    d2 = _stacked([_partial(pot[mu], x, nu) for mu, nu in _PAIRS], x)
+    return d1 - d2 - commutator(pv[_ROWS], pv[_COLS])
 
 
-def _covariant(x, pv, mu, f) -> CliffordElement:
-    """d_mu f - [P_mu, f]."""
-    return _field_partial(f, x, mu) - commutator(pv[mu], f.value(x))
+def _covariant(x, pv, f) -> CliffordElement:
+    """d_mu f^nu - [P_mu, f^nu] over (mu, nu) for a (4,) family f, row by row."""
+    fv = f.value(x)
+    return _stacked([_partial(f, x, mu) - commutator(pv[mu], fv) for mu in range(4)], x)
 
 
-def _divergence(x, pv, strength, nu) -> CliffordElement:
-    """d_mu X^{mu nu} - [P_mu, X^{mu nu}] for a lower-index strength X_{mu nu}."""
+def _divergence(x, pv, strength) -> CliffordElement:
+    """d_mu X^{mu nu} - [P_mu, X^{mu nu}] over nu for a lower-index strength X_{mu nu}."""
     return _total(
-        _covariant(x, pv, mu, strength[mu][nu]) * (METRIC_DIAG[mu] * METRIC_DIAG[nu])
-        for mu in range(4)
+        _by_index(_partial(row, x, mu) - commutator(pv[mu], row.value(x)), _ETA * METRIC_DIAG[mu])
+        for mu, row in enumerate(strength)
     )
 
 
 def _yang_mills_pair(x, pot, strength, rhs):
     """Curvature and sourced divergence residuals of one potential/strength pair."""
-    pv = _values(pot, x)
-    curvature = {
-        (mu, nu): _curvature(x, pot, pv, mu, nu) - strength[mu][nu].value(x)
-        for mu in range(4)
-        for nu in range(mu + 1, 4)
-    }
-    source = {(nu,): _divergence(x, pv, strength, nu) - rhs[nu] for nu in range(4)}
-    return curvature, source
+    pv = pot.value(x)
+    curvature = _curvature(x, pot, pv) - _stacked([strength[m].value(x)[n] for m, n in _PAIRS], x)
+    return curvature, _divergence(x, pv, strength) - rhs
 
 
 def _dirac(fs, x, hv, pv) -> CliffordElement:
     """i h^mu (d_mu phi + phi A_mu - P_mu phi), summed over mu."""
     phi = fs.phi.value(x)
-    return _total(
-        (1j * hv[mu])
-        * (_field_partial(fs.phi, x, mu) + phi * fs.a[mu].value(x) - pv[mu] * phi)
-        for mu in range(4)
-    )
+    dphi = _stacked([_partial(fs.phi, x, mu) for mu in range(4)], x)
+    terms = (hv * 1j) * (dphi + phi * fs.a.value(x) - pv * phi)
+    return _total(terms[mu] for mu in range(4))
 
 
-def current_vector(phi: CliffordElement, h_vals) -> list[CliffordElement]:
-    """i J^mu = phi^dag beta i h^mu phi, returned as the four iJ values."""
-    return [phi.herm_conj() * BETA * (1j * h_vals[mu]) * phi for mu in range(4)]
+def current_vector(phi: CliffordElement, h: CliffordElement) -> CliffordElement:
+    """i J^mu = phi^dag beta i h^mu phi for the value h of h^mu, index mu first."""
+    return phi.herm_conj() * BETA * (h * 1j) * phi
 
 
-def model_residual_components(fs: ModelFieldSet, x) -> dict[str, dict[tuple, CliffordElement]]:
+def model_residual_components(fs: ModelFieldSet, x) -> dict[str, CliffordElement]:
+    """Per equation, one stacked element: index shape (), (6,) pairs, (4,) or (4, 4)."""
     x = _as_points(x)
-    hv = _values(fs.h, x)
-    cv = _values(fs.c, x)
-    phi = fs.phi.value(x)
+    hv, cv, phi = fs.h.value(x), fs.c.value(x), fs.phi.value(x)
     curvature_a, source_a = _yang_mills_pair(x, fs.a, fs.f, current_vector(phi, hv))
     return {
-        "dirac": {(): _dirac(fs, x, hv, cv) - phi * fs.mass},
+        "dirac": _dirac(fs, x, hv, cv) - phi * fs.mass,
         "curvature_a": curvature_a,
         "source_a": source_a,
-        "h_transport": {
-            (mu, nu): _covariant(x, cv, mu, fs.h[nu])
-            for mu in range(4)
-            for nu in range(4)
-        },
+        "h_transport": _covariant(x, cv, fs.h),
     }
 
 
-def two_yang_mills_residual_components(
-    fs: TwoYangMillsFieldSet, x
-) -> dict[str, dict[tuple, CliffordElement]]:
+def two_yang_mills_residual_components(fs: TwoYangMillsFieldSet, x) -> dict[str, CliffordElement]:
+    """Per equation, its residual as one stacked element (see ``model_residual_components``)."""
     x = _as_points(x)
-    hv = _values(fs.h, x)
-    phi = fs.phi.value(x)
+    hv, phi = fs.h.value(x), fs.phi.value(x)
     m3 = SOURCE_COUPLING * fs.mass**3
     curvature_a, source_a = _yang_mills_pair(x, fs.a, fs.f, current_vector(phi, hv))
-    curvature_b, source_b = _yang_mills_pair(
-        x, fs.b, fs.g, [hv[nu] * (1j * m3) for nu in range(4)]
-    )
+    curvature_b, source_b = _yang_mills_pair(x, fs.b, fs.g, hv * (1j * m3))
     return {
-        "dirac": {(): _dirac(fs, x, hv, _values(fs.b, x))},
+        "dirac": _dirac(fs, x, hv, fs.b.value(x)),
         "curvature_a": curvature_a,
         "source_a": source_a,
         "curvature_b": curvature_b,
         "source_b": source_b,
     }
-
-
-def _peak(norms):
-    """Elementwise maximum of a non-empty sequence of norms (per point for a set)."""
-    return reduce(np.maximum, norms)
 
 
 def worst(residuals) -> float:
@@ -678,12 +694,13 @@ def worst(residuals) -> float:
 
 
 def _aggregate(components, points: PointSet) -> dict[str, np.ndarray]:
-    """Per equation, the largest component norm at each point."""
+    """Per equation, the largest norm over the index axes at each point."""
     shape = points.x.shape[:-1]
-    return {
-        eq: np.broadcast_to(_peak(r.norm() for r in by_index.values()), shape)
-        for eq, by_index in components.items()
-    }
+    out = {}
+    for eq, r in components.items():
+        norm = r.norm()
+        out[eq] = np.broadcast_to(np.max(norm, axis=tuple(range(norm.ndim - len(shape)))), shape)
+    return out
 
 
 def model_residuals(fs: ModelFieldSet, points) -> dict[str, np.ndarray]:
@@ -701,36 +718,37 @@ def source_norm(fs: TwoYangMillsFieldSet, points) -> np.ndarray:
     right-hand side at each point: nonzero certifies the source is there."""
     points = _as_points(points)
     m3 = SOURCE_COUPLING * abs(fs.mass) ** 3
-    rhs = {(nu,): fs.h[nu].value(points) * (1j * m3) for nu in range(4)}
-    return _aggregate({"source": rhs}, points)["source"]
+    return _aggregate({"source": fs.h.value(points) * (1j * m3)}, points)["source"]
 
 
 # -- identity checks --------------------------------------------------------------
 
+# 2 eta^{mu nu} e, the right-hand side of the Clifford relation of h.
+_CLIFFORD_RHS = stack(
+    [stack([E * (2 * METRIC_DIAG[mu] * (mu == nu)) for nu in range(4)]) for mu in range(4)]
+)
 
-def check_h_identities(h_vals) -> dict[str, float]:
-    """Residuals of the three h identities at one point (per point for stacks).
+
+def check_h_identities(h: CliffordElement) -> dict[str, np.ndarray]:
+    """Residuals of the three h identities at one point (per point for
+    stacks), for the value h of h^mu, index mu first.
 
     h^mu h^nu + h^nu h^mu = 2 eta^{mu nu} e ; (1/4) h^mu h_mu = e ;
     h^mu h^nu h_mu = h_mu h^nu h^mu = -2 h^nu (sum over mu).
     """
-    clifford = _peak(
-        (anticommutator(h_vals[mu], h_vals[nu]) - E * (2 * METRIC_DIAG[mu] * (mu == nu))).norm()
-        for mu in range(4)
-        for nu in range(4)
-    )
+    hh = h[:, None] * h[None, :]  # [mu, nu] = h^mu h^nu
+    rhs = _at_points(_CLIFFORD_RHS, gamma_rep(h).ndim - 3)
+    hh_swapped = stack([hh[:, nu] for nu in range(4)])  # [mu, nu] = h^nu h^mu
+    clifford = np.max((hh + hh_swapped - rhs).norm(), axis=(0, 1))
 
-    h_lower = [h_vals[mu] * METRIC_DIAG[mu] for mu in range(4)]
-    contraction = _total(h_vals[mu] * h_lower[mu] for mu in range(4))
+    h_lower = _by_index(h, _ETA)
+    squares = h * h_lower
+    contraction = _total(squares[mu] for mu in range(4))
     contraction_res = (contraction * Fraction(1, 4) - E).norm()
 
-    sandwich = _peak(
-        (side - h_vals[nu] * (-2)).norm()
-        for nu in range(4)
-        for side in (
-            _total(h_vals[mu] * h_vals[nu] * h_lower[mu] for mu in range(4)),
-            _total(h_lower[mu] * h_vals[nu] * h_vals[mu] for mu in range(4)),
-        )
+    sides = (hh * h_lower[:, None], h_lower[:, None] * h[None, :] * h[:, None])
+    sandwich = np.max(
+        [(_total(side[mu] for mu in range(4)) - h * (-2)).norm() for side in sides], axis=(0, 1)
     )
 
     return {
@@ -744,66 +762,50 @@ def check_reduction_identities(fs: TwoYangMillsFieldSet, points) -> dict[str, np
     """Identities induced by the reduction on (h, B):
 
     d_mu(i h^nu) - [B_mu, i h^nu] = (m/4) [i h_mu, i h^nu]
-    d_mu B_nu - d_nu B_mu - [B_mu, B_nu] = -(m/4)^2 [i h_mu, i h_nu]
     d_mu h^mu - [B_mu, h^mu] = 0
+
+    The third, d_mu B_nu - d_nu B_mu - [B_mu, B_nu] = -(m/4)^2 [i h_mu, i h_nu],
+    is the curvature equation of B in ``two_yang_mills_residuals``.
     """
     m4 = fs.mass / 4.0
     x = _as_points(points)
-    bv = _values(fs.b, x)
-    ih = [f.value(x) * 1j for f in fs.h]
-    ih_lower = [ih[mu] * METRIC_DIAG[mu] for mu in range(4)]
-    transport = [[_covariant(x, bv, mu, fs.h[nu]) for nu in range(4)] for mu in range(4)]
+    ih = fs.h.value(x) * 1j
+    ih_lower = _by_index(ih, _ETA)
+    transport = _covariant(x, fs.b.value(x), fs.h)
     components = {
-        "h_b_transport": {
-            (mu, nu): transport[mu][nu] * 1j - commutator(ih_lower[mu], ih[nu]) * m4
-            for mu in range(4)
-            for nu in range(4)
-        },
-        "b_curvature_consistency": {
-            (mu, nu): _curvature(x, fs.b, bv, mu, nu)
-            - commutator(ih_lower[mu], ih_lower[nu]) * (-(m4**2))
-            for mu in range(4)
-            for nu in range(mu + 1, 4)
-        },
-        "h_conservation": {(): _total(transport[mu][mu] for mu in range(4))},
+        "h_b_transport": _stacked(
+            [transport[mu] * 1j - commutator(ih_lower[mu], ih) * m4 for mu in range(4)], x
+        ),
+        "h_conservation": _total(transport[mu, mu] for mu in range(4)),
     }
     return _aggregate(components, x)
 
 
-def bianchi_current_check(a_fields, points) -> dict[str, np.ndarray]:
-    """Conservation of the current induced by a gauge potential.
+def bianchi_current_check(a: CliffordField, points) -> dict[str, np.ndarray]:
+    """Conservation of the current induced by a gauge potential A_mu.
 
     F is defined from the potential by its curvature equation, the current
     by i J^nu = d_mu F^{mu nu} - [A_mu, F^{mu nu}]; antisymmetry of F then
     forces  d_nu J^nu - [A_nu, J^nu] = 0, which is evaluated here.  F and J
-    are built as field trees, since J is differentiated once more.
+    are field trees, one per component: J^nu is differentiated along nu
+    alone and F^{mu nu} along mu alone, where a family would form all.
     """
-    f_fields: list[list[CliffordField]] = [[ZERO_FIELD] * 4 for _ in range(4)]
-    for mu in range(4):
-        for nu in range(4):
-            if mu == nu:
-                continue
-            f_fields[mu][nu] = SumField(
-                (
-                    (1, a_fields[nu].partial(mu)),
-                    (-1, a_fields[mu].partial(nu)),
-                    (-1, commutator(a_fields[mu], a_fields[nu])),
-                )
-            )
 
-    current = []
-    for nu in range(4):
-        terms = []
-        for mu in range(4):
-            up = (METRIC_DIAG[mu] * METRIC_DIAG[nu]) * f_fields[mu][nu]
-            terms.append((1, up.partial(mu)))
-            terms.append((-1, commutator(a_fields[mu], up)))
-        current.append(SumField(terms))
+    def up(mu, nu):  # F^{mu nu}
+        if mu == nu:
+            return ZERO_FIELD
+        f = (a[nu].partial(mu), a[mu].partial(nu), commutator(a[mu], a[nu]))
+        return (METRIC_DIAG[mu] * METRIC_DIAG[nu]) * SumField(zip((1, -1, -1), f))
+
+    def current(nu):  # i J^nu, its eight terms added in the order of mu
+        ups = [(mu, up(mu, nu)) for mu in range(4)]
+        return SumField(t for m, u in ups for t in ((1, u.partial(m)), (-1, commutator(a[m], u))))
 
     x = _as_points(points)
-    av = _values(a_fields, x)
-    total = _total(_covariant(x, av, nu, current[nu]) for nu in range(4))
-    return _aggregate({"current_conservation": {(): total}}, x)
+    av = a.value(x)
+    js = [current(nu) for nu in range(4)]
+    total = _total(_partial(j, x, n) - commutator(av[n], j.value(x)) for n, j in enumerate(js))
+    return _aggregate({"current_conservation": total}, x)
 
 
 def convergence_slope(

@@ -42,12 +42,12 @@ from .algebra import (
     random_element,
 )
 from .fields import (
-    ZERO_FIELD,
     CliffordField,
     ConstantField,
     FieldFamily,
     MappedField,
     ProductField,
+    StackField,
     TwoYangMillsFieldSet,
     _aggregate,
     _as_points,
@@ -88,17 +88,10 @@ def _gauge_action(u, uinv, pot, strength):
 
     A constant field U (the J twist) has d_mu U = 0 and no such term.
     """
-
-    def potential(mu):
-        gauged = _conjugate_by(uinv, pot[mu], u)
-        du = u.partial(mu)
-        return gauged if du is ZERO_FIELD else gauged - ProductField(uinv, du)
-
-    p = tuple(potential(mu) for mu in range(4))
-    x = tuple(
-        tuple(_conjugate_by(uinv, strength[mu][nu], u) for nu in range(4)) for mu in range(4)
-    )
-    return p, x
+    gauged = _conjugate_by(uinv, pot, u)
+    if not isinstance(u, ConstantField):
+        gauged = gauged - ProductField(uinv, StackField(u.partial(mu) for mu in range(4)))
+    return gauged, StackField(_conjugate_by(uinv, row, u) for row in strength)
 
 
 # -- the three steps -------------------------------------------------------------
@@ -117,11 +110,11 @@ class _Conjugation:
             fs,
             t=_conj_idempotent(fs.t),
             phi=conj(fs.phi),
-            h=tuple(-conj(h) for h in fs.h),
-            a=tuple(conj(a) for a in fs.a),
-            f=tuple(tuple(conj(f) for f in row) for row in fs.f),
-            b=tuple(conj(b) for b in fs.b),
-            g=tuple(tuple(conj(g) for g in row) for row in fs.g),
+            h=-conj(fs.h),
+            a=conj(fs.a),
+            f=StackField(map(conj, fs.f)),
+            b=conj(fs.b),
+            g=StackField(map(conj, fs.g)),
         )
 
     def law(self, equation: str, r: CliffordElement, x) -> CliffordElement:
@@ -166,7 +159,7 @@ class _Symplectic:
 
     def apply(self, fs: TwoYangMillsFieldSet) -> TwoYangMillsFieldSet:
         b, g = _gauge_action(self.w, self.winv, fs.b, fs.g)
-        h = tuple(_conjugate_by(self.winv, h, self.w) for h in fs.h)
+        h = _conjugate_by(self.winv, fs.h, self.w)
         return replace(fs, phi=ProductField(self.winv, fs.phi), h=h, b=b, g=g)
 
     def law(self, equation: str, r: CliffordElement, x) -> CliffordElement:
@@ -269,11 +262,7 @@ def covariance_check(
         before = two_yang_mills_residual_components(fs, x)
     after = two_yang_mills_residual_components(apply_transformation(fs, spec), x)
     mismatch = {
-        eq: {
-            idx: after[eq][idx] - expected_residual_transform(spec, eq, r, x)
-            for idx, r in comps.items()
-        }
-        for eq, comps in before.items()
+        eq: after[eq] - expected_residual_transform(spec, eq, r, x) for eq, r in before.items()
     }
     return _aggregate(mismatch, x)
 
@@ -282,13 +271,15 @@ def covariance_check(
 
 
 def antisymmetrized_product(h_vals, indices: tuple[int, ...]) -> CliffordElement:
-    """h^{[mu1} ... h^{muk]} with 1/k! normalization; each ordering of the
-    index positions carries the sign of its inversion count."""
-    total = _total(
-        reduce(operator.mul, (h_vals[indices[p]] for p in perm))
-        * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
-        for perm in itertools.permutations(range(len(indices)))
-    )
+    """h^{[mu1} ... h^{muk]} with 1/k! normalization, for h_vals a sequence
+    or an index stack; an ordering of odd inversion count is negated."""
+
+    def signed(perm):
+        product = reduce(operator.mul, (h_vals[indices[p]] for p in perm))
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        return -product if odd else product
+
+    total = _total(signed(perm) for perm in itertools.permutations(range(len(indices))))
     # In float mode Fraction(1, k!) converts to 1.0 / k! bit for bit.
     return total * Fraction(1, math.factorial(len(indices)))
 

@@ -13,6 +13,7 @@ import pytest
 import cl13
 from cl13.algebra import (
     BLADE_LABELS,
+    BLADE_REPS,
     E,
     E0,
     E1,
@@ -286,6 +287,23 @@ def test_an_exact_operand_lifts_the_other_exactly(rng):
             mixed()
 
 
+def test_the_lift_has_the_float_matrix_entry_by_entry():
+    # Oracle: the exact matrix sum_A c_A rep(blade_A) of the lift's exact
+    # coefficients c_A, entry by entry against the float matrix.
+    support = {
+        (i, j): [(mask, RationalComplex.from_value(complex(r))) for mask, r in enumerate(BLADE_REPS[:, i, j]) if r]
+        for i in range(4)
+        for j in range(4)
+    }
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        u = random_element(rng)
+        coeffs = u.lift().coefficients()
+        for (i, j), entry in np.ndenumerate(gamma_rep(u)):
+            exact = sum((coeffs[mask] * r for mask, r in support[i, j]), RationalComplex(0))
+            assert exact == RationalComplex.from_value(complex(entry)), (i, j)
+
+
 def test_serialization_roundtrip(rng):
     u = random_element(rng)
     again = CliffordElement.from_json_obj(u.to_json_obj())
@@ -349,6 +367,14 @@ def test_matmul_of_a_stack_entry_equals_its_product_alone(rng, n):
     ]
     for stacked, alone in pairs:
         assert all(_same_bits(x, y) for x, y in zip(stacked, alone, strict=True))
+    # Index stacks with singleton axes broadcast, as in the (4, 4) bracket
+    # families: (4, 1, n) by (1, 4, n) operands.
+    rows = gamma_rep(CliffordElement(_random_coeffs(rng, 4 * n))).reshape(4, 1, n, 4, 4)
+    cols = gamma_rep(CliffordElement(_random_coeffs(rng, 4 * n))).reshape(1, 4, n, 4, 4)
+    broadcast = _matmul(rows, cols)
+    assert broadcast.shape == (4, 4, n, 4, 4)
+    for (mu, nu, i), _ in np.ndenumerate(broadcast[..., 0, 0]):
+        assert _same_bits(broadcast[mu, nu, i], _matmul(rows[mu, 0, i], cols[0, nu, i]))
 
 
 def test_matmul_reads_non_contiguous_operands_as_their_values(rng):

@@ -10,9 +10,9 @@ from cl13.algebra import (
     E,
     E0,
     GENERATORS,
-    METRIC_DIAG,
     CliffordElement,
     commutator,
+    stack,
 )
 from cl13.fields import (
     ConstantField,
@@ -20,6 +20,7 @@ from cl13.fields import (
     ModelFieldSet,
     PointSet,
     ShapeField,
+    StackField,
     SumField,
     TwoYangMillsFieldSet,
     bianchi_current_check,
@@ -152,7 +153,7 @@ def test_pure_gauge_empty_family(t2):
 
 def test_pure_gauge_h_properties(pure_gauge, points):
     for x in points:
-        h_vals = [f.value(x) for f in pure_gauge.h]
+        h_vals = pure_gauge.h.value(x)
         res = check_h_identities(h_vals)
         assert max(res.values()) <= 1e-10
         for mu in range(4):
@@ -161,13 +162,13 @@ def test_pure_gauge_h_properties(pure_gauge, points):
 
 
 def test_h_identities_exact_on_generators():
-    res = check_h_identities(list(GENERATORS))
+    res = check_h_identities(stack(GENERATORS))
     assert max(res.values()) == 0.0
 
 
 def test_h_identities_detector():
     # Doubling h^0 puts 8e - 2e on the (0,0) slot: residual exactly 6.
-    h_vals = [GENERATORS[0] * 2] + [GENERATORS[k] for k in (1, 2, 3)]
+    h_vals = stack([GENERATORS[0] * 2] + [GENERATORS[k] for k in (1, 2, 3)])
     res = check_h_identities(h_vals)
     assert abs(res["h_clifford"] - 6.0) <= 1e-12
 
@@ -186,7 +187,7 @@ def test_model_residuals_pure_gauge(pure_gauge, points):
 
 def test_model_residual_detector(pure_gauge, points):
     # Perturbing C_0 must wake up the transport equation.
-    bump = ConstantField(CliffordElement.from_blade("e12", 0.1))
+    bump = ConstantField(stack([CliffordElement.from_blade("e12", 0.1)] + [E * 0] * 3))
     perturbed = ModelFieldSet(
         mass=pure_gauge.mass,
         t=pure_gauge.t,
@@ -194,7 +195,7 @@ def test_model_residual_detector(pure_gauge, points):
         h=pure_gauge.h,
         a=pure_gauge.a,
         f=pure_gauge.f,
-        c=(pure_gauge.c[0] + bump,) + pure_gauge.c[1:],
+        c=pure_gauge.c + bump,
     )
     rec = model_residuals(perturbed, points[:4])
     assert np.max(rec["h_transport"]) >= 0.01
@@ -310,7 +311,8 @@ def test_fd_pass_differentiates_by_central_differences(reduced):
         - commutator(b[0].value(pts), b[1].value(pts))
         - g[0][1].value(pts)
     )
-    assert np.array_equal(gamma_rep(comps["curvature_b"][(0, 1)]), gamma_rep(want))
+    # The curvature runs over the pairs mu < nu, (0, 1) first.
+    assert np.array_equal(gamma_rep(comps["curvature_b"][0]), gamma_rep(want))
     exact = worst(two_yang_mills_residuals(reduced, pts).values())
     fd = worst(two_yang_mills_residuals(reduced, PointSet(pts, fd_step=step)).values())
     assert exact <= 1e-12 < fd <= 1e-5
@@ -336,12 +338,12 @@ def test_weighted_sum_equals_the_element_arithmetic():
 
 def test_bianchi_current_check_cases(t2):
     pts = sample_points(14, 4)
-    zero = (ConstantField(CliffordElement.zero()),) * 4
+    zero = StackField((ConstantField(CliffordElement.zero()),) * 4)
     rec = bianchi_current_check(zero, pts)
     assert worst(rec.values()) == 0.0
 
     basis = subspace_basis("L", t2).basis
-    const = tuple(ConstantField(basis[j % len(basis)] * 0.6) for j in range(4))
+    const = StackField(ConstantField(basis[j % len(basis)] * 0.6) for j in range(4))
     rec = bianchi_current_check(const, pts)
     assert worst(rec.values()) <= 1e-12
 
@@ -357,7 +359,7 @@ def test_bianchi_current_check_cases(t2):
             }
         )
         poly_fields.append(ShapeField(shape, basis[int(rng.integers(0, len(basis)))]))
-    rec = bianchi_current_check(tuple(poly_fields), pts)
+    rec = bianchi_current_check(StackField(poly_fields), pts)
     assert worst(rec.values()) <= 1e-8
 
 
@@ -379,10 +381,12 @@ def test_each_two_yang_mills_equation_detects_a_nonsolution(t2):
 
 
 def test_each_reduction_identity_detects_a_bumped_potential(reduced, points):
-    bump = ConstantField(CliffordElement.from_blade("e12", 0.1))
-    bumped = replace(reduced, b=(reduced.b[0] + bump,) + reduced.b[1:])
+    bump = ConstantField(stack([CliffordElement.from_blade("e12", 0.1)] + [E * 0] * 3))
+    bumped = replace(reduced, b=reduced.b + bump)
     rec = check_reduction_identities(bumped, points[:4])
-    assert set(rec) == {"h_b_transport", "b_curvature_consistency", "h_conservation"}
+    # The third identity, the curvature of B, is the two-Yang-Mills curvature equation.
+    assert set(rec) == {"h_b_transport", "h_conservation"}
+    rec["curvature_b"] = two_yang_mills_residuals(bumped, points[:4])["curvature_b"]
     for eq, res in rec.items():
         assert np.max(res) > 1e-2, eq
 
@@ -409,8 +413,9 @@ def test_pure_gauge_rejects_non_symplectic_generator(t2):
 def test_model_components_shape(pure_gauge, points):
     comps = model_residual_components(pure_gauge, points[0])
     assert set(comps) == {"dirac", "curvature_a", "source_a", "h_transport"}
-    assert len(comps["h_transport"]) == 16
-    assert len(comps["curvature_a"]) == 6
+    assert gamma_rep(comps["h_transport"]).shape == (4, 4, 4, 4)
+    assert gamma_rep(comps["curvature_a"]).shape == (6, 4, 4)
+    assert gamma_rep(comps["source_a"]).shape == (4, 4, 4)
 
 
 def test_point_set_values_equal_stacked_point_values(family, reduced, t2, points):
@@ -421,17 +426,16 @@ def test_point_set_values_equal_stacked_point_values(family, reduced, t2, points
     fs = random_two_yang_mills_set(31, t2, 1.0)
     batch = two_yang_mills_residual_components(fs, points)
     for i, x in enumerate(points):
-        for eq, comps in two_yang_mills_residual_components(fs, x).items():
-            for idx, r in comps.items():
-                got = np.broadcast_to(gamma_rep(batch[eq][idx]), (len(points), 4, 4))[i]
-                assert np.max(np.abs(got - gamma_rep(r))) <= 1e-12
+        for eq, r in two_yang_mills_residual_components(fs, x).items():
+            got = np.moveaxis(gamma_rep(batch[eq]), -3, 0)[i]  # the point axis is the last before the matrix
+            assert np.max(np.abs(got - gamma_rep(r))) <= 1e-12
 
 
 RESIDUAL_FUNCTIONS = {
     "model_residuals": lambda sets, x: model_residuals(sets[0], x),
     "two_yang_mills_residuals": lambda sets, x: two_yang_mills_residuals(sets[1], x),
     "two_yang_mills_residuals_nonsolution": lambda sets, x: two_yang_mills_residuals(sets[2], x),
-    "check_h_identities": lambda sets, x: check_h_identities([f.value(x) for f in sets[0].h]),
+    "check_h_identities": lambda sets, x: check_h_identities(sets[0].h.value(x)),
     "check_reduction_identities": lambda sets, x: check_reduction_identities(sets[1], x),
     "bianchi_current_check": lambda sets, x: bianchi_current_check(sets[2].a, x),
     "source_norm": lambda sets, x: {"source": source_norm(sets[1], x)},
@@ -472,12 +476,12 @@ def test_a_pass_forgets_a_node_once_the_node_is_gone(pure_gauge, t2, points, fd_
         model_residuals(pure_gauge, pts)
         # A first reduced set, let go at once, leaves the model set's
         # partials that it read (d_mu C_nu among them) in the pass.
-        check_reduction_identities(reduce_to_two_yang_mills(pure_gauge), pts)
+        two_yang_mills_residuals(reduce_to_two_yang_mills(pure_gauge), pts)
         passes = [p for p in (pts, pts.stencil) if p is not None]
         assert len(passes) == (1 if fd_step is None else 2)
         model = [dict(p.values) for p in passes]
         reduced = reduce_to_two_yang_mills(replace(pure_gauge, mass=2.0))
-        check_reduction_identities(reduced, pts)
+        two_yang_mills_residuals(reduced, pts)
         assert [p for p in (pts, pts.stencil) if p is not None] == passes
         assert all(len(p.values) > len(before) for p, before in zip(passes, model))
         del reduced
@@ -488,7 +492,7 @@ def test_a_pass_forgets_a_node_once_the_node_is_gone(pure_gauge, t2, points, fd_
         # partials among them, leave with the last set that holds them.
         other = build_pure_gauge(random_family(8), t2, 1.0)
         model_residuals(other, pts)
-        check_reduction_identities(reduce_to_two_yang_mills(other), pts)
+        two_yang_mills_residuals(reduce_to_two_yang_mills(other), pts)
         del other
         assert [set(p.values) for p in passes] == [set(before) for before in model]
     finally:
@@ -504,7 +508,7 @@ def test_each_mass_checked_in_the_family_pass_equals_a_fresh_pass(family, points
     fs = build_pure_gauge(family, fixed_idempotent(label), 1.0)
     pts = PointSet(points)
     model_residuals(fs, pts)
-    check_h_identities([f.value(pts) for f in fs.h])
+    check_h_identities(fs.h.value(pts))
     for m in (0.0, -2.0, 7.0):
         reduced = reduce_to_two_yang_mills(replace(fs, mass=m))
         for fn in (two_yang_mills_residuals, check_reduction_identities):
@@ -518,19 +522,11 @@ def test_each_mass_checked_in_the_family_pass_equals_a_fresh_pass(family, points
 def _reduce_with_fresh_brackets(fs: ModelFieldSet, m: float) -> TwoYangMillsFieldSet:
     """The reduced set of fs at mass m with i h_mu and [i h_mu, i h_nu]
     built for this mass alone."""
-    m4 = m / 4.0
-    ih_lower = tuple((1j * METRIC_DIAG[mu]) * fs.h[mu] for mu in range(4))
-    b = tuple(SumField(((1, fs.c[mu]), (-m4, ih_lower[mu]))) for mu in range(4))
-    g = tuple(
-        tuple(-(m4**2) * commutator(ih_lower[mu], ih_lower[nu]) for nu in range(4))
-        for mu in range(4)
-    )
-    return TwoYangMillsFieldSet(mass=m, t=fs.t, phi=fs.phi, h=fs.h, a=fs.a, f=fs.f, b=b, g=g)
+    return next(reductions(fs, (m,)))
 
 
 def _reduction_results(fs: TwoYangMillsFieldSet, pts) -> dict:
-    comps = two_yang_mills_residual_components(fs, pts)
-    out = {(eq, idx): gamma_rep(r) for eq, by_index in comps.items() for idx, r in by_index.items()}
+    out = {eq: gamma_rep(r) for eq, r in two_yang_mills_residual_components(fs, pts).items()}
     out.update(check_reduction_identities(fs, pts))
     out["source"] = source_norm(fs, pts)
     return out
@@ -548,7 +544,7 @@ def test_reductions_share_brackets_and_equal_a_fresh_reduction_per_mass(points, 
     for m, reduced in zip(masses, reductions(fs, masses), strict=True):
         assert reduced.mass == m
         oracle = _reduce_with_fresh_brackets(fs, m)
-        brackets.add(tuple(g.terms[0][1] for row in reduced.g for g in row))
+        brackets.add(tuple(row.terms[0][1] for row in reduced.g))
         for got, want in (
             (_reduction_results(reduced, shared), _reduction_results(oracle, shared_oracle)),
             (

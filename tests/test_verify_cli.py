@@ -14,6 +14,7 @@ from cl13.fields import (
     CliffordField,
     ExpField,
     FieldFamily,
+    MappedField,
     ProductField,
     ShapeField,
     SumField,
@@ -437,11 +438,12 @@ def test_a_reduction_report_evaluates_each_exponential_once(monkeypatch):
 
 
 def _bracket_evaluations(counts):
-    """The counts of the products of two i h_mu factors or of their
-    partials: the nodes of the brackets [i h_mu, i h_nu] and their partials."""
+    """The counts of the products of two maps of the i h_mu family (the
+    family i h_mu itself or a row of it) or of their partials: the products
+    in the bracket rows [i h_mu, i h_nu] and in their partials."""
 
     def ih(node):
-        return isinstance(node, SumField) and len(node.terms) == 1 and node.terms[0][0] in (1j, -1j)
+        return isinstance(node, MappedField)
 
     return {
         key: n
@@ -464,7 +466,7 @@ def test_a_reduction_report_evaluates_the_brackets_once_for_every_mass(monkeypat
 
     monkeypatch.setattr(CliffordElement, "__mul__", counted)
     run_scenario(ScenarioConfig(suite="reduction", seed=1, sample_count=128))
-    assert sum(counts.values()) <= 2566 and products[True] <= 3686
+    assert sum(counts.values()) <= 1666 and products[True] <= 1161
     brackets = _bracket_evaluations(counts)
     assert brackets and set(brackets.values()) == {1}
     counts.clear()
@@ -478,7 +480,7 @@ def test_a_convergence_report_evaluates_each_fd_pass_on_one_stencil(monkeypatch)
     classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
     counts = _count_evaluations(monkeypatch, classes)
     run_scenario(ScenarioConfig(suite="convergence", seed=1))
-    assert sum(counts.values()) <= 1472
+    assert sum(counts.values()) <= 1166
 
 
 def test_a_symmetries_report_evaluates_each_exponential_once_per_point_array(monkeypatch):

@@ -4,7 +4,7 @@
     python3 tools/scan_reports.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``cl13`` package
-(a checkout's ``src``).  Each tree runs the same 356 reports, in a
+(a checkout's ``src``).  Each tree runs the same 377 reports, in a
 subprocess of its own whose PYTHONPATH is that tree:
 
   * ``verify reduction`` at seeds 0-199 (20 points),
@@ -20,7 +20,11 @@ subprocess of its own whose PYTHONPATH is that tree:
   * ``verify convergence`` at seeds 0-19 (so 28 reports, the seven
     ``verify all`` ones among them, run a finite-difference pass),
   * ``verify reduction --sample-count 128 --m 0.5,1,2,4,8 --seed 3`` (five
-    masses sharing one family pass).
+    masses sharing one family pass),
+  * ``verify symmetries`` at seeds 0-19 (with the ``verify all`` reports
+    and the two above, 29 reports run the symmetries suite),
+  * ``verify reduction --seed 1 --m 100`` (which fails
+    ``two-yang-mills-residuals`` from round-off: the tolerance is absolute).
 
 The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
@@ -56,6 +60,8 @@ SCAN = (
     + [["convergence", "--grid-steps", "2e-2,1e-2,5e-3,2.5e-3", "--seed", "3"]]
     + [["convergence", "--seed", str(seed)] for seed in range(20)]
     + [["reduction", "--sample-count", "128", "--m", "0.5,1,2,4,8", "--seed", "3"]]
+    + [["symmetries", "--seed", str(seed)] for seed in range(20)]
+    + [["reduction", "--seed", "1", "--m", "100"]]
 )
 
 
