@@ -35,12 +35,12 @@ scale = worst(two_yang_mills_residuals(nonsolution, points).values())
 
 print(f"== residual transformation laws (non-solution residual scale {scale:.2f}) ==")
 # One pass for both field sets: each transformation's payload is evaluated
-# once there, and leaves the pass when the spec is let go.
+# once there, and the residual roots of each set once for all five specs.
 shared = PointSet(points)
-for k, kind in enumerate(TRANSFORM_KINDS):
-    spec = random_transformation(kind, 100 + k, t)
-    sol = covariance_check(solution, spec, shared)
-    rnd = covariance_check(nonsolution, spec, shared)
+specs = [random_transformation(kind, 100 + k, t) for k, kind in enumerate(TRANSFORM_KINDS)]
+on_solution = covariance_check(solution, specs, shared)
+on_nonsolution = covariance_check(nonsolution, specs, shared)
+for kind, sol, rnd in zip(TRANSFORM_KINDS, on_solution, on_nonsolution):
     print(
         f"{kind:18s} solution mismatch {worst(sol.values()):.2e}   "
         f"non-solution mismatch {worst(rnd.values()):.2e}"

@@ -73,6 +73,9 @@ _LABEL_TO_MASK = {label: mask for mask, label in enumerate(BLADE_LABELS)}
 GRADES = tuple(grade_of(mask) for mask in range(N_BLADES))
 # Reversion sign (-1)^{k(k-1)/2} per blade.
 REVERSION_SIGNS = tuple((-1) ** (GRADES[m] * (GRADES[m] - 1) // 2) for m in range(N_BLADES))
+# Hermitian conjugation sign per blade: beta B* beta is the reversion sign times
+# (-1)^s for s spatial indices, since e0 anticommutes with each of them.
+_HERM_SIGNS = tuple(REVERSION_SIGNS[m] * (-1) ** grade_of(m >> 1) for m in range(N_BLADES))
 
 
 def label_to_mask(label: str) -> int:
@@ -386,7 +389,9 @@ class CliffordElement:
     def herm_conj(self) -> "CliffordElement":
         """Hermitian conjugation U -> beta U* beta, beta = e0 (M^dagger)."""
         if self.exact:
-            return E0 * self.pseudo_conj() * E0
+            return CliffordElement._from_coeffs(
+                c.conjugate() * _HERM_SIGNS[m] for m, c in enumerate(self._coeffs)
+            )
         return CliffordElement._from_matrix(_dagger(self._mat))
 
     def conj(self) -> "CliffordElement":

@@ -7,9 +7,12 @@ A_mu, C_mu, B_mu and the strengths F_{mu nu}, G_{mu nu} covariant; raising
 is a metric sign per index.
 
 Fields are expression trees (:class:`CliffordField`) with exact partial
-derivatives built structurally.  Every first-order residual is evaluated
-over a :class:`PointSet`, which carries the derivative rule of its pass:
-exact partials, or central finite differences of step ``fd_step``.
+derivatives built structurally, and so is every residual: each equation is
+one root node over the field set's nodes, evaluated over a :class:`PointSet`
+and differentiated by the rule of its pass, exact partials or central
+finite differences of step ``fd_step``.  A known zero folds where it is
+built: the pure-gauge phi = A = F = 0 are ZERO_FIELD, and so is an equation
+made only of them, whose value is one zero element.
 Group-valued configurations come from ordered products of exponentials
 W(x) = prod_j exp(v_j s_j(x)) with shape functions s_j; the derivative of
 one factor is (d_mu s_j) v_j exp(v_j s_j) since v_j commutes with its own
@@ -53,6 +56,7 @@ from .algebra import (
     CliffordElement,
     commutator,
     exp_element,
+    random_element,
     stack,
 )
 from .exactnum import known_keys
@@ -71,6 +75,7 @@ _ZERO = CliffordElement.zero()
 _ETA = np.array(METRIC_DIAG, dtype=complex)  # a metric sign multiplies by a complex weight
 _PAIRS = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
 _ROWS, _COLS = map(list, zip(*_PAIRS))
+_UNIT_POWERS = [tuple(int(mu == axis) for mu in range(4)) for axis in range(4)]  # x^axis alone
 
 
 # -- differentiable Clifford-valued fields ------------------------------------
@@ -122,12 +127,6 @@ def _at_points(u: CliffordElement, rank: int) -> CliffordElement:
     return u[(Ellipsis,) + (None,) * rank + (slice(None),) * 2]
 
 
-def _stacked(values, points: PointSet) -> CliffordElement:
-    """The values stacked on a new leading axis, with point axes if none has."""
-    out = stack(values)
-    return _at_points(out, points.x.ndim - 1) if gamma_rep(out).ndim == 3 else out
-
-
 def _by_index(u: CliffordElement, weights: np.ndarray) -> CliffordElement:
     """u times weights[i] at each index i of its leading index axes."""
     return u * weights.reshape(weights.shape + (1,) * (gamma_rep(u).ndim - 2 - weights.ndim))
@@ -145,6 +144,11 @@ class CliffordField:
     (see ``PointSet``); ``f[key]`` is an index view (row mu, ``[:, None]``,
     ...), a ``MappedField`` that commutes with d_mu, and iteration yields rows.
 
+    A known zero folds where it is built: a product, map or bracket with a
+    ``ZERO_FIELD`` operand (one of its first ``_zero_operands`` arguments), a
+    sum with no nonzero term and a stack of zero rows are ``ZERO_FIELD``
+    itself, so no pass evaluates or differentiates them.
+
     Nodes form no reference cycle: a node holds its operands and its
     partials, and the nodes that a partial of theirs holds back (see
     ``ExpField``) hold their partials weakly.  So reference counting frees
@@ -153,9 +157,14 @@ class CliffordField:
     """
 
     __slots__ = ("_partials", "__weakref__")
+    _zero_operands = 0
 
-    def __init__(self):
-        self._partials: dict[int, CliffordField] = {}
+    def __new__(cls, *args):
+        if any(f is ZERO_FIELD for f in args[: cls._zero_operands]):
+            return ZERO_FIELD
+        node = super().__new__(cls)
+        node._partials = {}
+        return node
 
     def value(self, x) -> CliffordElement:
         points = _as_points(x)
@@ -206,7 +215,6 @@ class ConstantField(CliffordField):
     __slots__ = ("element",)
 
     def __init__(self, element: CliffordElement):
-        super().__init__()
         self.element = element.to_float()
 
     def value(self, x):
@@ -219,12 +227,15 @@ class ConstantField(CliffordField):
 
 
 class ShapeField(CliffordField):
-    """s(x) * u for a scalar shape s and constant element u."""
+    """s(x) * u for a scalar shape s and constant element u; ZERO_FIELD for a
+    shape bounded by 0, such as a derivative of a constant."""
 
     __slots__ = ("shape", "element")
 
+    def __new__(cls, shape: Shape, element: CliffordElement):
+        return ZERO_FIELD if shape.bound(0.0) == 0.0 else super().__new__(cls)
+
     def __init__(self, shape: Shape, element: CliffordElement):
-        super().__init__()
         self.shape = shape
         self.element = element.to_float()
 
@@ -238,18 +249,32 @@ class ShapeField(CliffordField):
 class SumField(CliffordField):
     """sum_k w_k f_k over (weight, field) terms, added left to right.
 
-    A weight of 1 is never multiplied, so an unweighted term keeps the
-    rounding of its field's value.
+    A term of weight 1 is added and one of weight -1 subtracted, so neither
+    is multiplied and each keeps the rounding of its field's value.  Zero
+    terms are dropped: a sum with none left is ``ZERO_FIELD``, and one
+    whose only term has weight 1 is that term's field.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        super().__init__()
-        self.terms = tuple((complex(w), f) for w, f in terms)
+    def __new__(cls, terms):
+        terms = tuple((complex(w), f) for w, f in terms if f is not ZERO_FIELD)
+        if not terms:
+            return ZERO_FIELD
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        node = super().__new__(cls)
+        node.terms = terms
+        return node
 
     def _evaluate(self, points):
-        return _total(f.value(points) if w == 1 else f.value(points) * w for w, f in self.terms)
+        (w, f), *rest = self.terms
+        total = f.value(points)
+        total = total if w == 1 else -total if w == -1 else total * w
+        for w, f in rest:
+            val = f.value(points)
+            total = total + val if w == 1 else total - val if w == -1 else total + val * w
+        return total
 
     def _differentiate(self, mu):
         return SumField((w, f.partial(mu)) for w, f in self.terms)
@@ -257,11 +282,10 @@ class SumField(CliffordField):
 
 class ProductField(CliffordField):
     __slots__ = ("left", "right")
+    _zero_operands = 2
 
     def __init__(self, left: CliffordField, right: CliffordField):
-        super().__init__()
-        self.left = left
-        self.right = right
+        self.left, self.right = left, right
 
     def _evaluate(self, points):
         return self.left.value(points) * self.right.value(points)
@@ -269,6 +293,22 @@ class ProductField(CliffordField):
     def _differentiate(self, mu):
         left, right = self.left, self.right
         return ProductField(left.partial(mu), right) + ProductField(left, right.partial(mu))
+
+
+class BracketField(CliffordField):
+    """[u, v]: ``commutator`` of the operand values, with the partial of the tree
+    u v - v u, so it rounds as those products would while a pass holds neither."""
+
+    __slots__ = ("left", "right")
+    _zero_operands = 2
+    __init__ = ProductField.__init__
+
+    def _evaluate(self, points):
+        return commutator(self.left.value(points), self.right.value(points))
+
+    def _differentiate(self, mu):
+        u, v, du, dv = self.left, self.right, self.left.partial(mu), self.right.partial(mu)
+        return (du * v + u * dv) - (dv * u + v * du)
 
 
 class ExpField(CliffordField):
@@ -283,7 +323,6 @@ class ExpField(CliffordField):
     __slots__ = ("generator", "shape")
 
     def __init__(self, generator: CliffordElement, shape: Shape):
-        super().__init__()
         self._partials = weakref.WeakValueDictionary()
         self.generator = generator.to_float()
         self.shape = shape
@@ -294,19 +333,19 @@ class ExpField(CliffordField):
     def _differentiate(self, mu):
         # v commutes with exp(v s), so d_mu exp(v s) = (d_mu s) v exp(v s).
         out = ProductField(ShapeField(self.shape.deriv(mu), self.generator), self)
-        out._partials = weakref.WeakValueDictionary()
+        if out is not ZERO_FIELD:
+            out._partials = weakref.WeakValueDictionary()
         return out
 
 
 class MappedField(CliffordField):
-    """op(f(x)) for a coefficient-wise op that commutes with d_mu."""
+    """op(f(x)) for a coefficient-wise linear op that commutes with d_mu."""
 
     __slots__ = ("inner", "op")
+    _zero_operands = 1
 
     def __init__(self, inner: CliffordField, op):
-        super().__init__()
-        self.inner = inner
-        self.op = op
+        self.inner, self.op = inner, op
 
     def _evaluate(self, points):
         return self.op(self.inner.value(points))
@@ -322,24 +361,41 @@ class StackField(CliffordField):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows):
-        super().__init__()
-        self.rows = tuple(rows)
+    def __new__(cls, rows):
+        rows = tuple(rows)
+        if all(f is ZERO_FIELD for f in rows):
+            return ZERO_FIELD
+        node = super().__new__(cls)
+        node.rows = rows
+        return node
 
     def __getitem__(self, key) -> CliffordField:
         return self.rows[key] if isinstance(key, int) else super().__getitem__(key)
 
     def value(self, x):
         points = _as_points(x)
-        return _stacked([f.value(points) for f in self.rows], points)
+        out = stack([f.value(points) for f in self.rows])
+        return _at_points(out, points.x.ndim - 1) if gamma_rep(out).ndim == 3 else out
 
     def _differentiate(self, mu):
         return StackField(f.partial(mu) for f in self.rows)
 
 
+class DifferenceField(CliffordField):
+    """d_mu f by ``fd_derivative`` at the ``fd_step`` of its pass: the derivative
+    rule of a finite-difference pass, and the one node that reads the step."""
+
+    __slots__ = ("inner", "mu")
+    _zero_operands = 1
+
+    def __init__(self, inner: CliffordField, mu: int):
+        self.inner, self.mu = inner, mu
+
+    def _evaluate(self, points):
+        return fd_derivative(self.inner.value, points, self.mu, points.fd_step)
+
+
 ZERO_FIELD = ConstantField(_ZERO)
-_ZERO_POTENTIAL = StackField((ZERO_FIELD,) * 4)
-_ZERO_STRENGTH = StackField((_ZERO_POTENTIAL,) * 4)
 
 
 def _total(terms) -> CliffordElement:
@@ -453,11 +509,7 @@ def random_family(seed: int, n_factors: int = 2, scale: float = 0.5) -> FieldFam
                 float(rng.uniform(0.0, 2.0)),
             )
         else:
-            terms = {}
-            for axis in range(4):
-                powers = [0, 0, 0, 0]
-                powers[axis] = 1
-                terms[tuple(powers)] = float(rng.uniform(-1.0, 1.0))
+            terms = {p: float(rng.uniform(-1.0, 1.0)) for p in _UNIT_POWERS}
             terms[(0, 0, 0, 0)] = float(rng.uniform(-0.5, 0.5))
             terms[(1, 1, 0, 0)] = float(rng.uniform(-0.5, 0.5))
             shape = PolyShape(terms)
@@ -473,10 +525,7 @@ def sample_points(seed: int, count: int = 20) -> np.ndarray:
 
 def _random_poly(rng: np.random.Generator, scale: float = 1.0) -> PolyShape:
     terms = {(0, 0, 0, 0): float(rng.uniform(-scale, scale))}
-    for axis in range(4):
-        powers = [0, 0, 0, 0]
-        powers[axis] = 1
-        terms[tuple(powers)] = float(rng.uniform(-scale, scale))
+    terms.update((p, float(rng.uniform(-scale, scale))) for p in _UNIT_POWERS)
     terms[(0, 1, 0, 1)] = float(rng.uniform(-scale, scale))
     return PolyShape(terms)
 
@@ -519,17 +568,6 @@ class TwoYangMillsFieldSet:
     g: CliffordField
 
 
-def antisymmetric_pair_fields(components) -> CliffordField:
-    """The lower-index antisymmetric (4, 4) family from {(mu,nu): field}, mu<nu."""
-    grid: list[list[CliffordField]] = [[ZERO_FIELD] * 4 for _ in range(4)]
-    for (mu, nu), fld in components.items():
-        if mu == nu:
-            raise ValueError("diagonal strength components must vanish")
-        grid[mu][nu] = fld
-        grid[nu][mu] = -fld
-    return StackField(StackField(row) for row in grid)
-
-
 def build_pure_gauge(family: FieldFamily, t: HermitianIdempotent, mass: float) -> ModelFieldSet:
     """Pure-gauge solution of the model system.
 
@@ -543,9 +581,8 @@ def build_pure_gauge(family: FieldFamily, t: HermitianIdempotent, mass: float) -
     winv = family.inverse_field()
     h = ProductField(ProductField(winv, ConstantField(stack(GENERATORS))), w)
     c = StackField(-ProductField(winv, w.partial(mu)) for mu in range(4))
-    return ModelFieldSet(
-        mass=float(mass), t=t, phi=ZERO_FIELD, h=h, a=_ZERO_POTENTIAL, f=_ZERO_STRENGTH, c=c
-    )
+    zero = ZERO_FIELD
+    return ModelFieldSet(mass=float(mass), t=t, phi=zero, h=h, a=zero, f=zero, c=c)
 
 
 def random_two_yang_mills_set(seed: int, t: HermitianIdempotent, mass: float) -> TwoYangMillsFieldSet:
@@ -558,23 +595,15 @@ def random_two_yang_mills_set(seed: int, t: HermitianIdempotent, mass: float) ->
     rng = np.random.default_rng(seed)
     base = build_pure_gauge(random_family(seed + 17), t, mass)
 
-    t_elem = t.element.to_float()
-    phi_span = []
-    for _ in range(3):
-        u = CliffordElement(
-            rng.uniform(-0.7, 0.7, 16) + 1j * rng.uniform(-0.7, 0.7, 16)
-        )
-        phi_span.append(u * t_elem)
+    phi_span = [random_element(rng, 0.7) * t.element.to_float() for _ in range(3)]
     phi = SumField((1, ShapeField(_random_poly(rng, 0.7), u)) for u in phi_span)
 
     l_basis, sp_basis = subspace_basis("L", t).basis, subspace_basis("sp_cl").basis
     a = StackField(_random_span_field(rng, l_basis) for _ in range(4))
-    f = antisymmetric_pair_fields({p: _random_span_field(rng, l_basis) for p in _PAIRS})
+    f = MappedField(StackField(_random_span_field(rng, l_basis) for _ in _PAIRS), _antisymmetric)
     b = StackField(_random_span_field(rng, sp_basis) for _ in range(4))
-    g = antisymmetric_pair_fields({p: _random_span_field(rng, sp_basis) for p in _PAIRS})
-    return TwoYangMillsFieldSet(
-        mass=float(mass), t=t, phi=phi, h=base.h, a=a, f=f, b=b, g=g
-    )
+    g = MappedField(StackField(_random_span_field(rng, sp_basis) for _ in _PAIRS), _antisymmetric)
+    return TwoYangMillsFieldSet(mass=float(mass), t=t, phi=phi, h=base.h, a=a, f=f, b=b, g=g)
 
 
 def reductions(fs: ModelFieldSet, masses):
@@ -586,7 +615,7 @@ def reductions(fs: ModelFieldSet, masses):
     generator or one of those sets, and a pass keeps their values as long.
     """
     ih_lower = MappedField(fs.h, partial(_by_index, weights=1j * _ETA))
-    brackets = [commutator(ih_lower[mu], ih_lower) for mu in range(4)]
+    brackets = [BracketField(ih_lower[mu], ih_lower) for mu in range(4)]
     for m in masses:
         m4 = m / 4.0
         b = StackField(SumField(((1, fs.c[mu]), (-m4, ih_lower[mu]))) for mu in range(4))
@@ -601,87 +630,109 @@ def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
 
 # -- residual evaluation ---------------------------------------------------------
 #
-# Every residual is built from three covariant operators of a potential P,
-# evaluated over a PointSet x at once and differentiated by its rule: the
-# curvature, the covariant derivative and the metric-signed divergence.
-# ``pv`` holds the value of P.  A sum over an index is folded left to right.
+# Every residual is one root node built from three covariant operators of a
+# potential P and the derivative rule ``d`` of its pass (``_derivative``):
+# the curvature, the covariant derivative and the metric-signed divergence,
+# each commutator one BracketField.  A residual function builds the roots of
+# its equations one at a time, evaluates each and lets it go, so a root's own
+# nodes leave the pass with it while the field set's nodes stay; a root whose
+# terms all fold is ZERO_FIELD.  A sum over an index is folded left to right.
+
+_RAISE = np.outer(_ETA, METRIC_DIAG)  # eta^{mu mu} eta^{nu nu} raises both indices of X_{mu nu}
+# Where X_{mu nu} of an antisymmetric family sits in the stack [u, -u, 0] of
+# its pair rows u (row k at _PAIRS[k]): side 0, 1 or 2 and row k.
+_SIDE, _ROW = np.full((4, 4), 2), np.zeros((4, 4), dtype=int)
+_SIDE[_ROWS, _COLS], _SIDE[_COLS, _ROWS] = 0, 1
+_ROW[_ROWS, _COLS] = _ROW[_COLS, _ROWS] = range(6)
 
 
-def _partial(f: CliffordField, x: PointSet, mu: int) -> CliffordElement:
-    """d_mu f over the points, by the derivative rule of their pass."""
-    if x.fd_step is None:
-        return f.partial(mu).value(x)
-    return fd_derivative(f.value, x, mu, x.fd_step)
+def _index_sum(u: CliffordElement) -> CliffordElement:
+    """sum_mu u[mu] over the leading index axis."""
+    return _total(u[mu] for mu in range(4))
 
 
-def _curvature(x, pot, pv) -> CliffordElement:
-    """d_mu P_nu - d_nu P_mu - [P_mu, P_nu] over the pairs mu < nu (12 partials read)."""
-    d1 = _stacked([_partial(pot[nu], x, mu) for mu, nu in _PAIRS], x)
-    d2 = _stacked([_partial(pot[mu], x, nu) for mu, nu in _PAIRS], x)
-    return d1 - d2 - commutator(pv[_ROWS], pv[_COLS])
+def _antisymmetric(u: CliffordElement) -> CliffordElement:
+    """The (4, 4) antisymmetric family whose pair rows are u."""
+    return stack([u, -u, _ZERO])[_SIDE, _ROW]
 
 
-def _covariant(x, pv, f) -> CliffordElement:
-    """d_mu f^nu - [P_mu, f^nu] over (mu, nu) for a (4,) family f, row by row."""
-    fv = f.value(x)
-    return _stacked([_partial(f, x, mu) - commutator(pv[mu], fv) for mu in range(4)], x)
+def _derivative(x: PointSet):
+    """The derivative rule of the pass x, (f, mu) -> the node d_mu f."""
+    return CliffordField.partial if x.fd_step is None else DifferenceField
 
 
-def _divergence(x, pv, strength) -> CliffordElement:
+def _curvature(pot, d) -> CliffordField:
+    """d_mu P_nu - d_nu P_mu - [P_mu, P_nu] over the pairs mu < nu."""
+    p = list(pot)
+    d1 = StackField(d(p[nu], mu) for mu, nu in _PAIRS)
+    d2 = StackField(d(p[mu], nu) for mu, nu in _PAIRS)
+    return SumField(((1, d1), (-1, d2), (-1, BracketField(pot[_ROWS], pot[_COLS]))))
+
+
+def _transport(pot, f, d) -> CliffordField:
+    """d_mu f^nu - [P_mu, f^nu] over (mu, nu) for a (4,) family f."""
+    return StackField(d(f, mu) for mu in range(4)) - BracketField(pot[:, None], f)
+
+
+def _row_sum(pot, family, d, total) -> CliffordField:
+    """total, over mu, of d_mu R_mu - [P_mu, R_mu] for the rows R_mu of a
+    family; ``pot`` holds each P_mu broadcast against its row."""
+    dr = StackField(d(r, mu) for mu, r in enumerate(family))
+    return MappedField(dr - BracketField(pot, family), total)
+
+
+def _divergence(pot, strength, d) -> CliffordField:
     """d_mu X^{mu nu} - [P_mu, X^{mu nu}] over nu for a lower-index strength X_{mu nu}."""
-    return _total(
-        _by_index(_partial(row, x, mu) - commutator(pv[mu], row.value(x)), _ETA * METRIC_DIAG[mu])
-        for mu, row in enumerate(strength)
-    )
+    return _row_sum(pot[:, None], strength, d, lambda u: _index_sum(_by_index(u, _RAISE)))
 
 
-def _yang_mills_pair(x, pot, strength, rhs):
-    """Curvature and sourced divergence residuals of one potential/strength pair."""
-    pv = pot.value(x)
-    curvature = _curvature(x, pot, pv) - _stacked([strength[m].value(x)[n] for m, n in _PAIRS], x)
-    return curvature, _divergence(x, pv, strength) - rhs
+def _yang_mills_pair(name, pot, strength, rhs, d):
+    """The curvature and sourced divergence residuals of one potential/strength pair."""
+    yield "curvature_" + name, _curvature(pot, d) - strength[_ROWS, _COLS]
+    yield "source_" + name, _divergence(pot, strength, d) - rhs
 
 
-def _dirac(fs, x, hv, pv) -> CliffordElement:
+def _dirac(fs, pot, d) -> CliffordField:
     """i h^mu (d_mu phi + phi A_mu - P_mu phi), summed over mu."""
-    phi = fs.phi.value(x)
-    dphi = _stacked([_partial(fs.phi, x, mu) for mu in range(4)], x)
-    terms = (hv * 1j) * (dphi + phi * fs.a.value(x) - pv * phi)
-    return _total(terms[mu] for mu in range(4))
+    dphi = StackField(d(fs.phi, mu) for mu in range(4))
+    terms = SumField(((1, dphi), (1, ProductField(fs.phi, fs.a)), (-1, ProductField(pot, fs.phi))))
+    return MappedField(ProductField(1j * fs.h, terms), _index_sum)
 
 
-def current_vector(phi: CliffordElement, h: CliffordElement) -> CliffordElement:
-    """i J^mu = phi^dag beta i h^mu phi for the value h of h^mu, index mu first."""
-    return phi.herm_conj() * BETA * (h * 1j) * phi
+def current_vector(phi: CliffordField, h: CliffordField) -> CliffordField:
+    """i J^mu = phi^dag beta i h^mu phi, a family of index mu, for fields phi and h^mu."""
+    conj = MappedField(phi, operator.methodcaller("herm_conj"))
+    return ProductField(ProductField(ProductField(conj, ConstantField(BETA)), 1j * h), phi)
+
+
+def _model_equations(fs: ModelFieldSet, x: PointSet):
+    d = _derivative(x)
+    yield "dirac", _dirac(fs, fs.c, d) - fs.mass * fs.phi
+    yield from _yang_mills_pair("a", fs.a, fs.f, current_vector(fs.phi, fs.h), d)
+    yield "h_transport", _transport(fs.c, fs.h, d)
+
+
+def two_yang_mills_equations(fs: TwoYangMillsFieldSet, x: PointSet):
+    """Yield (equation, residual root) in turn, differentiated by the rule
+    of the pass x; each root is built when the previous one is let go."""
+    d = _derivative(x)
+    yield "dirac", _dirac(fs, fs.b, d)
+    yield from _yang_mills_pair("a", fs.a, fs.f, current_vector(fs.phi, fs.h), d)
+    m3 = SOURCE_COUPLING * fs.mass**3
+    yield from _yang_mills_pair("b", fs.b, fs.g, (1j * m3) * fs.h, d)
 
 
 def model_residual_components(fs: ModelFieldSet, x) -> dict[str, CliffordElement]:
-    """Per equation, one stacked element: index shape (), (6,) pairs, (4,) or (4, 4)."""
+    """Per equation, one stacked element: index shape (), (6,) pairs, (4,) or
+    (4, 4), or one zero element for an equation that folds to ZERO_FIELD."""
     x = _as_points(x)
-    hv, cv, phi = fs.h.value(x), fs.c.value(x), fs.phi.value(x)
-    curvature_a, source_a = _yang_mills_pair(x, fs.a, fs.f, current_vector(phi, hv))
-    return {
-        "dirac": _dirac(fs, x, hv, cv) - phi * fs.mass,
-        "curvature_a": curvature_a,
-        "source_a": source_a,
-        "h_transport": _covariant(x, cv, fs.h),
-    }
+    return {eq: root.value(x) for eq, root in _model_equations(fs, x)}
 
 
 def two_yang_mills_residual_components(fs: TwoYangMillsFieldSet, x) -> dict[str, CliffordElement]:
     """Per equation, its residual as one stacked element (see ``model_residual_components``)."""
     x = _as_points(x)
-    hv, phi = fs.h.value(x), fs.phi.value(x)
-    m3 = SOURCE_COUPLING * fs.mass**3
-    curvature_a, source_a = _yang_mills_pair(x, fs.a, fs.f, current_vector(phi, hv))
-    curvature_b, source_b = _yang_mills_pair(x, fs.b, fs.g, hv * (1j * m3))
-    return {
-        "dirac": _dirac(fs, x, hv, fs.b.value(x)),
-        "curvature_a": curvature_a,
-        "source_a": source_a,
-        "curvature_b": curvature_b,
-        "source_b": source_b,
-    }
+    return {eq: root.value(x) for eq, root in two_yang_mills_equations(fs, x)}
 
 
 def worst(residuals) -> float:
@@ -693,24 +744,21 @@ def worst(residuals) -> float:
     return float(np.max([np.max(r) for r in residuals]))
 
 
-def _aggregate(components, points: PointSet) -> dict[str, np.ndarray]:
-    """Per equation, the largest norm over the index axes at each point."""
+def _peak(r: CliffordElement, points: PointSet) -> np.ndarray:
+    """The largest norm of r over its index axes at each point."""
     shape = points.x.shape[:-1]
-    out = {}
-    for eq, r in components.items():
-        norm = r.norm()
-        out[eq] = np.broadcast_to(np.max(norm, axis=tuple(range(norm.ndim - len(shape)))), shape)
-    return out
+    norm = r.norm()
+    return np.broadcast_to(np.max(norm, axis=tuple(range(norm.ndim - len(shape)))), shape)
 
 
 def model_residuals(fs: ModelFieldSet, points) -> dict[str, np.ndarray]:
-    points = _as_points(points)
-    return _aggregate(model_residual_components(fs, points), points)
+    x = _as_points(points)
+    return {eq: _peak(r, x) for eq, r in model_residual_components(fs, x).items()}
 
 
 def two_yang_mills_residuals(fs: TwoYangMillsFieldSet, points) -> dict[str, np.ndarray]:
-    points = _as_points(points)
-    return _aggregate(two_yang_mills_residual_components(fs, points), points)
+    x = _as_points(points)
+    return {eq: _peak(r, x) for eq, r in two_yang_mills_residual_components(fs, x).items()}
 
 
 def source_norm(fs: TwoYangMillsFieldSet, points) -> np.ndarray:
@@ -718,7 +766,7 @@ def source_norm(fs: TwoYangMillsFieldSet, points) -> np.ndarray:
     right-hand side at each point: nonzero certifies the source is there."""
     points = _as_points(points)
     m3 = SOURCE_COUPLING * abs(fs.mass) ** 3
-    return _aggregate({"source": fs.h.value(points) * (1j * m3)}, points)["source"]
+    return _peak(fs.h.value(points) * (1j * m3), points)
 
 
 # -- identity checks --------------------------------------------------------------
@@ -742,20 +790,23 @@ def check_h_identities(h: CliffordElement) -> dict[str, np.ndarray]:
     clifford = np.max((hh + hh_swapped - rhs).norm(), axis=(0, 1))
 
     h_lower = _by_index(h, _ETA)
-    squares = h * h_lower
-    contraction = _total(squares[mu] for mu in range(4))
-    contraction_res = (contraction * Fraction(1, 4) - E).norm()
+    contraction = (_index_sum(h * h_lower) * Fraction(1, 4) - E).norm()
 
     sides = (hh * h_lower[:, None], h_lower[:, None] * h[None, :] * h[:, None])
-    sandwich = np.max(
-        [(_total(side[mu] for mu in range(4)) - h * (-2)).norm() for side in sides], axis=(0, 1)
-    )
+    sandwich = np.max([(_index_sum(side) - h * (-2)).norm() for side in sides], axis=(0, 1))
 
     return {
         "h_clifford": clifford,
-        "h_contraction": contraction_res,
+        "h_contraction": contraction,
         "h_sandwich": sandwich,
     }
+
+
+def _reduction_identities(fs: TwoYangMillsFieldSet, x: PointSet):
+    d, ih = _derivative(x), 1j * fs.h
+    bracket = BracketField(MappedField(ih, partial(_by_index, weights=_ETA))[:, None], ih)
+    yield "h_b_transport", SumField(((1j, _transport(fs.b, fs.h, d)), (-fs.mass / 4.0, bracket)))
+    yield "h_conservation", _row_sum(fs.b, fs.h, d, _index_sum)
 
 
 def check_reduction_identities(fs: TwoYangMillsFieldSet, points) -> dict[str, np.ndarray]:
@@ -767,45 +818,23 @@ def check_reduction_identities(fs: TwoYangMillsFieldSet, points) -> dict[str, np
     The third, d_mu B_nu - d_nu B_mu - [B_mu, B_nu] = -(m/4)^2 [i h_mu, i h_nu],
     is the curvature equation of B in ``two_yang_mills_residuals``.
     """
-    m4 = fs.mass / 4.0
     x = _as_points(points)
-    ih = fs.h.value(x) * 1j
-    ih_lower = _by_index(ih, _ETA)
-    transport = _covariant(x, fs.b.value(x), fs.h)
-    components = {
-        "h_b_transport": _stacked(
-            [transport[mu] * 1j - commutator(ih_lower[mu], ih) * m4 for mu in range(4)], x
-        ),
-        "h_conservation": _total(transport[mu, mu] for mu in range(4)),
-    }
-    return _aggregate(components, x)
+    return {eq: _peak(root.value(x), x) for eq, root in _reduction_identities(fs, x)}
 
 
 def bianchi_current_check(a: CliffordField, points) -> dict[str, np.ndarray]:
     """Conservation of the current induced by a gauge potential A_mu.
 
-    F is defined from the potential by its curvature equation, the current
-    by i J^nu = d_mu F^{mu nu} - [A_mu, F^{mu nu}]; antisymmetry of F then
-    forces  d_nu J^nu - [A_nu, J^nu] = 0, which is evaluated here.  F and J
-    are field trees, one per component: J^nu is differentiated along nu
-    alone and F^{mu nu} along mu alone, where a family would form all.
+    F is the curvature of the potential, the current i J^nu its divergence
+    d_mu F^{mu nu} - [A_mu, F^{mu nu}]; antisymmetry of F then forces
+    d_nu J^nu - [A_nu, J^nu] = 0, which is evaluated here.  F and J are
+    differentiated structurally, the conservation sum by the rule of the pass.
     """
-
-    def up(mu, nu):  # F^{mu nu}
-        if mu == nu:
-            return ZERO_FIELD
-        f = (a[nu].partial(mu), a[mu].partial(nu), commutator(a[mu], a[nu]))
-        return (METRIC_DIAG[mu] * METRIC_DIAG[nu]) * SumField(zip((1, -1, -1), f))
-
-    def current(nu):  # i J^nu, its eight terms added in the order of mu
-        ups = [(mu, up(mu, nu)) for mu in range(4)]
-        return SumField(t for m, u in ups for t in ((1, u.partial(m)), (-1, commutator(a[m], u))))
-
     x = _as_points(points)
-    av = a.value(x)
-    js = [current(nu) for nu in range(4)]
-    total = _total(_partial(j, x, n) - commutator(av[n], j.value(x)) for n, j in enumerate(js))
-    return _aggregate({"current_conservation": total}, x)
+    f = MappedField(_curvature(a, CliffordField.partial), _antisymmetric)
+    j = _divergence(a, f, CliffordField.partial)
+    conservation = _row_sum(a, j, _derivative(x), _index_sum)
+    return {"current_conservation": _peak(conservation.value(x), x)}
 
 
 def convergence_slope(
@@ -818,6 +847,9 @@ def convergence_slope(
     Central differences carry an O(step^2) error, so a reduced pure-gauge
     set should measure a slope near 2.
     """
+    # Each step opens a pass of its own, base values included: a value map
+    # shared across FD passes would hand one step's central-difference nodes
+    # to another, since they are keyed by node and not by step.
     residuals = [
         worst(two_yang_mills_residuals(fs, PointSet(points, fd_step=h)).values()) for h in steps
     ]

@@ -49,11 +49,11 @@ from .fields import (
     ProductField,
     StackField,
     TwoYangMillsFieldSet,
-    _aggregate,
     _as_points,
+    _peak,
     _total,
     random_family,
-    two_yang_mills_residual_components,
+    two_yang_mills_equations,
 )
 from .rep import inverse
 from .shapes import PolyShape, constant_shape
@@ -86,18 +86,16 @@ def _conjugate_by(uinv: CliffordField, f: CliffordField, u: CliffordField) -> Cl
 def _gauge_action(u, uinv, pot, strength):
     """P_mu -> U^{-1} P_mu U - U^{-1} d_mu U and X_{mu nu} -> U^{-1} X_{mu nu} U.
 
-    A constant field U (the J twist) has d_mu U = 0 and no such term.
+    A constant U (the J twist) has d_mu U = ZERO_FIELD, so its term folds away.
     """
-    gauged = _conjugate_by(uinv, pot, u)
-    if not isinstance(u, ConstantField):
-        gauged = gauged - ProductField(uinv, StackField(u.partial(mu) for mu in range(4)))
+    gauged = _conjugate_by(uinv, pot, u) - uinv * StackField(u.partial(mu) for mu in range(4))
     return gauged, StackField(_conjugate_by(uinv, row, u) for row in strength)
 
 
 # -- the three steps -------------------------------------------------------------
 #
 # Each step states its action on the field set (``apply``) and the law by
-# which it moves the residual of one equation at the points x (``law``).
+# which it moves the residual root of one equation (``law``), a node.
 
 
 class _Conjugation:
@@ -117,8 +115,8 @@ class _Conjugation:
             g=StackField(map(conj, fs.g)),
         )
 
-    def law(self, equation: str, r: CliffordElement, x) -> CliffordElement:
-        return r.conj()
+    def law(self, equation: str, r: CliffordField) -> CliffordField:
+        return _conj_field(r)
 
 
 _CONJUGATION = _Conjugation()
@@ -139,11 +137,11 @@ class _Unitary:
         a, f = _gauge_action(self.u, self.uinv, fs.a, fs.f)
         return replace(fs, t=self.t_law(fs.t), phi=ProductField(fs.phi, self.u), a=a, f=f)
 
-    def law(self, equation: str, r: CliffordElement, x) -> CliffordElement:
+    def law(self, equation: str, r: CliffordField) -> CliffordField:
         if equation == "dirac":
-            return r * self.u.value(x)
+            return ProductField(r, self.u)
         if equation in ("curvature_a", "source_a"):
-            return self.uinv.value(x) * r * self.u.value(x)
+            return _conjugate_by(self.uinv, r, self.u)
         return r
 
 
@@ -162,11 +160,11 @@ class _Symplectic:
         h = _conjugate_by(self.winv, fs.h, self.w)
         return replace(fs, phi=ProductField(self.winv, fs.phi), h=h, b=b, g=g)
 
-    def law(self, equation: str, r: CliffordElement, x) -> CliffordElement:
+    def law(self, equation: str, r: CliffordField) -> CliffordField:
         if equation == "dirac":
-            return self.winv.value(x) * r
+            return ProductField(self.winv, r)
         if equation in ("curvature_b", "source_b"):
-            return self.winv.value(x) * r * self.w.value(x)
+            return _conjugate_by(self.winv, r, self.w)
         return r
 
 
@@ -239,32 +237,25 @@ def apply_transformation(
     return reduce(lambda out, step: step.apply(out), spec.steps, fs)
 
 
-def expected_residual_transform(
-    spec: TransformationSpec, equation: str, residual: CliffordElement, x
-) -> CliffordElement:
-    """How each equation's residual must transform: by the law of each step,
-    in order."""
-    return reduce(lambda r, step: step.law(equation, r, x), spec.steps, residual)
-
-
-def covariance_check(
-    fs: TwoYangMillsFieldSet, spec: TransformationSpec, points, before=None
-) -> dict[str, np.ndarray]:
-    """Certify the residual transformation law of one transformation: per
-    equation, |r_transformed - expected(r_original)| at each point.  A
-    caller that shares the pass ``points`` between field sets and specs
-    evaluates each node they share once there; the transformed set's own
-    nodes leave the pass when this returns.  ``before`` holds the residual
-    components of ``fs`` on ``points``, which do not depend on the spec: a
-    caller that checks several specs computes them once and passes them."""
+def covariance_check(fs: TwoYangMillsFieldSet, specs, points) -> list[dict[str, np.ndarray]]:
+    """Certify the residual transformation law of each transformation in
+    ``specs``: per spec and equation, |r_transformed - expected(r_original)|
+    at each point, where the expected root applies the law of each step of
+    the spec in order.  The residual roots of ``fs`` are built once for every
+    spec, so each is evaluated once in the pass ``points``; each
+    transformed set and its roots leave the pass after its spec.  A caller
+    that shares the pass between field sets evaluates each node they share
+    once there."""
     x = _as_points(points)
-    if before is None:
-        before = two_yang_mills_residual_components(fs, x)
-    after = two_yang_mills_residual_components(apply_transformation(fs, spec), x)
-    mismatch = {
-        eq: after[eq] - expected_residual_transform(spec, eq, r, x) for eq, r in before.items()
-    }
-    return _aggregate(mismatch, x)
+    before = dict(two_yang_mills_equations(fs, x))
+    out = []
+    for spec in specs:
+        mismatch = (
+            (eq, after - reduce(lambda r, step: step.law(eq, r), spec.steps, before[eq]))
+            for eq, after in two_yang_mills_equations(apply_transformation(fs, spec), x)
+        )
+        out.append({eq: _peak(root.value(x), x) for eq, root in mismatch})
+    return out
 
 
 # -- bilinear covariants --------------------------------------------------------

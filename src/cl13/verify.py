@@ -46,7 +46,6 @@ from .fields import (
     reductions,
     sample_points,
     source_norm,
-    two_yang_mills_residual_components,
     two_yang_mills_residuals,
     worst,
 )
@@ -113,9 +112,9 @@ _STEP_RANGE = (np.finfo(float).eps, 1.0)
 _FAMILY_LIMIT = 10.0
 # The suites draw int64 seed arrays from the seed plus offsets up to +6009.
 _SEED_LIMIT = 2**63 - 1 - 10**4
-# The reduction suite holds about 0.17 MiB per point (tracemalloc peaks of 53.4
-# MiB at 320 points and 327 MiB at 2000), so the roadmap's 2000 points fit in
-# about 370 MB of RSS; far larger counts exhaust memory or numpy's array sizes.
+# The reduction suite holds about 0.16 MiB per point (tracemalloc peaks of 52.0
+# MiB at 320 points and 323 MiB at 2000), so the roadmap's 2000 points fit in
+# about 375 MB of RSS; far larger counts exhaust memory or numpy's array sizes.
 _SAMPLE_LIMIT = 2000
 
 
@@ -459,8 +458,8 @@ def _suite_reduction(s: _Suite) -> None:
     # of the first mass serves the h identities and every reduced set, all
     # in the family's pass.  ``reductions`` builds the i h_mu and their
     # brackets once for every mass, so W, h, C, the brackets and all their
-    # partials are evaluated once; only each mass's B and G are new, and
-    # they leave the pass when the next reduced set replaces them.
+    # partials are evaluated once; each mass's B and G leave the pass with
+    # the reduced set, and each residual root once its equation is read.
     model, h_identities, two_ym, identities, sources = [], [], [], [], []
     for fam in cfg.resolve_families():
         fs = build_pure_gauge(fam, t, cfg.m_values[0])
@@ -532,19 +531,14 @@ def _suite_symmetries(s: _Suite) -> None:
     )
     nonsolution = random_two_yang_mills_set(cfg.seed + 11, t, cfg.m_values[0])
 
-    # One pass shared by every check on these points.  The untransformed
-    # residual components of each field set are computed once.  Each
-    # transformation is drawn, checked against both field sets and let go,
-    # so its payload is evaluated once and leaves the pass before the next
-    # is drawn.
+    # One pass shared by every check on these points.  The transformations
+    # are drawn once and checked against both field sets, so each payload
+    # is evaluated once and leaves the pass when they are let go.
     pts = PointSet(points)
-    solution_before = two_yang_mills_residual_components(solution, pts)
-    nonsolution_before = two_yang_mills_residual_components(nonsolution, pts)
-    on_solution, on_nonsolution = [], []
-    for k, kind in enumerate(TRANSFORM_KINDS):
-        spec = random_transformation(kind, cfg.seed + 100 + k, t)
-        on_solution += covariance_check(solution, spec, pts, solution_before).values()
-        on_nonsolution += covariance_check(nonsolution, spec, pts, nonsolution_before).values()
+    specs = [random_transformation(k, cfg.seed + 100 + i, t) for i, k in enumerate(TRANSFORM_KINDS)]
+    on_solution = [r for res in covariance_check(solution, specs, pts) for r in res.values()]
+    on_nonsolution = [r for res in covariance_check(nonsolution, specs, pts) for r in res.values()]
+    del specs
     s.add(
         "symmetries/covariance-on-solutions",
         "equivalence transformations preserve solutions",
@@ -557,7 +551,7 @@ def _suite_symmetries(s: _Suite) -> None:
         on_nonsolution,
         "residual",
     )
-    scale = worst(r.norm() for r in nonsolution_before.values())
+    scale = worst(two_yang_mills_residuals(nonsolution, pts).values())
     s.add(
         "symmetries/nonsolution-scale",
         "non-solution residuals are order one",
@@ -585,7 +579,7 @@ def _suite_symmetries(s: _Suite) -> None:
 
     # Current conservation: the solution's phi = 0 makes its current vanish, and
     # on any configuration F's antisymmetry conserves the current A induces.
-    current = current_vector(solution.phi.value(pts), solution.h.value(pts))
+    current = current_vector(solution.phi, solution.h).value(pts)
     s.add(
         "symmetries/current-trivial-on-zero-phi",
         "d_mu J^mu - [A_mu, J^mu] = 0",
@@ -652,17 +646,10 @@ def _suite_convergence(s: _Suite) -> None:
     # Polynomial gauge family current conservation (needs third derivatives).
     l_basis = subspace_basis("L", t).basis
     rng = np.random.default_rng(cfg.seed + 4)
-    a_fields = []
+    a_fields, powers = [], ((0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1))
     for mu in range(4):
         u = l_basis[int(rng.integers(0, len(l_basis)))]
-        poly = PolyShape(
-            {
-                (0, 0, 0, 0): float(rng.uniform(-0.5, 0.5)),
-                (1, 0, 0, 0): float(rng.uniform(-0.5, 0.5)),
-                (0, 2, 0, 0): float(rng.uniform(-0.5, 0.5)),
-                (0, 0, 1, 1): float(rng.uniform(-0.5, 0.5)),
-            }
-        )
+        poly = PolyShape({p: float(rng.uniform(-0.5, 0.5)) for p in powers})
         a_fields.append(ShapeField(poly, u))
     s.add(
         "convergence/bianchi-current",

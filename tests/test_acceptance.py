@@ -196,8 +196,8 @@ def test_criterion_10_covariance(reduced_sets, t2):
     solution = reduced_sets[(0, 1.0)]
     nonsolution = random_two_yang_mills_set(SEED + 11, t2, 1.0)
     specs = [random_transformation(kind, SEED + 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
-    on_solution = [r for spec in specs for r in covariance_check(solution, spec, pts).values()]
-    on_law = [r for spec in specs for r in covariance_check(nonsolution, spec, pts).values()]
+    on_solution = [r for res in covariance_check(solution, specs, pts) for r in res.values()]
+    on_law = [r for res in covariance_check(nonsolution, specs, pts) for r in res.values()]
     scale = worst(two_yang_mills_residuals(nonsolution, pts).values())
     ok = worst(on_solution) <= 1e-9 and worst(on_law) <= 1e-9 and scale > 1e-3
     _verdict(10, "covariance-five-kinds", ok)

@@ -110,6 +110,14 @@ def test_herm_conj_by_blade_oracle():
     assert t1.herm_conj().equals(t1, TOL)
 
 
+def test_exact_herm_conj_equals_beta_pseudo_conj_beta(rng):
+    # Oracle: the definition U^dag = e0 U* e0, by two exact products.
+    blades = [CliffordElement.from_blade(m, 0.5 - 1.5j).lift() for m in range(16)]
+    draws = [random_element(rng).lift() for _ in range(100)]
+    for u in blades + draws:
+        assert u.herm_conj() == E0 * u.pseudo_conj() * E0
+
+
 def test_complex_conj():
     assert (E1 * 1j).conj().equals(E1 * -1j, 0.0)
     assert blade("e012").conj().equals(blade("e012"), 0.0)

@@ -1,6 +1,7 @@
 """Field families, pure-gauge construction, residuals and the reduction."""
 
 import gc
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,16 @@ from cl13.algebra import (
     stack,
 )
 from cl13.fields import (
+    ZERO_FIELD,
+    BracketField,
     ConstantField,
+    DifferenceField,
+    ExpField,
     FieldFamily,
+    MappedField,
     ModelFieldSet,
     PointSet,
+    ProductField,
     ShapeField,
     StackField,
     SumField,
@@ -149,6 +156,46 @@ def test_pure_gauge_empty_family(t2):
     for mu in range(4):
         assert fs.h[mu].value(X0).equals(GENERATORS[mu], 0.0)
         assert fs.c[mu].value(X0).is_zero()
+
+
+def test_a_known_zero_folds_where_it_is_built(family, t2):
+    w = family.group_field()
+    zero_rows = StackField((ZERO_FIELD,) * 4)
+    folded = [
+        ProductField(ZERO_FIELD, w),
+        ProductField(w, ZERO_FIELD),
+        BracketField(ZERO_FIELD, w),
+        BracketField(w, ZERO_FIELD),
+        MappedField(ZERO_FIELD, operator.methodcaller("conj")),
+        ZERO_FIELD[1],
+        DifferenceField(ZERO_FIELD, 2),
+        SumField(((1, ZERO_FIELD), (-2.5j, ZERO_FIELD))),
+        ZERO_FIELD - ZERO_FIELD,
+        zero_rows,
+        StackField((zero_rows,) * 4),
+        ConstantField(E).partial(0),
+        StackField(ConstantField(E) for _ in range(4)).partial(3),
+        ShapeField(constant_shape(2.0).deriv(1), E),
+        ShapeField(TrigShape("sin", 0.5, (1.0, 0.0, 2.0, 0.0)), E).partial(1),
+        ExpField(E0, constant_shape(0.3)).partial(2),
+    ]
+    assert all(f is ZERO_FIELD for f in folded)
+    # A sum keeps its other terms, and one term of weight 1 is that term.
+    assert SumField(((1, ZERO_FIELD), (0.5, w))).terms == ((0.5, w),)
+    assert SumField(((1, w), (-1, ZERO_FIELD))) is w
+    fs = build_pure_gauge(family, t2, 1.0)
+    assert fs.phi is ZERO_FIELD and fs.a is ZERO_FIELD and fs.f is ZERO_FIELD
+
+
+def test_a_nan_in_h_still_reaches_a_residual_when_phi_is_zero(reduced, points):
+    # phi = ZERO_FIELD folds the Dirac equation and the current away, so
+    # neither reads h; the sourced equation of B still does.
+    weights = np.ones(len(points))
+    weights[2] = np.nan
+    nan_h = MappedField(reduced.h, lambda u: u * weights)
+    rec = two_yang_mills_residuals(replace(reduced, h=nan_h), points)
+    assert np.isnan(worst(rec.values()))
+    assert np.isnan(rec["source_b"][2]) and not np.isnan(rec["source_b"][[0, 1, 3]]).any()
 
 
 def test_pure_gauge_h_properties(pure_gauge, points):
@@ -410,10 +457,17 @@ def test_pure_gauge_rejects_non_symplectic_generator(t2):
         build_pure_gauge(bad, t2, 1.0)
 
 
-def test_model_components_shape(pure_gauge, points):
+def test_model_components_shape(pure_gauge, points, t2):
     comps = model_residual_components(pure_gauge, points[0])
     assert set(comps) == {"dirac", "curvature_a", "source_a", "h_transport"}
     assert gamma_rep(comps["h_transport"]).shape == (4, 4, 4, 4)
+    # phi = A = F = 0 fold the other three equations to one zero element each.
+    for eq in ("dirac", "curvature_a", "source_a"):
+        assert gamma_rep(comps[eq]).shape == (4, 4) and comps[eq].is_zero(), eq
+    other = random_two_yang_mills_set(31, t2, 1.0)
+    unfolded = replace(pure_gauge, phi=other.phi, a=other.a, f=other.f)
+    comps = model_residual_components(unfolded, points[0])
+    assert gamma_rep(comps["dirac"]).shape == (4, 4)
     assert gamma_rep(comps["curvature_a"]).shape == (6, 4, 4)
     assert gamma_rep(comps["source_a"]).shape == (4, 4, 4)
 

@@ -50,8 +50,29 @@ def test_a_status_or_exit_code_change_is_reported_and_fails_the_scan():
         "exit code 0 -> 1: verify b",
         "c pass -> fail: verify b",
         "exit code 1 -> 2: verify c",
-        "max |delta residual| inf  c",
+        "max |delta residual| inf  c  at verify b",
     ]
     lines, changed = scan_reports.compare(scan[:1], before[:1], after[:1])
     assert not changed
-    assert lines == ["0 of 1 reports byte-identical", "max |delta residual| 2.000e-12  c"]
+    moved = "max |delta residual| 2.000e-12  c  at verify a"
+    assert lines == ["0 of 1 reports byte-identical", moved]
+
+
+def test_each_moved_residual_names_the_report_where_it_moved_most():
+    # x moves by 3e-12 in report b and by 1e-12 in report c; y never moves.
+    scan = [["a"], ["b"], ["c"]]
+
+    def reports(*xs):
+        def check(name, residual):
+            return {"name": name, "status": "pass", "residual": residual}
+
+        return [[0, json.dumps({"checks": [check("x", x), check("y", 0.0)]}), ""] for x in xs]
+
+    before, after = reports(1e-12, 1e-12, 2e-12), reports(1e-12, 4e-12, 3e-12)
+    lines, changed = scan_reports.compare(scan, before, after)
+    assert not changed
+    assert lines == [
+        "1 of 3 reports byte-identical",
+        "max |delta residual| 3.000e-12  x  at verify b",
+        "max |delta residual| 0.000e+00  y",
+    ]

@@ -11,7 +11,9 @@ from cl13.algebra import (
     random_element,
 )
 from cl13.fields import (
+    ZERO_FIELD,
     FieldFamily,
+    ProductField,
     PointSet,
     bianchi_current_check,
     build_pure_gauge,
@@ -105,9 +107,9 @@ def test_constant_symplectic_conjugation_preserves_h_relations(reduced, points):
 
 
 def test_covariance_on_solution(reduced, points, t2):
-    for k, kind in enumerate(TRANSFORM_KINDS):
-        spec = random_transformation(kind, 100 + k, t2)
-        assert worst(covariance_check(reduced, spec, points[:4]).values()) <= 1e-9, kind
+    specs = [random_transformation(kind, 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
+    for spec, mismatch in zip(specs, covariance_check(reduced, specs, points[:4]), strict=True):
+        assert worst(mismatch.values()) <= 1e-9, spec.kind
         # Transformed solutions stay solutions.
         transformed = apply_transformation(reduced, spec)
         after = two_yang_mills_residuals(transformed, points[:4])
@@ -119,17 +121,17 @@ def test_covariance_residual_law_on_nonsolutions(t2):
     base = two_yang_mills_residuals(fs, PTS[:3])
     assert worst(base.values()) > 1e-2
     specs = [random_transformation(kind, 200 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
-    for spec in specs:
-        assert worst(covariance_check(fs, spec, PTS[:3]).values()) <= 1e-9, spec.kind
+    for spec, mismatch in zip(specs, covariance_check(fs, specs, PTS[:3]), strict=True):
+        assert worst(mismatch.values()) <= 1e-9, spec.kind
 
 
 def _current_laws(fs, x) -> dict:
     """Both current laws at the points x: the current itself, which
     vanishes where phi = 0, and the conservation of the current induced by A."""
     pts = PointSet(x)
-    current = current_vector(fs.phi.value(pts), fs.h.value(pts))
+    current = current_vector(fs.phi, fs.h).value(pts)
     return {
-        "current": np.max(current.norm(), axis=0),
+        "current": np.broadcast_to(current.norm(), (4,) + pts.x.shape[:-1]).max(axis=0),
         **bianchi_current_check(fs.a, pts),
     }
 
@@ -141,10 +143,10 @@ def test_covariance_and_current_arrays_hold_each_point_alone(t2):
     nonsolution = random_two_yang_mills_set(31, t2, 1.0)
     pts = sample_points(3, 24)
     for fs in (solution, nonsolution):
-        stacked = [covariance_check(fs, spec, pts) for spec in specs]
+        stacked = covariance_check(fs, specs, pts)
         stacked.append(_current_laws(fs, pts))
         for i, x in enumerate(pts):
-            alone = [covariance_check(fs, spec, x) for spec in specs]
+            alone = covariance_check(fs, specs, x)
             alone.append(_current_laws(fs, x))
             for whole, one in zip(stacked, alone):
                 for eq, per_point in whole.items():
@@ -163,6 +165,15 @@ def test_gauge_composition(reduced, points, t2):
         assert (once.phi.value(x) - combined.phi.value(x)).norm() <= 1e-10
         for mu in range(4):
             assert (once.a[mu].value(x) - combined.a[mu].value(x)).norm() <= 1e-10
+
+
+def test_the_j_twist_gauge_action_has_no_derivative_term(reduced, t2):
+    # d_mu J is ZERO_FIELD, so U^{-1} d_mu U folds away: on the pure-gauge A = 0
+    # the twisted potential is ZERO_FIELD, elsewhere the one product J^{-1} conj(A) J.
+    spec = TransformationSpec("discrete_J")
+    assert apply_transformation(reduced, spec).a is ZERO_FIELD
+    twisted = apply_transformation(random_two_yang_mills_set(41, t2, 1.0), spec).a
+    assert isinstance(twisted, ProductField) and isinstance(twisted.left, ProductField)
 
 
 def test_discrete_j_is_conjugation_then_the_constant_unitary_j():
@@ -246,7 +257,7 @@ def test_bilinear_form_hermitian_and_in_l(rng, t2, family):
 def test_current_conservation_trivial_for_zero_phi(reduced, points):
     # A pure-gauge solution has phi = 0, so its current vanishes outright.
     x = PointSet(points[:4])
-    current = current_vector(reduced.phi.value(x), reduced.h.value(x))
+    current = current_vector(reduced.phi, reduced.h).value(x)
     assert worst([current.norm()]) == 0.0
 
 

@@ -1,5 +1,6 @@
 """Scenario runner, report schema and CLI behaviour."""
 
+import functools
 import json
 import warnings
 from collections import Counter
@@ -11,6 +12,7 @@ from cl13 import subspaces, verify
 from cl13.algebra import E, J, CliffordElement, random_element
 from cl13.cli import main
 from cl13.fields import (
+    BracketField,
     CliffordField,
     ExpField,
     FieldFamily,
@@ -438,18 +440,41 @@ def test_a_reduction_report_evaluates_each_exponential_once(monkeypatch):
 
 
 def _bracket_evaluations(counts):
-    """The counts of the products of two maps of the i h_mu family (the
-    family i h_mu itself or a row of it) or of their partials: the products
-    in the bracket rows [i h_mu, i h_nu] and in their partials."""
+    """The counts of the bracket nodes of two maps of the i h_mu family (the
+    family i h_mu itself or a row of it) and of the products of two such
+    maps or their partials: the bracket rows [i h_mu, i h_nu] and the
+    products in their partials."""
 
-    def ih(node):
-        return isinstance(node, MappedField)
+    def weighted(node):  # i h_mu: h^mu times the weights i eta^{mu mu}, or a partial of it
+        return isinstance(node, MappedField) and isinstance(node.op, functools.partial)
+
+    def ih(node):  # the family or a view of it; a view of B is a map of a StackField
+        return weighted(node) or (isinstance(node, MappedField) and weighted(node.inner))
 
     return {
         key: n
         for key, n in counts.items()
-        if isinstance(key[0], ProductField) and ih(key[0].left) and ih(key[0].right)
+        if isinstance(key[0], (BracketField, ProductField)) and ih(key[0].left) and ih(key[0].right)
     }
+
+
+def _count_element_operations(monkeypatch):
+    """Float products and float element operations: each call of ``__mul__``,
+    ``__add__``, ``__sub__``, ``__neg__`` and ``_scalar_mul`` on float operands."""
+    counts = Counter()
+
+    def counting(name, method):
+        def counted(u, *args):
+            if not (u.exact or any(isinstance(v, CliffordElement) and v.exact for v in args)):
+                counts["operations"] += 1
+                counts["products"] += name == "__mul__" and isinstance(args[0], CliffordElement)
+            return method(u, *args)
+
+        return counted
+
+    for name in ("__mul__", "__add__", "__sub__", "__neg__", "_scalar_mul"):
+        monkeypatch.setattr(CliffordElement, name, counting(name, getattr(CliffordElement, name)))
+    return counts
 
 
 def test_a_reduction_report_evaluates_the_brackets_once_for_every_mass(monkeypatch):
@@ -457,16 +482,10 @@ def test_a_reduction_report_evaluates_the_brackets_once_for_every_mass(monkeypat
     # share them: three masses evaluate as many bracket nodes as one.
     classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
     counts = _count_evaluations(monkeypatch, classes)
-    products = Counter()
-    mul = CliffordElement.__mul__
-
-    def counted(u, v):
-        products[isinstance(v, CliffordElement) and not (u.exact or v.exact)] += 1
-        return mul(u, v)
-
-    monkeypatch.setattr(CliffordElement, "__mul__", counted)
+    work = _count_element_operations(monkeypatch)
     run_scenario(ScenarioConfig(suite="reduction", seed=1, sample_count=128))
-    assert sum(counts.values()) <= 1666 and products[True] <= 1161
+    assert sum(counts.values()) <= 1640
+    assert work["products"] <= 683 and work["operations"] <= 2397
     brackets = _bracket_evaluations(counts)
     assert brackets and set(brackets.values()) == {1}
     counts.clear()
@@ -480,7 +499,7 @@ def test_a_convergence_report_evaluates_each_fd_pass_on_one_stencil(monkeypatch)
     classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
     counts = _count_evaluations(monkeypatch, classes)
     run_scenario(ScenarioConfig(suite="convergence", seed=1))
-    assert sum(counts.values()) <= 1166
+    assert sum(counts.values()) <= 800
 
 
 def test_a_symmetries_report_evaluates_each_exponential_once_per_point_array(monkeypatch):

@@ -28,7 +28,8 @@ subprocess of its own whose PYTHONPATH is that tree:
 
 The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
-|residual difference| over the scan.  Its last line gives the non-blank
+|residual difference| over the scan, with the report where it is largest
+when the residual moved.  Its last line gives the non-blank
 line count of ``cl13/*.py`` in each tree.  It exits 1 on any status or exit-code
 change and 0 otherwise.
 """
@@ -144,9 +145,12 @@ def compare(scan, before, after) -> tuple[list[str], bool]:
                 diff = float("inf")
             else:
                 diff = abs(res0 - res1)
-            delta[name] = max(delta.get(name, 0.0), diff)
+            if name not in delta or diff > delta[name][0]:
+                delta[name] = (diff, label)
     lines.insert(0, f"{identical} of {len(scan)} reports byte-identical")
-    lines += [f"max |delta residual| {delta[name]:.3e}  {name}" for name in sorted(delta)]
+    for name in sorted(delta):
+        diff, label = delta[name]
+        lines.append(f"max |delta residual| {diff:.3e}  {name}" + (f"  at {label}" if diff else ""))
     return lines, changed
 
 
