@@ -18,7 +18,7 @@ from cl13.subspaces import sp_algebra_residual, sp_group_residual
 
 print("== the Lie algebra sp(cl(1,3)) ==")
 basis = subspace_basis("sp_cl")
-print("dimension (row reduction over R^32):", basis.dim)
+print("dimension (row reduction over R^32):", len(basis))
 print("matrix cross-check dim sp(m,R) = m(2m+1):")
 for m in (1, 2, 3):
     print(f"  m={m}: {matrix_sp_dimension(m)}")

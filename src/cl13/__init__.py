@@ -59,8 +59,6 @@ from .rep import (
 )
 from .shapes import PolyShape, TrigShape, constant_shape, shape_from_json
 from .subspaces import (
-    HermitianIdempotent,
-    SubspaceBasis,
     fixed_idempotent,
     in_ideal,
     in_sp_algebra,

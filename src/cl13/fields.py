@@ -64,7 +64,6 @@ from .rep import gamma_rep
 from .shapes import PolyShape, Shape, TrigShape, shape_from_json
 from .subspaces import (
     MEMBERSHIP_TOL,
-    HermitianIdempotent,
     sp_algebra_residual,
     subspace_basis,
 )
@@ -499,8 +498,8 @@ def random_family(seed: int, n_factors: int = 2, scale: float = 0.5) -> FieldFam
     basis = subspace_basis("sp_cl")
     factors = []
     for j in range(n_factors):
-        weights = rng.uniform(-scale, scale, basis.dim)
-        v = _total(b * float(wgt) for wgt, b in zip(weights, basis.basis))
+        weights = rng.uniform(-scale, scale, len(basis))
+        v = _total(b * float(wgt) for wgt, b in zip(weights, basis))
         if j % 2 == 1:
             shape: Shape = TrigShape(
                 "sin",
@@ -546,7 +545,7 @@ class ModelFieldSet:
     """Variables of the model system: phi, h^mu, A_mu, F_{mu nu}, C_mu."""
 
     mass: float
-    t: HermitianIdempotent
+    t: CliffordElement
     phi: CliffordField
     h: CliffordField
     a: CliffordField
@@ -559,7 +558,7 @@ class TwoYangMillsFieldSet:
     """Variables of the two-Yang-Mills system: phi, h^mu, A, F, B, G."""
 
     mass: float
-    t: HermitianIdempotent
+    t: CliffordElement
     phi: CliffordField
     h: CliffordField
     a: CliffordField
@@ -568,7 +567,7 @@ class TwoYangMillsFieldSet:
     g: CliffordField
 
 
-def build_pure_gauge(family: FieldFamily, t: HermitianIdempotent, mass: float) -> ModelFieldSet:
+def build_pure_gauge(family: FieldFamily, t: CliffordElement, mass: float) -> ModelFieldSet:
     """Pure-gauge solution of the model system.
 
     h^mu = W^{-1} e^mu W,  C_mu = -W^{-1} d_mu W,  phi = 0,  A = F = 0.
@@ -585,7 +584,7 @@ def build_pure_gauge(family: FieldFamily, t: HermitianIdempotent, mass: float) -
     return ModelFieldSet(mass=float(mass), t=t, phi=zero, h=h, a=zero, f=zero, c=c)
 
 
-def random_two_yang_mills_set(seed: int, t: HermitianIdempotent, mass: float) -> TwoYangMillsFieldSet:
+def random_two_yang_mills_set(seed: int, t: CliffordElement, mass: float) -> TwoYangMillsFieldSet:
     """A membership-valid configuration that does not solve the system.
 
     h stays pure gauge (its algebraic constraint is part of the variable
@@ -595,10 +594,10 @@ def random_two_yang_mills_set(seed: int, t: HermitianIdempotent, mass: float) ->
     rng = np.random.default_rng(seed)
     base = build_pure_gauge(random_family(seed + 17), t, mass)
 
-    phi_span = [random_element(rng, 0.7) * t.element.to_float() for _ in range(3)]
+    phi_span = [random_element(rng, 0.7) * t.to_float() for _ in range(3)]
     phi = SumField((1, ShapeField(_random_poly(rng, 0.7), u)) for u in phi_span)
 
-    l_basis, sp_basis = subspace_basis("L", t).basis, subspace_basis("sp_cl").basis
+    l_basis, sp_basis = subspace_basis("L", t), subspace_basis("sp_cl")
     a = StackField(_random_span_field(rng, l_basis) for _ in range(4))
     f = MappedField(StackField(_random_span_field(rng, l_basis) for _ in _PAIRS), _antisymmetric)
     b = StackField(_random_span_field(rng, sp_basis) for _ in range(4))

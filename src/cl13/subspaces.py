@@ -19,7 +19,6 @@ row reduction gives dim sp(m, R), the cross-check of dim sp(cl(1,3)) = 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
@@ -123,21 +122,6 @@ def in_sp_group(v: CliffordElement) -> bool:
 # -- Hermitian idempotents ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermitianIdempotent:
-    """A validated t with t^2 = t, t^dagger = t and conj(t) J = J t."""
-
-    element: CliffordElement
-    label: str | None = None
-
-    @classmethod
-    def checked(cls, element: CliffordElement, label: str | None = None) -> "HermitianIdempotent":
-        ok, residuals = is_hermitian_idempotent(element)
-        if not ok:
-            raise ValueError(f"not a Hermitian idempotent: residuals {residuals}")
-        return cls(element, label)
-
-
 def hermitian_idempotent_residuals(t: CliffordElement) -> dict[str, float]:
     return {
         "idempotent": (t * t - t).norm(),
@@ -174,12 +158,12 @@ _IDEMPOTENTS = {
 }
 
 
-def fixed_idempotent(label: str) -> HermitianIdempotent:
+def fixed_idempotent(label: str) -> CliffordElement:
     """One of the four reference idempotents t1..t4, as a float element;
-    ``fixed_idempotent(label).element.lift()`` is its exact value."""
+    ``fixed_idempotent(label).lift()`` is its exact value."""
     if label not in _IDEMPOTENTS:
         raise ValueError(f"unknown idempotent label {label!r}")
-    return HermitianIdempotent(_IDEMPOTENTS[label], label)
+    return _IDEMPOTENTS[label]
 
 
 # -- ideals -------------------------------------------------------------------
@@ -193,41 +177,23 @@ def _ideal_conditions(space: str, t: CliffordElement) -> list:
     return conditions[space]
 
 
-def ideal_residual(
-    u: CliffordElement, t: HermitianIdempotent | CliffordElement, which: str
-) -> float:
-    tt = t.element if isinstance(t, HermitianIdempotent) else t
+def ideal_residual(u: CliffordElement, t: CliffordElement, which: str) -> float:
     if which == "G":
         unitary = (u.herm_conj() * u - E).norm()
-        return np.maximum(unitary, ideal_residual(u - E, tt, "K"))
+        return np.maximum(unitary, ideal_residual(u - E, t, "K"))
     if which not in IDEAL_TAGS:
         raise ValueError(f"unknown ideal tag {which!r}; expected one of {IDEAL_TAGS}")
-    return reduce(np.maximum, [f(u).norm() for f in _ideal_conditions(which, tt)])
+    return reduce(np.maximum, [f(u).norm() for f in _ideal_conditions(which, t)])
 
 
-def in_ideal(u: CliffordElement, t: HermitianIdempotent | CliffordElement, which: str) -> bool:
+def in_ideal(u: CliffordElement, t: CliffordElement, which: str) -> bool:
     return ideal_residual(u, t, which) <= MEMBERSHIP_TOL
 
 
 # -- subspace bases -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    """A real basis: ``vectors`` is a read-only (dim, 32) array of row vectors."""
-
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def basis(self) -> tuple[CliffordElement, ...]:
-        return tuple(realvec_to_element(v) for v in self.vectors)
-
-
-def _basis_key(space: str, t: HermitianIdempotent | CliffordElement | None) -> bytes | None:
+def _basis_key(space: str, t: CliffordElement | None) -> bytes | None:
     """The idempotent's float matrix as bytes (None for sp_cl); validates space."""
     if space == "sp_cl":
         return None
@@ -235,8 +201,7 @@ def _basis_key(space: str, t: HermitianIdempotent | CliffordElement | None) -> b
         raise ValueError(f"unknown subspace tag {space!r}")
     if t is None:
         raise ValueError(f"space {space!r} needs an idempotent")
-    tt = t.element if isinstance(t, HermitianIdempotent) else t
-    return tt.to_float()._mat.tobytes()
+    return t.to_float()._mat.tobytes()
 
 
 @cache
@@ -252,11 +217,9 @@ def _basis_vectors(space: str, t_bytes: bytes | None) -> np.ndarray:
     return vecs
 
 
-def subspace_basis(
-    space: str, t: HermitianIdempotent | CliffordElement | None = None
-) -> SubspaceBasis:
-    """Real basis of one of the linear subspaces sp_cl, I(t), K(t), L(t)."""
-    return SubspaceBasis(_basis_vectors(space, _basis_key(space, t)))
+def subspace_basis(space: str, t: CliffordElement | None = None) -> tuple[CliffordElement, ...]:
+    """The real basis of sp_cl, I(t), K(t) or L(t), as float elements."""
+    return tuple(realvec_to_element(v) for v in _basis_vectors(space, _basis_key(space, t)))
 
 
 # -- sampling ------------------------------------------------------------------
@@ -266,7 +229,7 @@ _SAMPLE_SPACES = ("sp_cl", "Sp_cl", "L", "G")
 
 def sample(
     space: str,
-    t: HermitianIdempotent | CliffordElement | None = None,
+    t: CliffordElement | None = None,
     seed: int | np.ndarray = 0,
     scale: float = 1.0,
 ) -> CliffordElement:

@@ -57,7 +57,7 @@ from .fields import (
 )
 from .rep import inverse
 from .shapes import PolyShape, constant_shape
-from .subspaces import HermitianIdempotent, sample
+from .subspaces import sample
 
 TRANSFORM_KINDS = (
     "global_unitary",
@@ -73,10 +73,6 @@ _JINV_FIELD = ConstantField(J * -1)  # J^2 = -e, so J^{-1} = -J
 
 def _conj_field(f: CliffordField) -> CliffordField:
     return MappedField(f, lambda u: u.conj())
-
-
-def _conj_idempotent(t: HermitianIdempotent) -> HermitianIdempotent:
-    return HermitianIdempotent(t.element.conj(), t.label)
 
 
 def _conjugate_by(uinv: CliffordField, f: CliffordField, u: CliffordField) -> CliffordField:
@@ -106,7 +102,7 @@ class _Conjugation:
         conj = _conj_field
         return replace(
             fs,
-            t=_conj_idempotent(fs.t),
+            t=fs.t.conj(),
             phi=conj(fs.phi),
             h=-conj(fs.h),
             a=conj(fs.a),
@@ -131,7 +127,7 @@ class _Unitary:
 
     u: CliffordField
     uinv: CliffordField
-    t_law: Callable[[HermitianIdempotent], HermitianIdempotent] = lambda t: t
+    t_law: Callable[[CliffordElement], CliffordElement] = lambda t: t
 
     def apply(self, fs: TwoYangMillsFieldSet) -> TwoYangMillsFieldSet:
         a, f = _gauge_action(self.u, self.uinv, fs.a, fs.f)
@@ -169,7 +165,7 @@ class _Symplectic:
 
 
 # conj(t) J = J t for every admissible t, so J^{-1} t J = conj(t).
-_J_TWIST = _Unitary(_J_FIELD, _JINV_FIELD, _conj_idempotent)
+_J_TWIST = _Unitary(_J_FIELD, _JINV_FIELD, CliffordElement.conj)
 
 
 def _steps(kind: str, family: FieldFamily | None) -> tuple:
@@ -193,7 +189,7 @@ def _steps(kind: str, family: FieldFamily | None) -> tuple:
     # A constant U moves t to U^{-1} t U; U is read at the origin once.
     u0 = family.value((0.0, 0.0, 0.0, 0.0))
     u0inv = inverse(u0)
-    return (_Unitary(u, uinv, lambda t: HermitianIdempotent(u0inv * t.element * u0, None)),)
+    return (_Unitary(u, uinv, lambda t: u0inv * t * u0),)
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ class TransformationSpec:
         object.__setattr__(self, "steps", _steps(self.kind, self.family))
 
 
-def random_transformation(kind: str, seed: int, t: HermitianIdempotent) -> TransformationSpec:
+def random_transformation(kind: str, seed: int, t: CliffordElement) -> TransformationSpec:
     """A seeded transformation of one kind: a constant anti-Hermitian
     exponent for global_unitary, two L(t) factors for gauge_unitary (so
     U(x) lies in G(t)), a random symplectic family for gauge_symplectic."""
@@ -237,17 +233,19 @@ def apply_transformation(
     return reduce(lambda out, step: step.apply(out), spec.steps, fs)
 
 
-def covariance_check(fs: TwoYangMillsFieldSet, specs, points) -> list[dict[str, np.ndarray]]:
+def covariance_check(fs: TwoYangMillsFieldSet, specs, points) -> tuple[dict, list[dict]]:
     """Certify the residual transformation law of each transformation in
     ``specs``: per spec and equation, |r_transformed - expected(r_original)|
     at each point, where the expected root applies the law of each step of
-    the spec in order.  The residual roots of ``fs`` are built once for every
-    spec, so each is evaluated once in the pass ``points``; each
-    transformed set and its roots leave the pass after its spec.  A caller
-    that shares the pass between field sets evaluates each node they share
-    once there."""
+    the spec in order.  Returns the residuals of ``fs`` (as
+    ``two_yang_mills_residuals`` gives them) and the mismatches of each
+    spec.  The residual roots of ``fs`` are built once for every spec, so
+    each is evaluated once in the pass ``points``; each transformed set and
+    its roots leave the pass after its spec.  A caller that shares the pass
+    between field sets evaluates each node they share once there."""
     x = _as_points(points)
     before = dict(two_yang_mills_equations(fs, x))
+    residuals = {eq: _peak(root.value(x), x) for eq, root in before.items()}
     out = []
     for spec in specs:
         mismatch = (
@@ -255,7 +253,7 @@ def covariance_check(fs: TwoYangMillsFieldSet, specs, points) -> list[dict[str, 
             for eq, after in two_yang_mills_equations(apply_transformation(fs, spec), x)
         )
         out.append({eq: _peak(root.value(x), x) for eq, root in mismatch})
-    return out
+    return residuals, out
 
 
 # -- bilinear covariants --------------------------------------------------------

@@ -114,7 +114,7 @@ def test_criterion_2_involution_laws():
 def test_criterion_3_dimension_cross_check():
     from cl13.subspaces import matrix_sp_dimension
 
-    ok = subspace_basis("sp_cl").dim == 10 and matrix_sp_dimension(2) == 10
+    ok = len(subspace_basis("sp_cl")) == 10 and matrix_sp_dimension(2) == 10
     _verdict(3, "symplectic-dimension-10", ok)
 
 
@@ -122,12 +122,11 @@ def test_criterion_4_idempotent_suite():
     ok = True
     expected_dims = (1, 4, 9, 16)
     for label, dim in zip(IDEMPOTENT_LABELS, expected_dims):
-        exact = fixed_idempotent(label).element.lift()
-        residuals = hermitian_idempotent_residuals(exact)
-        ok = ok and all(r == 0.0 for r in residuals.values())
         t = fixed_idempotent(label)
-        rank = rep_rank(t.element)
-        ok = ok and subspace_basis("L", t).dim == dim == rank * rank
+        residuals = hermitian_idempotent_residuals(t.lift())
+        ok = ok and all(r == 0.0 for r in residuals.values())
+        rank = rep_rank(t)
+        ok = ok and len(subspace_basis("L", t)) == dim == rank * rank
     _verdict(4, "hermitian-idempotents", ok)
 
 
@@ -145,7 +144,7 @@ def test_criterion_5_group_sanity(t2):
             worst_gauge = max(
                 worst_gauge,
                 (u.herm_conj() * u - E).norm(),
-                commutator(u, t.element).norm(),
+                commutator(u, t).norm(),
             )
     _verdict(5, "group-sanity", worst_product <= 1e-9 and worst_gauge <= 1e-10)
 
@@ -196,16 +195,16 @@ def test_criterion_10_covariance(reduced_sets, t2):
     solution = reduced_sets[(0, 1.0)]
     nonsolution = random_two_yang_mills_set(SEED + 11, t2, 1.0)
     specs = [random_transformation(kind, SEED + 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
-    on_solution = [r for res in covariance_check(solution, specs, pts) for r in res.values()]
-    on_law = [r for res in covariance_check(nonsolution, specs, pts) for r in res.values()]
-    scale = worst(two_yang_mills_residuals(nonsolution, pts).values())
-    ok = worst(on_solution) <= 1e-9 and worst(on_law) <= 1e-9 and scale > 1e-3
+    _, on_solution = covariance_check(solution, specs, pts)
+    residuals, on_law = covariance_check(nonsolution, specs, pts)
+    mismatch = worst(r for res in on_solution + on_law for r in res.values())
+    ok = mismatch <= 1e-9 and worst(residuals.values()) > 1e-3
     _verdict(10, "covariance-five-kinds", ok)
 
 
 def test_criterion_11_bilinear_forms(t2, families):
     # Exact antisymmetry in rational mode.
-    t2x = fixed_idempotent("t2").element.lift()
+    t2x = fixed_idempotent("t2").lift()
     hx = [g.lift() for g in GENERATORS]
     ok = True
     for k, indices in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3))):
@@ -227,7 +226,7 @@ def test_criterion_11_bilinear_forms(t2, families):
     worst_member = 0.0
     worst_imag = 0.0
     for _ in range(6):
-        phi = random_element(rng, 0.8) * t2.element
+        phi = random_element(rng, 0.8) * t2
         for indices in [(0,), (1,), (0, 1), (0, 2, 3), (0, 1, 2, 3)]:
             j = bilinear_form(phi, h_vals, indices)
             worst_herm = max(worst_herm, (j.herm_conj() - j).norm())
@@ -241,7 +240,7 @@ def test_criterion_11_bilinear_forms(t2, families):
 
 def test_criterion_12_current_bianchi(t2):
     pts = sample_points(SEED + 13, 6)
-    basis = subspace_basis("L", t2).basis
+    basis = subspace_basis("L", t2)
     rng = np.random.default_rng(SEED + 14)
     residuals = []
     for trial in range(2):

@@ -73,7 +73,7 @@ def test_mul_associative_on_random(rng):
 
 
 def test_linear_combine_builds_t2():
-    t2 = fixed_idempotent("t2").element
+    t2 = fixed_idempotent("t2")
     combo = E * 0.5 + E0 * 0.5
     assert combo.equals(t2, 0.0)
     assert (E * 0).is_zero()
@@ -84,7 +84,7 @@ def test_grade_project():
     u = E + blade("e01", 2)
     assert u.grade(2).equals(blade("e01", 2), 0.0)
     assert blade("e1").grade(2).is_zero()
-    t3 = fixed_idempotent("t3").element
+    t3 = fixed_idempotent("t3")
     assert t3.grade(0).equals(E * 0.75, 0.0)
     with pytest.raises(ValueError):
         u.grade(5)
@@ -106,7 +106,7 @@ def test_herm_conj_by_blade_oracle():
         expected = CliffordElement.from_blade(m2, s1 * s2)
         assert GENERATORS[a].herm_conj().equals(expected, 0.0)
     assert E1.herm_conj().equals(E1 * -1, 0.0)
-    t1 = fixed_idempotent("t1").element
+    t1 = fixed_idempotent("t1")
     assert t1.herm_conj().equals(t1, TOL)
 
 
@@ -122,7 +122,7 @@ def test_complex_conj():
     assert (E1 * 1j).conj().equals(E1 * -1j, 0.0)
     assert blade("e012").conj().equals(blade("e012"), 0.0)
     # conj(t1) flips the sign of the i e12 factor.
-    t1 = fixed_idempotent("t1").element
+    t1 = fixed_idempotent("t1")
     e12 = blade("e12")
     expected = ((E + E0) * (E - 1j * e12)) * 0.25
     assert t1.conj().equals(expected, TOL)

@@ -49,7 +49,7 @@ LEGAL = {
     "sample_count": st.integers(1, 3),
     "idempotent": st.one_of(
         st.sampled_from(IDEMPOTENT_LABELS),
-        st.sampled_from(IDEMPOTENT_LABELS).map(lambda t: fixed_idempotent(t).element.to_json_obj()),
+        st.sampled_from(IDEMPOTENT_LABELS).map(lambda t: fixed_idempotent(t).to_json_obj()),
     ),
     "format": st.sampled_from(["json", "text"]),
 }

@@ -389,7 +389,7 @@ def test_bianchi_current_check_cases(t2):
     rec = bianchi_current_check(zero, pts)
     assert worst(rec.values()) == 0.0
 
-    basis = subspace_basis("L", t2).basis
+    basis = subspace_basis("L", t2)
     const = StackField(ConstantField(basis[j % len(basis)] * 0.6) for j in range(4))
     rec = bianchi_current_check(const, pts)
     assert worst(rec.values()) <= 1e-12

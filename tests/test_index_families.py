@@ -87,9 +87,9 @@ def _random_set(seed, t, mass):
     spans = []
     for _ in range(3):
         u = CliffordElement(rng.uniform(-0.7, 0.7, 16) + 1j * rng.uniform(-0.7, 0.7, 16))
-        spans.append(u * t.element.to_float())
+        spans.append(u * t.to_float())
     phi = SumField((1, ShapeField(_random_poly(rng, 0.7), u)) for u in spans)
-    l_basis, sp_basis = subspace_basis("L", t).basis, subspace_basis("sp_cl").basis
+    l_basis, sp_basis = subspace_basis("L", t), subspace_basis("sp_cl")
     a = [_random_span_field(rng, l_basis) for _ in range(4)]
     f = _antisymmetric({p: _random_span_field(rng, l_basis) for p in PAIRS})
     b = [_random_span_field(rng, sp_basis) for _ in range(4)]

@@ -64,7 +64,7 @@ def test_rep_inverse_roundtrip(rng):
 def test_rep_rank_of_idempotents():
     # Oracle: numpy matrix_rank on the representation.
     for label, expected in zip(("t1", "t2", "t3", "t4"), (1, 2, 3, 4)):
-        t = fixed_idempotent(label).element
+        t = fixed_idempotent(label)
         assert rep_rank(t) == expected
         assert np.linalg.matrix_rank(gamma_rep(t), tol=1e-9) == expected
 
@@ -76,15 +76,15 @@ def test_inverse():
     assert inverse(w).equals(exp_element(v * -1), 1e-11)
     assert (inverse(w) * w).equals(E, 1e-11)
     with pytest.raises(SingularElementError):
-        inverse(fixed_idempotent("t2").element)
+        inverse(fixed_idempotent("t2"))
 
 
 def test_hermitian_eigenvalues_fixed_cases():
     assert np.allclose(hermitian_eigenvalues(E), [1, 1, 1, 1])
     assert np.allclose(hermitian_eigenvalues(E0), [-1, -1, 1, 1])
-    t1 = fixed_idempotent("t1").element
+    t1 = fixed_idempotent("t1")
     assert np.allclose(hermitian_eigenvalues(t1), [0, 0, 0, 1], atol=1e-12)
-    t2 = fixed_idempotent("t2").element
+    t2 = fixed_idempotent("t2")
     assert np.allclose(hermitian_eigenvalues(t2), [0, 0, 1, 1], atol=1e-12)
 
 
@@ -117,7 +117,7 @@ def test_stacked_inverse_equals_per_element_inverses():
 
 def test_stacked_inverse_raises_when_one_entry_is_singular():
     w = exp_element(sample("sp_cl", seed=3, scale=0.7))
-    t2 = fixed_idempotent("t2").element
+    t2 = fixed_idempotent("t2")
     stack = rep_inverse(np.stack([gamma_rep(E), gamma_rep(t2), gamma_rep(w)]))
     with pytest.raises(SingularElementError):
         inverse(stack)

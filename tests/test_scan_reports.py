@@ -10,9 +10,9 @@ scan_reports = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scan_reports)
 
 
-def test_the_scan_covers_377_reports():
-    assert len(scan_reports.SCAN) == 377
-    assert len({tuple(args) for args in scan_reports.SCAN}) == 377
+def test_the_scan_covers_378_reports():
+    assert len(scan_reports.SCAN) == 378
+    assert len({tuple(args) for args in scan_reports.SCAN}) == 378
 
 
 def test_a_tree_compared_with_itself_is_byte_identical(capsys):

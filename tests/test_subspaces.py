@@ -10,13 +10,13 @@ from cl13.algebra import (
     CliffordElement,
     commutator,
     exp_element,
+    stack,
 )
 from cl13 import subspaces
 from cl13.rep import gamma_rep, inverse, rep_rank
 from cl13.subspaces import (
     IDEMPOTENT_LABELS,
     MEMBERSHIP_TOL,
-    HermitianIdempotent,
     element_to_realvec,
     fixed_idempotent,
     ideal_residual,
@@ -32,6 +32,7 @@ from cl13.subspaces import (
     sp_group_residual,
     subspace_basis,
 )
+from cl13.verify import ConfigError, ScenarioConfig
 
 
 def test_sp_algebra_membership():
@@ -52,7 +53,7 @@ def test_sp_group_membership():
 def test_hermitian_idempotent_examples():
     ok, _ = is_hermitian_idempotent(E)  # t4
     assert ok
-    t1 = fixed_idempotent("t1").element.lift()
+    t1 = fixed_idempotent("t1").lift()
     ok, residuals = is_hermitian_idempotent(t1)
     assert ok and all(r == 0.0 for r in residuals.values())
     ok, residuals = is_hermitian_idempotent(E1)
@@ -60,51 +61,51 @@ def test_hermitian_idempotent_examples():
     assert residuals["idempotent"] > 1.0
     ok, _ = is_hermitian_idempotent(CliffordElement.zero())
     assert not ok
-    with pytest.raises(ValueError):
-        HermitianIdempotent.checked(E1)
+    # A custom t that fails them is a configuration error.
+    with pytest.raises(ConfigError, match="bad idempotent: not a Hermitian idempotent"):
+        ScenarioConfig(idempotent=E1.to_json_obj())
 
 
 def test_an_idempotent_larger_than_a_projector_is_rejected_by_its_norm():
     # A Hermitian idempotent is an orthogonal projector: |M|_F / 2 <= 1,
     # with equality for t4 = e, which still passes.
-    assert is_hermitian_idempotent(fixed_idempotent("t4").element)[0]
+    assert is_hermitian_idempotent(fixed_idempotent("t4"))[0]
     ok, residuals = is_hermitian_idempotent(E * 2.0)
     assert not ok and residuals == {"norm": 2.0}
 
 
 def test_ideal_membership_examples(t2):
-    t = t2.element
-    assert in_ideal(t, t2, "I")
-    assert in_ideal(t * 1j, t2, "L")
+    assert in_ideal(t2, t2, "I")
+    assert in_ideal(t2 * 1j, t2, "L")
     # e1 t2 lies in I(t2) but t2 (e1 t2) = 0 != e1 t2, so K fails.
-    u = E1 * t
+    u = E1 * t2
     assert in_ideal(u, t2, "I")
     assert not in_ideal(u, t2, "K")
-    assert (t * u).is_zero(1e-14)
+    assert (t2 * u).is_zero(1e-14)
     g = sample("G", t2, seed=3, scale=0.5)
     assert ideal_residual(g, t2, "G") <= 1e-9
     with pytest.raises(ValueError):
-        in_ideal(t, t2, "Z")
+        in_ideal(t2, t2, "Z")
 
 
 def test_subspace_dimensions_against_svd_oracle():
     sb = subspace_basis("sp_cl")
-    assert sb.dim == 10
+    assert len(sb) == 10
     # Oracle: rank of the basis matrix via numpy SVD.
-    assert np.linalg.matrix_rank(sb.vectors) == 10
+    assert np.linalg.matrix_rank(element_to_realvec(stack(sb))) == 10
     for label, rank in zip(IDEMPOTENT_LABELS, (1, 2, 3, 4)):
         t = fixed_idempotent(label)
-        assert rep_rank(t.element) == rank
+        assert rep_rank(t) == rank
         for space, expected in (("L", rank * rank), ("K", 2 * rank * rank), ("I", 8 * rank)):
             got = subspace_basis(space, t)
-            assert got.dim == expected
-            assert np.linalg.matrix_rank(got.vectors) == expected
+            assert len(got) == expected
+            assert np.linalg.matrix_rank(element_to_realvec(stack(got))) == expected
 
 
 def test_basis_elements_satisfy_membership(t2):
-    for b in subspace_basis("sp_cl").basis:
+    for b in subspace_basis("sp_cl"):
         assert sp_algebra_residual(b) <= 1e-12
-    for b in subspace_basis("L", t2).basis:
+    for b in subspace_basis("L", t2):
         assert ideal_residual(b, t2, "L") <= 1e-9
 
 
@@ -133,7 +134,7 @@ def test_sampling_memberships(t2):
     assert sp_group_residual(v) <= 1e-10
     u = sample("G", t2, seed=7)
     assert (u.herm_conj() * u - E).norm() <= 1e-10
-    assert commutator(u, t2.element).norm() <= 1e-10
+    assert commutator(u, t2).norm() <= 1e-10
     assert sample("sp_cl", seed=4, scale=0.0).is_zero()
     with pytest.raises(ValueError):
         sample("nope", seed=0)
@@ -215,13 +216,12 @@ def test_sample_rejects_a_seed_array_of_more_than_one_axis():
 
 def _constraint_rows_by_blade(space, t):
     """The constraint matrix of I(t), K(t) or L(t), one real unit vector at a time."""
-    tt = t.element
     columns = []
     for k in range(32):
         u = realvec_to_element(np.eye(32)[k])
-        parts = [u - u * tt]
+        parts = [u - u * t]
         if space in ("K", "L"):
-            parts.append(u - tt * u)
+            parts.append(u - t * u)
         if space == "L":
             parts.append(u.herm_conj() + u)
         columns.append(np.concatenate([element_to_realvec(p) for p in parts]))
@@ -229,18 +229,21 @@ def _constraint_rows_by_blade(space, t):
 
 
 def test_cached_basis_is_read_only_and_equals_a_fresh_row_reduction():
-    sb = subspace_basis("sp_cl")
-    assert subspace_basis("sp_cl").vectors is sb.vectors
-    with pytest.raises(ValueError):
-        sb.vectors[0, 0] = 1.0
-    assert np.array_equal(sb.vectors, nullspace_basis(np.eye(32)[subspaces._SP_ALGEBRA_ZERO]))
+    cached = subspaces._basis_vectors
+    cached.cache_clear()
+    cases = [("sp_cl", None, np.eye(32)[subspaces._SP_ALGEBRA_ZERO])]
     for label in IDEMPOTENT_LABELS:
         t = fixed_idempotent(label)
-        for space in ("I", "K", "L"):
-            sb = subspace_basis(space, t)
-            # The lifted idempotent has the same float matrix, so the same entry.
-            assert subspace_basis(space, t.element.lift()).vectors is sb.vectors
-            with pytest.raises(ValueError):
-                sb.vectors[..., 0] = 1.0
-            fresh = nullspace_basis(_constraint_rows_by_blade(space, t))
-            assert np.array_equal(sb.vectors, fresh)
+        cases += [(space, t, _constraint_rows_by_blade(space, t)) for space in "IKL"]
+    for n, (space, t, rows) in enumerate(cases, start=1):
+        basis = subspace_basis(space, t)
+        # One row reduction per (space, t): a repeated call, and a lifted t
+        # with the same float matrix, hit the entry of the first call.
+        subspace_basis(space, t if t is None else t.lift())
+        assert cached.cache_info().misses == n
+        vectors = cached(space, subspaces._basis_key(space, t))
+        with pytest.raises(ValueError):
+            vectors[..., 0] = 1.0
+        fresh = nullspace_basis(rows)
+        assert np.array_equal(vectors, fresh)
+        assert np.array_equal(element_to_realvec(stack(basis)), fresh)

@@ -25,10 +25,12 @@ from cl13.fields import (
     two_yang_mills_residuals,
     worst,
 )
-from cl13.rep import gamma_rep, hermitian_eigenvalues
+from cl13.rep import gamma_rep, hermitian_eigenvalues, inverse
 from cl13.shapes import constant_shape
 from cl13.subspaces import (
+    MEMBERSHIP_TOL,
     fixed_idempotent,
+    hermitian_idempotent_residuals,
     ideal_residual,
     sample,
     sp_group_residual,
@@ -108,7 +110,8 @@ def test_constant_symplectic_conjugation_preserves_h_relations(reduced, points):
 
 def test_covariance_on_solution(reduced, points, t2):
     specs = [random_transformation(kind, 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
-    for spec, mismatch in zip(specs, covariance_check(reduced, specs, points[:4]), strict=True):
+    _, mismatches = covariance_check(reduced, specs, points[:4])
+    for spec, mismatch in zip(specs, mismatches, strict=True):
         assert worst(mismatch.values()) <= 1e-9, spec.kind
         # Transformed solutions stay solutions.
         transformed = apply_transformation(reduced, spec)
@@ -118,11 +121,23 @@ def test_covariance_on_solution(reduced, points, t2):
 
 def test_covariance_residual_law_on_nonsolutions(t2):
     fs = random_two_yang_mills_set(71, t2, 1.0)
-    base = two_yang_mills_residuals(fs, PTS[:3])
-    assert worst(base.values()) > 1e-2
     specs = [random_transformation(kind, 200 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
-    for spec, mismatch in zip(specs, covariance_check(fs, specs, PTS[:3]), strict=True):
+    residuals, mismatches = covariance_check(fs, specs, PTS[:3])
+    assert worst(residuals.values()) > 1e-2
+    for spec, mismatch in zip(specs, mismatches, strict=True):
         assert worst(mismatch.values()) <= 1e-9, spec.kind
+
+
+def test_covariance_check_returns_the_residuals_of_its_field_set(reduced, t2):
+    # The untransformed roots' peaks, bit for bit as two_yang_mills_residuals
+    # gives them, on a non-solution and on a solution.
+    specs = [random_transformation(kind, 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
+    for fs in (random_two_yang_mills_set(71, t2, 1.0), reduced):
+        residuals, _ = covariance_check(fs, specs, PTS)
+        expected = two_yang_mills_residuals(fs, PTS)
+        assert list(residuals) == list(expected)
+        for eq, per_point in expected.items():
+            assert np.array_equal(residuals[eq], per_point), eq
 
 
 def _current_laws(fs, x) -> dict:
@@ -143,11 +158,11 @@ def test_covariance_and_current_arrays_hold_each_point_alone(t2):
     nonsolution = random_two_yang_mills_set(31, t2, 1.0)
     pts = sample_points(3, 24)
     for fs in (solution, nonsolution):
-        stacked = covariance_check(fs, specs, pts)
-        stacked.append(_current_laws(fs, pts))
+        residuals, stacked = covariance_check(fs, specs, pts)
+        stacked += [residuals, _current_laws(fs, pts)]
         for i, x in enumerate(pts):
-            alone = covariance_check(fs, specs, x)
-            alone.append(_current_laws(fs, x))
+            residuals, alone = covariance_check(fs, specs, x)
+            alone += [residuals, _current_laws(fs, x)]
             for whole, one in zip(stacked, alone):
                 for eq, per_point in whole.items():
                     assert per_point[i] == one[eq], (eq, i)
@@ -189,9 +204,24 @@ def test_discrete_j_is_conjugation_then_the_constant_unitary_j():
     pairs += [(twisted.h, conj.h), (twisted.b, conj.b)]
     for f, g in pairs:
         assert np.max((f.value(PTS) - g.value(PTS)).norm()) <= 1e-12
-    # J^{-1} conj(t) J = t: the twist restores the idempotent and its label.
-    assert np.array_equal(gamma_rep(twisted.t.element), gamma_rep(fs.t.element))
-    assert twisted.t.label == "t1"
+    # J^{-1} conj(t) J = t: the twist restores the idempotent.
+    assert np.array_equal(gamma_rep(twisted.t), gamma_rep(fs.t))
+
+
+def test_the_t_laws_move_the_plain_idempotent(t2):
+    fs = random_two_yang_mills_set(41, t2, 1.0)
+    conj = apply_transformation(fs, TransformationSpec("conjugation"))
+    assert np.array_equal(gamma_rep(conj.t), gamma_rep(t2.conj()))
+    # A constant U moves t to U0^{-1} t U0, with U0 read at the origin.
+    spec = random_transformation("global_unitary", 100, t2)
+    u0 = spec.family.value((0, 0, 0, 0))
+    moved = apply_transformation(fs, spec).t
+    assert np.array_equal(gamma_rep(moved), gamma_rep(inverse(u0) * t2 * u0))
+    residuals = hermitian_idempotent_residuals(moved)
+    assert max(residuals["hermitian"], residuals["idempotent"]) <= MEMBERSHIP_TOL
+    # U(x) in G(t) commutes with t, so a gauge unitary keeps it.
+    gauged = apply_transformation(fs, random_transformation("gauge_unitary", 100, t2))
+    assert gauged.t is t2
 
 
 # -- bilinear forms ---------------------------------------------------------------
@@ -204,13 +234,13 @@ def test_bilinear_form_zero_phi():
 
 def test_bilinear_form_rank1_matches_idempotent(t2):
     # J^0 = phi^dag beta e^0 phi = t2 for phi = t2 (beta e^0 = e).
-    j0 = bilinear_form(t2.element, list(GENERATORS), (0,))
-    assert j0.equals(t2.element, 1e-14)
+    j0 = bilinear_form(t2, list(GENERATORS), (0,))
+    assert j0.equals(t2, 1e-14)
     assert np.allclose(hermitian_eigenvalues(j0), [0, 0, 1, 1], atol=1e-12)
 
 
 def test_bilinear_form_exact_antisymmetry():
-    t2x = fixed_idempotent("t2").element.lift()
+    t2x = fixed_idempotent("t2").lift()
     h = [g.lift() for g in GENERATORS]
     for k, indices in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3))):
         base = bilinear_form(t2x, h, indices)
@@ -239,7 +269,7 @@ def test_bilinear_form_hermitian_and_in_l(rng, t2, family):
     winv = family.inverse_field().value(x)
     h_vals = [winv * g * w for g in GENERATORS]
     for _ in range(5):
-        phi = random_element(rng, 0.8) * t2.element
+        phi = random_element(rng, 0.8) * t2
         for indices in [(0,), (2,), (0, 1), (1, 2, 3), (0, 1, 2, 3)]:
             j = bilinear_form(phi, h_vals, indices)
             assert isinstance(j, CliffordElement) and not j.exact

@@ -4,6 +4,7 @@ import functools
 import json
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,11 +209,9 @@ def test_cli_stdout(capsys):
 
 
 def test_inline_idempotent_config(t2):
-    cfg = ScenarioConfig(
-        suite="idempotents", idempotent=t2.element.to_json_obj(), seed=3
-    )
+    cfg = ScenarioConfig(suite="idempotents", idempotent=t2.to_json_obj(), seed=3)
     resolved = cfg.resolve_idempotent()
-    assert resolved.element.equals(t2.element, 1e-12)
+    assert resolved.equals(t2, 1e-12)
 
 
 def test_family_json_config(family):
@@ -263,11 +262,19 @@ def test_cli_non_numeric_m_values(tmp_path):
 
 
 @pytest.mark.parametrize("suite", ["idempotents", "reduction"])
-def test_cli_non_idempotent_custom_idempotent(tmp_path, suite):
+def test_cli_non_idempotent_custom_idempotent(tmp_path, capsys, suite):
     # (2e + e0)^2 = 5e + 4e0 is not 2e + e0.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"idempotent": {"e": [2, 0], "e0": [1, 0]}}))
     assert main(["verify", suite, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad idempotent: not a Hermitian idempotent: residuals")
+
+
+def test_a_custom_idempotent_passes_every_check():
+    # (e - e0)/2, none of t1..t4; the report scan runs the same config file.
+    path = Path(__file__).resolve().parent.parent / "tools" / "custom_idempotent.json"
+    assert main(["verify", "all", "--seed", "42", "--config", str(path)]) == 0
 
 
 def test_an_idempotent_too_large_to_square_is_a_config_error_without_warnings(tmp_path):
@@ -280,8 +287,9 @@ def test_an_idempotent_too_large_to_square_is_a_config_error_without_warnings(tm
         assert main(["verify", "idempotents", "--config", str(cfg_path)]) == 2
 
 
-def test_cli_unknown_idempotent_label():
+def test_cli_unknown_idempotent_label(capsys):
     assert main(["verify", "idempotents", "--idempotent", "t9"]) == 2
+    assert capsys.readouterr().err == "error: bad idempotent: unknown idempotent label 't9'\n"
 
 
 def test_cli_non_symplectic_family(tmp_path):
@@ -508,6 +516,17 @@ def test_a_symmetries_report_evaluates_each_exponential_once_per_point_array(mon
     counts = _count_evaluations(monkeypatch, [ExpField])
     run_scenario(ScenarioConfig(suite="symmetries", seed=42))
     assert set(counts.values()) == {1}
+
+
+def test_a_symmetries_report_evaluates_the_nonsolution_residuals_once(monkeypatch):
+    # covariance_check returns the peaks of the non-solution's residual roots,
+    # which the scale check reads instead of building the roots again.
+    classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
+    counts = _count_evaluations(monkeypatch, classes)
+    work = _count_element_operations(monkeypatch)
+    run_scenario(ScenarioConfig(suite="symmetries", seed=42))
+    assert sum(counts.values()) <= 2533
+    assert work["products"] <= 1620
 
 
 def test_source_nonzero_fails_when_one_point_has_no_source(monkeypatch):

@@ -4,7 +4,7 @@
     python3 tools/scan_reports.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``cl13`` package
-(a checkout's ``src``).  Each tree runs the same 377 reports, in a
+(a checkout's ``src``).  Each tree runs the same 378 reports, in a
 subprocess of its own whose PYTHONPATH is that tree:
 
   * ``verify reduction`` at seeds 0-199 (20 points),
@@ -24,7 +24,9 @@ subprocess of its own whose PYTHONPATH is that tree:
   * ``verify symmetries`` at seeds 0-19 (with the ``verify all`` reports
     and the two above, 29 reports run the symmetries suite),
   * ``verify reduction --seed 1 --m 100`` (which fails
-    ``two-yang-mills-residuals`` from round-off: the tolerance is absolute).
+    ``two-yang-mills-residuals`` from round-off: the tolerance is absolute),
+  * ``verify all --seed 42`` with the config file ``custom_idempotent.json``
+    beside this script: the idempotent (e - e0)/2, none of t1..t4.
 
 The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
@@ -46,6 +48,8 @@ import sys
 import traceback
 from pathlib import Path
 
+CUSTOM_IDEMPOTENT = str(Path(__file__).resolve().parent / "custom_idempotent.json")
+
 SCAN = (
     [["reduction", "--seed", str(seed)] for seed in range(200)]
     + [["all", "--seed", str(seed)] for seed in (1, 7, 42, 123)]
@@ -63,6 +67,7 @@ SCAN = (
     + [["reduction", "--sample-count", "128", "--m", "0.5,1,2,4,8", "--seed", "3"]]
     + [["symmetries", "--seed", str(seed)] for seed in range(20)]
     + [["reduction", "--seed", "1", "--m", "100"]]
+    + [["all", "--seed", "42", "--config", CUSTOM_IDEMPOTENT]]
 )
 
 
