@@ -11,8 +11,10 @@ A float element is stored as its Dirac matrix (see ``BLADE_REPS``): shape
 (4, 4), or (N, 4, 4) for a stack of N values such as a field over a point
 set, so the product is a matrix product.  Blade coefficients are read off
 by the trace formula only where they are needed.  An exact element
-carries 16 RationalComplex coefficients and certifies algebraic
-identities with zero rounding; it is the oracle of the float mode.
+holds its 16 coefficients as Gaussian-integer numerators over one positive
+denominator, (re + i im) / den, reduced by one gcd per result, and
+certifies algebraic identities with zero rounding; it is the oracle of the
+float mode.  Its coefficients are read as ``RationalComplex`` values.
 
 Every exact value is the lift of a float value: ``u.lift()`` is the one
 way into exact mode.  It converts the 16 entries of u's Dirac matrix to
@@ -45,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import RC_ONE, RationalComplex, is_finite_real
+from .exactnum import RationalComplex, is_finite_real
 
 N_BLADES = 16
 METRIC_DIAG = (1, -1, -1, -1)
@@ -106,13 +108,8 @@ def blade_mul(a: int, b: int) -> tuple[int, int]:
     return sign, acc
 
 
-_SIGNS = np.zeros((N_BLADES, N_BLADES), dtype=np.int8)
-_PROD_MASK = np.zeros((N_BLADES, N_BLADES), dtype=np.int8)
-for _a in range(N_BLADES):
-    for _b in range(N_BLADES):
-        _s, _m = blade_mul(_a, _b)
-        _SIGNS[_a, _b] = _s
-        _PROD_MASK[_a, _b] = _m
+# The product of blades a and b has mask a ^ b and sign _SIGNS[a][b].
+_SIGNS = [[blade_mul(a, b)[0] for b in range(N_BLADES)] for a in range(N_BLADES)]
 
 
 # -- the float product kernel ---------------------------------------------------
@@ -214,7 +211,7 @@ class CliffordElement:
     arithmetic is rational.  ``exact`` tells the two apart.
     """
 
-    __slots__ = ("_coeffs", "_mat", "exact")
+    __slots__ = ("_num", "_mat", "exact")
     __array_ufunc__ = None  # array * element defers to __rmul__
 
     def __init__(self, coeffs):
@@ -242,9 +239,15 @@ class CliffordElement:
 
     @classmethod
     def _from_coeffs(cls, coeffs) -> "CliffordElement":
-        """The exact element with these 16 RationalComplex coefficients."""
+        """The exact element (re + i im) / den for coeffs = (re, im, den): 16
+        integer numerators of each part over one positive integer.  Stored
+        reduced by their gcd, so equal values hold equal tuples."""
+        re, im, den = coeffs
+        g = math.gcd(den, *re, *im)
+        if g != 1:
+            re, im, den = [x // g for x in re], [x // g for x in im], den // g
         out = object.__new__(cls)
-        object.__setattr__(out, "_coeffs", tuple(coeffs))
+        object.__setattr__(out, "_num", (tuple(re), tuple(im), den))
         object.__setattr__(out, "exact", True)
         return out
 
@@ -285,27 +288,28 @@ class CliffordElement:
         ratios = [x.as_integer_ratio() for x in self._mat.view(float).ravel().tolist()]
         den = max(d for _, d in ratios)
         ints = np.array([n * (den // d) for n, d in ratios], dtype=object)
-        parts = (ints[_READ_INDEX] * _READ_SIGN).sum(axis=2).tolist()
-        return CliffordElement._from_coeffs(
-            RationalComplex(Fraction(re, 4 * den), Fraction(im, 4 * den)) if re or im else _RC_ZERO
-            for re, im in parts
-        )
+        re, im = (ints[_READ_INDEX] * _READ_SIGN).sum(axis=2).T.tolist()
+        return CliffordElement._from_coeffs((re, im, 4 * den))
 
     def to_float(self) -> "CliffordElement":
         if not self.exact:
             return self
-        return CliffordElement([complex(c) for c in self._coeffs])
+        re, im, den = self._num
+        # int / int is correctly rounded, as float(Fraction) is.
+        return CliffordElement([complex(r / den, i / den) for r, i in zip(re, im)])
 
     def coefficient(self, blade):
         if self.exact:
-            return self._coeffs[_mask_of(blade)]
+            return self.coefficients()[_mask_of(blade)]
         return self.coefficients()[..., _mask_of(blade)]
 
     def coefficients(self):
         """The 16 coefficients in mask order (a numpy array in float mode, by
         the trace formula; shape (N, 16) for a stack)."""
         if self.exact:
-            return self._coeffs
+            re, im, den = self._num
+            pairs = zip(re, im)
+            return tuple(RationalComplex(Fraction(r, den), Fraction(i, den)) for r, i in pairs)
         m = self._mat
         return m.reshape(m.shape[:-2] + (16,)) @ _TO_COEFFS
 
@@ -315,28 +319,26 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         if self.exact or other.exact:
-            pairs = zip(self.lift()._coeffs, other.lift()._coeffs)
-            return CliffordElement._from_coeffs(a + b for a, b in pairs)
+            return _add_exact(self, other, 1)
         return CliffordElement._from_matrix(self._mat + other._mat)
 
     def __sub__(self, other):
         if not isinstance(other, CliffordElement):
             return NotImplemented
         if self.exact or other.exact:
-            return self + (-other)
+            return _add_exact(self, other, -1)
         return CliffordElement._from_matrix(self._mat - other._mat)
 
     def __neg__(self):
         if self.exact:
-            return CliffordElement._from_coeffs(-c for c in self._coeffs)
+            return _signed(self, _ALL_NEG, _ALL_NEG)
         return CliffordElement._from_matrix(-self._mat)
 
     def _scalar_mul(self, scalar):
         """Product with a scalar, or in float mode with an array of one
         scalar per element of a stack."""
         if self.exact:
-            s = _exact_scalar(scalar)
-            return CliffordElement._from_coeffs(c * s for c in self._coeffs)
+            return _scaled(self, _exact_scalar(scalar))
         scalar = scalar[..., None, None] if isinstance(scalar, np.ndarray) else complex(scalar)
         return CliffordElement._from_matrix(self._mat * scalar)
 
@@ -360,7 +362,10 @@ class CliffordElement:
 
     def __truediv__(self, scalar):
         if self.exact:
-            return self._scalar_mul(RC_ONE / _exact_scalar(scalar))
+            sr, si, sd = _exact_scalar(scalar)
+            if not (sr or si):
+                raise ZeroDivisionError("division by exact zero")
+            return _scaled(self, (sd * sr, -sd * si, sr * sr + si * si))
         return self._scalar_mul(1.0 / complex(scalar))
 
     # -- grade structure ----------------------------------------------------
@@ -370,9 +375,8 @@ class CliffordElement:
         if not 0 <= k <= 4:
             raise ValueError(f"grade must be in 0..4, got {k}")
         if self.exact:
-            return CliffordElement._from_coeffs(
-                c if GRADES[m] == k else _RC_ZERO for m, c in enumerate(self._coeffs)
-            )
+            keep = [int(g == k) for g in GRADES]
+            return _signed(self, keep, keep)
         return CliffordElement(np.where(np.array(GRADES) == k, self.coefficients(), 0.0))
 
     # -- involutions ---------------------------------------------------------
@@ -381,23 +385,19 @@ class CliffordElement:
         """The * operation: antilinear antiautomorphism fixing each e^a
         (gamma0 M^dagger gamma0 on the Dirac matrix)."""
         if self.exact:
-            return CliffordElement._from_coeffs(
-                c.conjugate() * REVERSION_SIGNS[m] for m, c in enumerate(self._coeffs)
-            )
+            return _signed(self, REVERSION_SIGNS, [-s for s in REVERSION_SIGNS])
         return CliffordElement._from_matrix(_dagger(self._mat) * _GAMMA0_SIGNS)
 
     def herm_conj(self) -> "CliffordElement":
         """Hermitian conjugation U -> beta U* beta, beta = e0 (M^dagger)."""
         if self.exact:
-            return CliffordElement._from_coeffs(
-                c.conjugate() * _HERM_SIGNS[m] for m, c in enumerate(self._coeffs)
-            )
+            return _signed(self, _HERM_SIGNS, [-s for s in _HERM_SIGNS])
         return CliffordElement._from_matrix(_dagger(self._mat))
 
     def conj(self) -> "CliffordElement":
         """Complex conjugation: coefficients conjugate, blades fixed."""
         if self.exact:
-            return CliffordElement._from_coeffs(c.conjugate() for c in self._coeffs)
+            return _signed(self, _ALL_POS, _ALL_NEG)
         mat = self._mat[..., _CONJ_PERM[:, None], _CONJ_PERM]
         return CliffordElement._from_matrix(mat.conj() * _CONJ_SIGNS)
 
@@ -406,20 +406,20 @@ class CliffordElement:
     def norm(self):
         """Euclidean norm of the 16 coefficients (one per element of a stack)."""
         if self.exact:
-            s = sum((c.abs_sq() for c in self._coeffs), Fraction(0))
-            return math.sqrt(float(s)) if s else 0.0
+            re, im, den = self._num
+            return math.sqrt(sum(x * x for x in re + im) / den**2)
         return _frobenius_half(self._mat)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.exact:
-            return all(not c for c in self._coeffs)
+            return not any(self._num[0] + self._num[1])
         return bool(np.max(np.abs(self.coefficients())) <= tol)
 
     def equals(self, other: "CliffordElement", tol: float = DEFAULT_TOL) -> bool:
         """Exact equality in exact mode, absolute tolerance on the
         coefficients otherwise."""
         if self.exact and other.exact:
-            return self._coeffs == other._coeffs
+            return self._num == other._num
         a, b = self.to_float(), other.to_float()
         return bool(np.max(np.abs(a.coefficients() - b.coefficients())) <= tol)
 
@@ -429,7 +429,7 @@ class CliffordElement:
         if self.exact != other.exact:
             return False
         if self.exact:
-            return self._coeffs == other._coeffs
+            return self._num == other._num
         return bool(np.array_equal(self._mat, other._mat))
 
     __hash__ = None
@@ -476,27 +476,57 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
     return np.swapaxes(mat, -1, -2).conj()
 
 
-_RC_ZERO = RationalComplex(0)
+# -- the exact kernel: an element is (re, im, den), a scalar (sr, si, sd), ints --
+
+_ALL_POS, _ALL_NEG = (1,) * N_BLADES, (-1,) * N_BLADES
 
 
-def _exact_scalar(scalar) -> RationalComplex:
+def _exact_scalar(scalar) -> tuple[int, int, int]:
     if isinstance(scalar, np.ndarray):
         raise TypeError("an array of scalars cannot meet an exact element")
-    return RationalComplex.from_value(scalar)
+    s = RationalComplex.from_value(scalar)
+    den = math.lcm(s.re.denominator, s.im.denominator)
+    return int(s.re * den), int(s.im * den), den
+
+
+def _signed(u: CliffordElement, re_signs, im_signs) -> CliffordElement:
+    """u with each numerator times its blade's integer factor."""
+    re, im, den = u._num
+    return CliffordElement._from_coeffs(
+        ([x * s for x, s in zip(re, re_signs)], [x * s for x, s in zip(im, im_signs)], den)
+    )
+
+
+def _scaled(u: CliffordElement, scalar) -> CliffordElement:
+    (re, im, den), (sr, si, sd) = u._num, scalar
+    out_re = [a * sr - b * si for a, b in zip(re, im)]
+    out_im = [a * si + b * sr for a, b in zip(re, im)]
+    return CliffordElement._from_coeffs((out_re, out_im, den * sd))
+
+
+def _add_exact(u: CliffordElement, v: CliffordElement, sign: int) -> CliffordElement:
+    """u + sign * v over the lcm of the two denominators."""
+    (ur, ui, du), (vr, vi, dv) = u.lift()._num, v.lift()._num
+    den = math.lcm(du, dv)
+    fu, fv = den // du, sign * (den // dv)
+    out_re = [a * fu + b * fv for a, b in zip(ur, vr)]
+    out_im = [a * fu + b * fv for a, b in zip(ui, vi)]
+    return CliffordElement._from_coeffs((out_re, out_im, den))
 
 
 def _mul_exact(u: CliffordElement, v: CliffordElement) -> CliffordElement:
-    coeffs = [_RC_ZERO] * N_BLADES
-    v_coeffs = v.lift()._coeffs
-    for a, ca in enumerate(u.lift()._coeffs):
-        if not ca:
-            continue
-        for b, cb in enumerate(v_coeffs):
-            if not cb:
-                continue
-            m = _PROD_MASK[a, b]
-            coeffs[m] = coeffs[m] + ca * cb * int(_SIGNS[a, b])
-    return CliffordElement._from_coeffs(coeffs)
+    """One pass over the nonzero blade pairs of the blade table."""
+    (ur, ui, du), (vr, vi, dv) = u.lift()._num, v.lift()._num
+    re, im = [0] * N_BLADES, [0] * N_BLADES
+    right = [(b, br, bi) for b, (br, bi) in enumerate(zip(vr, vi)) if br or bi]
+    for a, (ar, ai) in enumerate(zip(ur, ui)):
+        if ar or ai:
+            signs = _SIGNS[a]
+            for b, br, bi in right:
+                m, s = a ^ b, signs[b]
+                re[m] += s * (ar * br - ai * bi)
+                im[m] += s * (ar * bi + ai * br)
+    return CliffordElement._from_coeffs((re, im, du * dv))
 
 
 # -- module-level operations ----------------------------------------------

@@ -1,8 +1,9 @@
 """Exact complex numbers with rational real and imaginary parts.
 
-Python's ``complex`` only holds doubles, so the exact coefficient mode of
-the algebra stores each coefficient as a :class:`RationalComplex`: a pair
-of ``fractions.Fraction`` values and a formal imaginary unit.
+Python's ``complex`` only holds doubles, so an exact element of the
+algebra gives each coefficient as a :class:`RationalComplex`: a pair of
+``fractions.Fraction`` values and a formal imaginary unit.  It also turns a
+scalar that meets an exact element into a rational.
 
 Config and JSON readers take numbers and keys by the rules below: a bool or
 a string is no number, and an unknown key is an error.
@@ -157,6 +158,3 @@ class RationalComplex:
 
     def __repr__(self):
         return f"RationalComplex({self.re!r}, {self.im!r})"
-
-
-RC_ONE = RationalComplex(1)

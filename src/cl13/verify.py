@@ -26,6 +26,7 @@ from .algebra import (
     commutator,
     exp_element,
     random_element,
+    stack,
 )
 from .exactnum import is_finite_real, is_int
 from .fields import (
@@ -333,16 +334,16 @@ def _suite_algebra(s: _Suite) -> None:
         ]
     s.add("algebra/involution-laws", "(UV)* = V* U*, U^dag = beta U* beta", laws, "involution")
 
-    # Representation is a *-homomorphism: the float product of each blade
-    # pair (a Dirac matrix product) against the blade table's signed blade,
-    # and each blade's conjugate transpose against its exact Hermitian
-    # conjugate; by linearity the 256 pairs and 16 blades cover every element.
+    # Representation is a *-homomorphism: the float products of all blade
+    # pairs (one broadcast Dirac matrix product) against the blade table's
+    # signed blades, and each blade's conjugate transpose against its exact
+    # Hermitian conjugate; by linearity the 256 pairs and 16 blades cover
+    # every element.
     blades = [CliffordElement.from_blade(m) for m in range(N_BLADES)]
-    pairs = []
-    for a, u in enumerate(blades):
-        for b, v in enumerate(blades):
-            sign, mask = blade_mul(a, b)
-            pairs.append((gamma_rep(u * v), sign * BLADE_REPS[mask]))
+    rows = stack(blades)
+    signed = np.array([[blade_mul(a, b) for b in range(N_BLADES)] for a in range(N_BLADES)])
+    table = signed[..., 0, None, None] * BLADE_REPS[signed[..., 1]]
+    pairs = [(gamma_rep(rows[:, None] * rows[None, :]), table)]
     pairs += [(gamma_rep(u).conj().T, gamma_rep(u.lift().herm_conj())) for u in blades]
     s.add(
         "algebra/rep-homomorphism",
@@ -611,18 +612,18 @@ def _bilinear_checks(s: _Suite, t: CliffordElement) -> None:
         "exact",
     )
 
-    # Hermiticity, ideal membership and real eigenvalues on float samples.
+    # Hermiticity, ideal membership and real eigenvalues on float samples:
+    # six phi drawn in turn, stacked, so each index tuple is one form.
     rng = np.random.default_rng(cfg.seed + 999)
     fam = random_family(cfg.seed + 55, n_factors=1)
     hermitian, member, eig = [], [], []
     h_vals = build_pure_gauge(fam, t, 1.0).h.value([0.3, 0.1, 0.7, 0.2])
-    for _ in range(6):
-        phi = random_element(rng, 0.8) * t
-        for indices in [(0,), (1,), (0, 1), (0, 2, 3), (0, 1, 2, 3)]:
-            j = bilinear_form(phi, h_vals, indices)
-            hermitian.append((j.herm_conj() - j).norm())
-            member.append(ideal_residual(j * 1j, t, "L"))
-            eig.append(np.abs(np.linalg.eigvals(gamma_rep(j)).imag))
+    phi = stack([random_element(rng, 0.8) * t for _ in range(6)])
+    for indices in [(0,), (1,), (0, 1), (0, 2, 3), (0, 1, 2, 3)]:
+        j = bilinear_form(phi, h_vals, indices)
+        hermitian.append((j.herm_conj() - j).norm())
+        member.append(ideal_residual(j * 1j, t, "L"))
+        eig.append(np.abs(np.linalg.eigvals(gamma_rep(j)).imag))
     s.add("symmetries/bilinear-hermitian", "J^dag = J", hermitian, "involution")
     s.add("symmetries/bilinear-ideal-membership", "i J in L(t)", member, "membership")
     s.add("symmetries/bilinear-real-eigenvalues", "eigenvalues of J are real", eig, "eigen")

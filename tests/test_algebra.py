@@ -1,6 +1,7 @@
 """Blade products, involutions and the exponential map."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,9 @@ from cl13.algebra import (
     E0,
     E1,
     GENERATORS,
+    GRADES,
     METRIC_DIAG,
+    REVERSION_SIGNS,
     CliffordElement,
     _matmul,
     anticommutator,
@@ -310,6 +313,81 @@ def test_the_lift_has_the_float_matrix_entry_by_entry():
         for (i, j), entry in np.ndenumerate(gamma_rep(u)):
             exact = sum((coeffs[mask] * r for mask, r in support[i, j]), RationalComplex(0))
             assert exact == RationalComplex.from_value(complex(entry)), (i, j)
+
+
+# -- the exact kernel against the RationalComplex loop it replaced ------------------
+
+
+def _reference_product(cu, cv):
+    """The blade-table loop over RationalComplex coefficients."""
+    coeffs = [RationalComplex(0)] * 16
+    for a, ca in enumerate(cu):
+        if not ca:
+            continue
+        for b, cb in enumerate(cv):
+            if not cb:
+                continue
+            sign, mask = blade_mul(a, b)
+            coeffs[mask] = coeffs[mask] + ca * cb * sign
+    return tuple(coeffs)
+
+
+def _reference_signed(coeffs, signs, conjugate):
+    return tuple((c.conjugate() if conjugate else c) * s for c, s in zip(coeffs, signs))
+
+
+# beta B* beta: the reversion sign times (-1)^s for s spatial indices
+HERM_SIGNS = [r * (-1) ** bin(m >> 1).count("1") for m, r in enumerate(REVERSION_SIGNS)]
+
+
+def test_the_exact_kernel_matches_the_rational_complex_loop_it_replaced():
+    rng = np.random.default_rng(19)
+    third, sixth = RationalComplex.from_value(1 / 3), RationalComplex.from_value(1j / 6)
+    inverse = RationalComplex(1) / RationalComplex(3, 4)
+    for _ in range(500):
+        u, v = random_element(rng).lift(), random_element(rng).lift()
+        cu, cv = u.coefficients(), v.coefficients()
+        pairs = [
+            (u * v, _reference_product(cu, cv)),
+            (u + v, tuple(a + b for a, b in zip(cu, cv))),
+            (u - v, tuple(a - b for a, b in zip(cu, cv))),
+            (u * Fraction(1, 24), tuple(c * Fraction(1, 24) for c in cu)),
+            (u * (1j / 6), tuple(c * sixth for c in cu)),
+            (u * (1 / 3), tuple(c * third for c in cu)),
+            (u / (3 + 4j), tuple(c * inverse for c in cu)),
+            (u.pseudo_conj(), _reference_signed(cu, REVERSION_SIGNS, True)),
+            (u.herm_conj(), _reference_signed(cu, HERM_SIGNS, True)),
+            (u.conj(), _reference_signed(cu, [1] * 16, True)),
+            *((u.grade(k), _reference_signed(cu, [int(g == k) for g in GRADES], False)) for k in range(5)),
+        ]
+        for got, want in pairs:
+            assert got.exact and got.coefficients() == want
+            assert got.norm() == math.sqrt(float(sum(c.abs_sq() for c in want)))
+
+
+def test_exact_products_associate_and_zero_is_canonical(rng):
+    for _ in range(20):
+        u, v, w = (random_element(rng).lift() for _ in range(3))
+        assert (u * v) * w == u * (v * w)
+    zero = E.lift() * 0
+    assert zero == CliffordElement.zero().lift() == (E.lift() - E) == E0.lift().grade(0)
+    assert zero._num == ((0,) * 16, (0,) * 16, 1)
+    assert zero.is_zero() and zero.norm() == 0.0
+
+
+@pytest.mark.parametrize("coeff", [1.5e300 - 2.5e300j, -1.7976931348623157e308, 1e-300 + 3e-300j, 5e-324j])
+def test_lifts_of_extreme_coefficients_round_trip_bit_for_bit(coeff):
+    for mask in range(16):
+        u = blade(mask, coeff)
+        x = u.lift()
+        assert complex(x.coefficient(mask)) == coeff
+        assert x.to_float() == u and x.to_float().coefficients().tobytes() == u.coefficients().tobytes()
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, 0j, -0.0, Fraction(0), RationalComplex(0)])
+def test_exact_division_by_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        E.lift() / zero
 
 
 def test_serialization_roundtrip(rng):

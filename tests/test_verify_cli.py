@@ -1,6 +1,7 @@
 """Scenario runner, report schema and CLI behaviour."""
 
 import functools
+import importlib
 import json
 import warnings
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from cl13 import subspaces, verify
 from cl13.algebra import E, J, CliffordElement, random_element
 from cl13.cli import main
+from cl13.exactnum import RationalComplex
 from cl13.fields import (
     BracketField,
     CliffordField,
@@ -670,6 +672,32 @@ def test_no_exact_element_is_made_in_the_field_layer(monkeypatch):
     for suite in ("reduction", "convergence"):
         assert run_scenario(ScenarioConfig(suite=suite, seed=1)).failed == 0
     assert made == []
+
+
+def test_exact_checks_make_no_rational_complex_arithmetic(monkeypatch):
+    # An exact element holds integer numerators over one denominator, so
+    # the exact checks run none of the RationalComplex operations that the
+    # benchmark's exactnum.ops probe wraps.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    names = [spec.rpartition(".")[2] for spec in importlib.import_module("probes").SPANS["exactnum.ops"]]
+    wrapped = {vars(RationalComplex)[name] for name in names}
+    calls = Counter()
+
+    def counting(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return call
+
+    for key, fn in list(vars(RationalComplex).items()):
+        if fn in wrapped:  # each listed method under every name, __radd__ too
+            monkeypatch.setattr(RationalComplex, key, counting(key, fn))
+    assert RationalComplex(1) + 1 == 2 and calls == Counter({"__add__": 1})
+    calls.clear()
+    for suite in ("algebra", "idempotents", "symmetries"):
+        assert run_scenario(ScenarioConfig(suite=suite, seed=1)).failed == 0
+    assert calls == Counter()
 
 
 def test_rep_homomorphism_fails_when_the_blade_table_flips_one_sign(monkeypatch):
