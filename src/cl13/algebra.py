@@ -108,8 +108,9 @@ def blade_mul(a: int, b: int) -> tuple[int, int]:
     return sign, acc
 
 
-# The product of blades a and b has mask a ^ b and sign _SIGNS[a][b].
-_SIGNS = [[blade_mul(a, b)[0] for b in range(N_BLADES)] for a in range(N_BLADES)]
+# The blade table, read by the exact product and by the algebra suite's check of
+# the float product: blades a and b multiply to BLADE_SIGNS[a][b] times blade a ^ b.
+BLADE_SIGNS = [[blade_mul(a, b)[0] for b in range(N_BLADES)] for a in range(N_BLADES)]
 
 
 # -- the float product kernel ---------------------------------------------------
@@ -404,10 +405,15 @@ class CliffordElement:
     # -- metrics -------------------------------------------------------------
 
     def norm(self):
-        """Euclidean norm of the 16 coefficients (one per element of a stack)."""
+        """Euclidean norm of the 16 coefficients (one per element of a stack);
+        an exact norm past the double range is inf."""
         if self.exact:
             re, im, den = self._num
-            return math.sqrt(sum(x * x for x in re + im) / den**2)
+            sq, den_sq = sum(x * x for x in re + im), den * den
+            # Past 2^1000 the quotient is taken over 4^s, exactly, and its root scaled back.
+            s = max(0, (sq.bit_length() - den_sq.bit_length()) // 2 - 500)
+            root = math.sqrt(sq / (den_sq << 2 * s))
+            return math.ldexp(root, s) if math.frexp(root)[1] + s <= 1024 else math.inf
         return _frobenius_half(self._mat)
 
     def is_zero(self, tol: float = 0.0) -> bool:
@@ -521,7 +527,7 @@ def _mul_exact(u: CliffordElement, v: CliffordElement) -> CliffordElement:
     right = [(b, br, bi) for b, (br, bi) in enumerate(zip(vr, vi)) if br or bi]
     for a, (ar, ai) in enumerate(zip(ur, ui)):
         if ar or ai:
-            signs = _SIGNS[a]
+            signs = BLADE_SIGNS[a]
             for b, br, bi in right:
                 m, s = a ^ b, signs[b]
                 re[m] += s * (ar * br - ai * bi)

@@ -51,14 +51,18 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse {what}: {text!r}") from None
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from None
+
+
 def _load_config(args) -> ScenarioConfig:
     obj = {}
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+        obj = _read_json(args.config, "config")
         if not isinstance(obj, dict):
             raise ConfigError("config file must hold a JSON object")
     for key in ("suite", "seed", "format", "sample_count", "idempotent"):
@@ -73,14 +77,7 @@ def _load_config(args) -> ScenarioConfig:
         tolerances["residual"] = args.tol
         obj["tolerances"] = tolerances
     if args.family is not None:
-        if args.family == "random":
-            obj["family"] = "random"
-        else:
-            try:
-                with open(args.family, encoding="utf-8") as fh:
-                    obj["family"] = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read family file: {exc}") from None
+        obj["family"] = "random" if args.family == "random" else _read_json(args.family, "family")
     return ScenarioConfig.from_json_obj(obj)
 
 

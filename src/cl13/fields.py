@@ -391,7 +391,7 @@ class DifferenceField(CliffordField):
         self.inner, self.mu = inner, mu
 
     def _evaluate(self, points):
-        return fd_derivative(self.inner.value, points, self.mu, points.fd_step)
+        return fd_derivative(self.inner.value, points, self.mu)
 
 
 ZERO_FIELD = ConstantField(_ZERO)
@@ -402,18 +402,17 @@ def _total(terms) -> CliffordElement:
     return reduce(operator.add, terms)
 
 
-def fd_derivative(func, x, mu: int, step: float):
+def fd_derivative(func, points: PointSet, mu: int):
     """Central difference, with O(step^2) error, along axis mu of a field's
-    ``value`` at a point or point set x.  func is evaluated once on the
-    stencil of a pass of this step (x's own when it is one), so the other
-    three axes read the same value: shifts mu and 4 + mu at axis -3."""
-    points = x if isinstance(x, PointSet) and x.fd_step == step else PointSet(_as_points(x).x, step)
+    ``value`` over a finite-difference pass, at the pass's ``fd_step``.
+    func is evaluated once on the pass's stencil, so the other three axes
+    read the same value: shifts mu and 4 + mu at axis -3."""
     val = func(points.stencil)
     if gamma_rep(val).shape[-3:-2] == (8,):
         plus, minus = val[..., mu, :, :], val[..., 4 + mu, :, :]
     else:  # a value with no 8 shifts at axis -3 does not vary over the stencil
         plus = minus = val[..., 0, :, :] if gamma_rep(val).ndim > 2 else val
-    return (plus - minus) * (0.5 / step)
+    return (plus - minus) * (0.5 / points.fd_step)
 
 
 # -- families of group-valued fields -------------------------------------------

@@ -127,12 +127,6 @@ def constant_shape(c: float) -> PolyShape:
     return PolyShape({(0, 0, 0, 0): c})
 
 
-def coordinate_shape(axis: int, coeff: float = 1.0) -> PolyShape:
-    powers = [0, 0, 0, 0]
-    powers[axis] = 1
-    return PolyShape({tuple(powers): coeff})
-
-
 def shape_from_json(obj: dict) -> Shape:
     """The shape of a JSON object: powers are non-negative integers, the
     other numbers finite (a string or a bool is neither)."""

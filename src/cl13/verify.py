@@ -17,18 +17,18 @@ import numpy as np
 
 from .algebra import (
     BLADE_REPS,
+    BLADE_SIGNS,
     GENERATORS,
     METRIC_DIAG,
     N_BLADES,
     CliffordElement,
     E,
-    blade_mul,
     commutator,
     exp_element,
     random_element,
     stack,
 )
-from .exactnum import is_finite_real, is_int
+from .exactnum import is_finite_real, is_int, known_keys
 from .fields import (
     FieldFamily,
     PointSet,
@@ -218,11 +218,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScenarioConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            return cls(**obj)
+            return cls(**known_keys(obj, [f.name for f in fields(cls)], "config"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
@@ -301,14 +298,13 @@ class _Suite:
 
 def _suite_algebra(s: _Suite) -> None:
     cfg = s.cfg
-    # Generator relations, exact rational mode (the exact sums lift E).
-    gens = [g.lift() for g in GENERATORS]
+    # Generator relations, exact rational mode.
+    gens, e = [g.lift() for g in GENERATORS], E.lift()
     relations = []
     for a in range(4):
         for b in range(4):
             lhs = gens[a] * gens[b] + gens[b] * gens[a]
-            target = E * (2 * METRIC_DIAG[a] * (a == b))
-            relations.append((lhs - target).norm())
+            relations.append((lhs - e * (2 * METRIC_DIAG[a] * (a == b))).norm())
     s.add("algebra/generator-relations-exact", "e^a e^b + e^b e^a = 2 eta^{ab} e", relations, "exact")
 
     # Involution laws on 1000 seeded random pairs, drawn from one generator
@@ -335,14 +331,14 @@ def _suite_algebra(s: _Suite) -> None:
     s.add("algebra/involution-laws", "(UV)* = V* U*, U^dag = beta U* beta", laws, "involution")
 
     # Representation is a *-homomorphism: the float products of all blade
-    # pairs (one broadcast Dirac matrix product) against the blade table's
-    # signed blades, and each blade's conjugate transpose against its exact
-    # Hermitian conjugate; by linearity the 256 pairs and 16 blades cover
-    # every element.
+    # pairs (one broadcast Dirac matrix product) against the signed blades
+    # of the blade table that the exact product reads, and each blade's
+    # conjugate transpose against its exact Hermitian conjugate; by
+    # linearity the 256 pairs and 16 blades cover every element.
     blades = [CliffordElement.from_blade(m) for m in range(N_BLADES)]
     rows = stack(blades)
-    signed = np.array([[blade_mul(a, b) for b in range(N_BLADES)] for a in range(N_BLADES)])
-    table = signed[..., 0, None, None] * BLADE_REPS[signed[..., 1]]
+    masks = np.bitwise_xor.outer(np.arange(N_BLADES), np.arange(N_BLADES))
+    table = np.array(BLADE_SIGNS)[..., None, None] * BLADE_REPS[masks]
     pairs = [(gamma_rep(rows[:, None] * rows[None, :]), table)]
     pairs += [(gamma_rep(u).conj().T, gamma_rep(u.lift().herm_conj())) for u in blades]
     s.add(

@@ -238,6 +238,21 @@ def test_norm():
     assert exact.norm() == 5.0
 
 
+@pytest.mark.parametrize(
+    "coeffs, want",
+    [
+        ({"e": 1e300}, 1e300),
+        ({"e0123": -sys.float_info.max}, sys.float_info.max),
+        # Every Dirac matrix entry is a sum of four coefficients, so each stays finite.
+        ({label: 4e307 + 4e307j for label in BLADE_LABELS}, math.inf),
+    ],
+    ids=["1e300", "largest double", "all blades past the range"],
+)
+def test_an_exact_norm_past_the_square_range_rounds_or_is_inf(coeffs, want):
+    # The sum of squares leaves the double range above about 1.3e154.
+    assert CliffordElement.from_coeff_map(coeffs).lift().norm() == want
+
+
 def test_equal_exact_and_python_numbers_hash_equal(rng):
     values = [1, 0, -1, 0.5, Fraction(3, 4), 2**70, 0.5 + 2j, -2j, 1e300 - 1e-300j]
     values += list(rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200))

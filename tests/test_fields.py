@@ -49,7 +49,7 @@ from cl13.fields import (
     worst,
 )
 from cl13.rep import gamma_rep
-from cl13.shapes import PolyShape, TrigShape, constant_shape, coordinate_shape
+from cl13.shapes import PolyShape, TrigShape, constant_shape
 from cl13.subspaces import (
     fixed_idempotent,
     sample,
@@ -69,7 +69,7 @@ def test_eval_family_empty():
 
 def test_eval_family_single_factor_linear_shape():
     v = sample("sp_cl", seed=2, scale=0.5)
-    w_field = FieldFamily(((v, coordinate_shape(0)),)).group_field()
+    w_field = FieldFamily(((v, PolyShape({(1, 0, 0, 0): 1.0})),)).group_field()
     w = w_field.value(X0)
     dw = [w_field.partial(mu).value(X0) for mu in range(4)]
     # One-parameter subgroup: d0 W = v W and the other partials vanish.
@@ -84,11 +84,12 @@ def test_eval_family_derivatives_match_fd_oracle():
     w = w_field.value(X0)
     dw = [w_field.partial(mu).value(X0) for mu in range(4)]
     d2w = [[w_field.partial(mu).partial(nu).value(X0) for nu in range(4)] for mu in range(4)]
+    pts = PointSet(X0, 1e-4)
     for mu in range(4):
-        fd = fd_derivative(w_field.value, X0, mu, 1e-4)
+        fd = fd_derivative(w_field.value, pts, mu)
         assert (dw[mu] - fd).norm() <= 1e-7
         for nu in range(4):
-            fd2 = fd_derivative(w_field.partial(nu).value, X0, mu, 1e-4)
+            fd2 = fd_derivative(w_field.partial(nu).value, pts, mu)
             assert (d2w[mu][nu] - d2w[nu][mu]).norm() <= 1e-12
             assert (d2w[nu][mu] - fd2).norm() <= 1e-7
     assert sp_group_residual(w) <= 1e-12
@@ -108,12 +109,10 @@ def test_family_json_roundtrip():
 
 
 def test_fd_derivative_cases():
-    const = ConstantField(E0)
-    assert fd_derivative(const.value, X0, 2, 1e-3).norm() <= 1e-14
-    linear = ShapeField(coordinate_shape(1), E0)
-    assert (fd_derivative(linear.value, X0, 1, 1e-3) - E0).norm() <= 1e-10
-    with pytest.raises(ValueError):
-        fd_derivative(const.value, X0, 0, 0.0)
+    pts = PointSet(X0, 1e-3)
+    assert fd_derivative(ConstantField(E0).value, pts, 2).norm() <= 1e-14
+    linear = ShapeField(PolyShape({(0, 1, 0, 0): 1.0}), E0)
+    assert (fd_derivative(linear.value, pts, 1) - E0).norm() <= 1e-10
 
 
 def _shifted(x, mu, h):
@@ -130,7 +129,7 @@ def test_fd_derivative_equals_the_two_shift_formula(where):
     x = X0 if where == "one point" else sample_points(6, 8)
     fields = (
         random_family(21).group_field(),
-        ShapeField(coordinate_shape(1), E0),
+        ShapeField(PolyShape({(0, 1, 0, 0): 1.0}), E0),
         ConstantField(E0),  # its value is one 4x4 matrix on any points
     )
     for f in fields:
@@ -139,7 +138,7 @@ def test_fd_derivative_equals_the_two_shift_formula(where):
                 want = (f.value(_shifted(x, mu, step)) - f.value(_shifted(x, mu, -step))) * (
                     0.5 / step
                 )
-                got = fd_derivative(f.value, x, mu, step)
+                got = fd_derivative(f.value, PointSet(x, step), mu)
                 assert np.array_equal(gamma_rep(got), gamma_rep(want)), (f, step, mu)
 
 
@@ -147,8 +146,6 @@ def test_fd_derivative_equals_the_two_shift_formula(where):
 def test_a_step_that_is_not_finite_raises(step):
     with pytest.raises(ValueError):
         PointSet(X0, fd_step=step)
-    with pytest.raises(ValueError):
-        fd_derivative(ConstantField(E0).value, X0, 0, step)
 
 
 def test_pure_gauge_empty_family(t2):
@@ -311,6 +308,25 @@ def test_reduction_theorem_across_masses(family, t2, points):
         assert worst(check_reduction_identities(red, points).values()) <= 1e-9
 
 
+@pytest.mark.parametrize("label", ["t1", "t2", "t3", "t4"])
+def test_the_reduction_turns_the_b_term_into_the_mass_term_off_shell(label):
+    # For any phi, A and F over a pure-gauge (h, C), B = C - (m/4) i h_mu
+    # turns -B_mu phi into the mass term, since h^mu h_mu = 4e:
+    # dirac_2YM(reduce(fs)) - dirac_model(fs) = (m/4)(4e - h^mu h_mu) phi = 0.
+    t = fixed_idempotent(label)
+    off_shell = random_two_yang_mills_set(5, t, 1.0)
+    for seed in (3, 8, 48):
+        pts = PointSet(sample_points(seed, 20))
+        base = build_pure_gauge(random_family(seed), t, 0.0)
+        for mass in (0.0, -1.5, 0.5, 2.0):
+            fs = replace(base, mass=mass, phi=off_shell.phi, a=off_shell.a, f=off_shell.f)
+            model = model_residual_components(fs, pts)["dirac"]
+            reduced = two_yang_mills_residual_components(reduce_to_two_yang_mills(fs), pts)
+            peak = np.max(model.norm())
+            assert peak > 1.0
+            assert np.max((reduced["dirac"] - model).norm()) <= 1e-13 * peak, (seed, mass)
+
+
 def test_reduced_set_memberships(reduced, points):
     for x in points:
         for mu in range(4):
@@ -351,10 +367,10 @@ def test_fd_pass_differentiates_by_central_differences(reduced):
     # Oracle: the (0, 1) curvature of B written out with fd_derivative.
     pts, step = sample_points(9, 3), 1e-3
     comps = two_yang_mills_residual_components(reduced, PointSet(pts, fd_step=step))
-    b, g = reduced.b, reduced.g
+    b, g, oracle = reduced.b, reduced.g, PointSet(pts, fd_step=step)
     want = (
-        fd_derivative(b[1].value, pts, 0, step)
-        - fd_derivative(b[0].value, pts, 1, step)
+        fd_derivative(b[1].value, oracle, 0)
+        - fd_derivative(b[0].value, oracle, 1)
         - commutator(b[0].value(pts), b[1].value(pts))
         - g[0][1].value(pts)
     )
@@ -366,8 +382,9 @@ def test_fd_pass_differentiates_by_central_differences(reduced):
 
 
 def test_weighted_sum_equals_the_element_arithmetic():
-    a = ShapeField(coordinate_shape(1), CliffordElement.from_blade("e01", 0.7 - 0.2j))
-    b = FieldFamily(((sample("sp_cl", seed=4, scale=0.5), coordinate_shape(2)),)).group_field()
+    x1, x2 = PolyShape({(0, 1, 0, 0): 1.0}), PolyShape({(0, 0, 1, 0): 1.0})
+    a = ShapeField(x1, CliffordElement.from_blade("e01", 0.7 - 0.2j))
+    b = FieldFamily(((sample("sp_cl", seed=4, scale=0.5), x2),)).group_field()
     pts = sample_points(5, 4)
     cases = [
         (a - 2.5j * b, lambda u, v: u - v * 2.5j),

@@ -103,7 +103,7 @@ def _random_set(seed, t, mass):
 def _partial(f, x, mu):
     if x.fd_step is None:
         return f.partial(mu).value(x)
-    return fd_derivative(f.value, x, mu, x.fd_step)
+    return fd_derivative(f.value, x, mu)
 
 
 def _curvature(x, pot, pv, mu, nu):

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import json
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -10,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cl13 import subspaces, verify
-from cl13.algebra import E, J, CliffordElement, random_element
+from cl13 import algebra, subspaces, verify
+from cl13.algebra import BLADE_SIGNS, E, J, CliffordElement, random_element
 from cl13.cli import main
 from cl13.exactnum import RationalComplex
 from cl13.fields import (
@@ -700,16 +701,41 @@ def test_exact_checks_make_no_rational_complex_arithmetic(monkeypatch):
     assert calls == Counter()
 
 
-def test_rep_homomorphism_fails_when_the_blade_table_flips_one_sign(monkeypatch):
-    def flipped(a, b, blade_mul=verify.blade_mul):
-        sign, mask = blade_mul(a, b)
-        return (-sign if (a, b) == (3, 6) else sign), mask
-
-    monkeypatch.setattr(verify, "blade_mul", flipped)
-    report = run_scenario(ScenarioConfig(suite="algebra", seed=1))
+def test_rep_homomorphism_fails_when_the_blade_table_flips_one_sign():
+    # The check reads the table that the exact product reads, at report time.
+    BLADE_SIGNS[3][6] *= -1
+    try:
+        report = run_scenario(ScenarioConfig(suite="algebra", seed=1))
+    finally:
+        BLADE_SIGNS[3][6] *= -1
     failed = [c for c in report.checks if c.status == "fail"]
     assert [c.name for c in failed] == ["algebra/rep-homomorphism"]
     assert failed[0].residual == 2.0
+
+
+@pytest.mark.parametrize("suite, seed, lifts", [("algebra", 1, 21), ("all", 42, 45)])
+def test_a_report_makes_no_blade_mul_call_and_lifts_e_once(
+    monkeypatch, suite, seed, lifts
+):
+    # The blade table is built once, at import; the generator relations lift
+    # E once, not in each of their 16 relations.
+    counts = Counter()
+    blade_mul, lift = algebra.blade_mul, CliffordElement.lift
+
+    def counted_blade_mul(a, b):
+        counts["blade_mul"] += 1
+        return blade_mul(a, b)
+
+    def counted_lift(u):
+        counts["float lifts"] += not u.exact
+        return lift(u)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "cl13"]:
+        if getattr(module, "blade_mul", None) is blade_mul:
+            monkeypatch.setattr(module, "blade_mul", counted_blade_mul)
+    monkeypatch.setattr(CliffordElement, "lift", counted_lift)
+    assert run_scenario(ScenarioConfig(suite=suite, seed=seed)).failed == 0
+    assert counts["blade_mul"] == 0 and 0 < counts["float lifts"] <= lifts
 
 
 def test_an_algebra_report_makes_at_most_32_all_exact_products(monkeypatch):
