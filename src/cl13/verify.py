@@ -76,16 +76,6 @@ from .symmetries import (
 
 TOOL = {"name": "cl13", "version": "0.1.0"}
 
-SUITE_NAMES = (
-    "algebra",
-    "subspaces",
-    "idempotents",
-    "reduction",
-    "symmetries",
-    "convergence",
-    "all",
-)
-
 DEFAULT_TOLERANCES = {
     "exact": 0.0,
     "involution": 1e-12,
@@ -113,9 +103,9 @@ _STEP_RANGE = (np.finfo(float).eps, 1.0)
 _FAMILY_LIMIT = 10.0
 # The suites draw int64 seed arrays from the seed plus offsets up to +6009.
 _SEED_LIMIT = 2**63 - 1 - 10**4
-# The reduction suite holds about 0.16 MiB per point (tracemalloc peaks of 52.0
-# MiB at 320 points and 323 MiB at 2000), so the roadmap's 2000 points fit in
-# about 375 MB of RSS; far larger counts exhaust memory or numpy's array sizes.
+# The reduction suite holds about 0.14 MiB per point (tracemalloc peaks of 46.2
+# MiB at 320 points and 282 MiB at 2000), so the roadmap's 2000 points fit in
+# about 340 MB of RSS; far larger counts exhaust memory or numpy's array sizes.
 _SAMPLE_LIMIT = 2000
 
 
@@ -663,6 +653,7 @@ SUITES = {
     "symmetries": _suite_symmetries,
     "convergence": _suite_convergence,
 }
+SUITE_NAMES = (*SUITES, "all")
 
 
 def run_scenario(cfg: ScenarioConfig) -> Report:

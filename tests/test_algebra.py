@@ -253,6 +253,13 @@ def test_an_exact_norm_past_the_square_range_rounds_or_is_inf(coeffs, want):
     assert CliffordElement.from_coeff_map(coeffs).lift().norm() == want
 
 
+@pytest.mark.parametrize("coeffs, want", [({"e": 1e-200}, 1e-200), ({"e01": -1e-300j}, 1e-300)])
+def test_an_exact_norm_below_the_square_range_is_not_zero(coeffs, want):
+    # The sum of squares underflows below about 1.5e-154, where a norm of 0.0
+    # would let an exact check at tolerance 0 pass a nonzero residual.
+    assert CliffordElement.from_coeff_map(coeffs).lift().norm() == want
+
+
 def test_equal_exact_and_python_numbers_hash_equal(rng):
     values = [1, 0, -1, 0.5, Fraction(3, 4), 2**70, 0.5 + 2j, -2j, 1e300 - 1e-300j]
     values += list(rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200))

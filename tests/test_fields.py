@@ -381,6 +381,52 @@ def test_fd_pass_differentiates_by_central_differences(reduced):
     assert exact <= 1e-12 < fd <= 1e-5
 
 
+def test_a_bracket_differentiates_by_the_leibniz_rule(t2):
+    # d[u, v] = [du, v] + [u, dv], at the value level bit for bit, for first
+    # and second partials; against the product-rule tree of u v - v u it
+    # differs only by rounding, and against central differences by O(step^2).
+    def product_rule(du, v, u, dv):  # d(u v - v u) as the products it holds
+        return (du * v + u * dv) - (dv * u + v * du), [(du, v), (u, dv)]
+
+    worst_rounding, fd_error = 0.0, {1e-2: 0.0, 1e-3: 0.0}
+    for seed in range(3):
+        h = build_pure_gauge(random_family(seed), t2, 1.0).h
+        x = PointSet(sample_points(seed, 5))
+        for u, v in [(h[0], h[1]), (h[3], h[2])]:
+            bracket, uv, vv = BracketField(u, v), u.value(x), v.value(x)
+            for mu in range(4):
+                du, dv = u.partial(mu).value(x), v.partial(mu).value(x)
+                first = bracket.partial(mu).value(x)
+                want = commutator(du, vv) + commutator(uv, dv)
+                old, products = product_rule(du, vv, uv, dv)
+                for step in fd_error:
+                    fd = fd_derivative(bracket.value, PointSet(x.x, step), mu)
+                    fd_error[step] = max(fd_error[step], np.max((first - fd).norm()))
+                cases = [(first, want, old, products)]
+                for nu in range(4):
+                    dun, dvn = u.partial(nu).value(x), v.partial(nu).value(x)
+                    ddu = u.partial(mu).partial(nu).value(x)
+                    ddv = v.partial(mu).partial(nu).value(x)
+                    want = (commutator(ddu, vv) + commutator(du, dvn)) + (
+                        commutator(dun, dv) + commutator(uv, ddv)
+                    )
+                    old_a, pa = product_rule(ddu, vv, du, dvn)
+                    old_b, pb = product_rule(dun, dv, uv, ddv)
+                    second = bracket.partial(mu).partial(nu).value(x)
+                    cases.append((second, want, old_a + old_b, pa + pb))
+                for got, want, old, products in cases:
+                    assert np.array_equal(gamma_rep(got), gamma_rep(want))
+                    scale = np.max([a.norm() * b.norm() for a, b in products], axis=0)
+                    worst_rounding = max(worst_rounding, np.max((got - old).norm() / scale))
+    assert worst_rounding <= 1e-15
+    assert fd_error[1e-3] <= 100 * 1e-3**2 and fd_error[1e-2] >= 50 * fd_error[1e-3]
+    # A term whose operand's partial folds is dropped: [e0, w] has the one bracket [e0, dw].
+    e0, row = ConstantField(E0), h[0]
+    d = BracketField(e0, row).partial(1)
+    assert isinstance(d, BracketField) and d.left is e0 and d.right is row.partial(1)
+    assert BracketField(e0, ConstantField(E)).partial(0) is ZERO_FIELD
+
+
 def test_weighted_sum_equals_the_element_arithmetic():
     x1, x2 = PolyShape({(0, 1, 0, 0): 1.0}), PolyShape({(0, 0, 1, 0): 1.0})
     a = ShapeField(x1, CliffordElement.from_blade("e01", 0.7 - 0.2j))

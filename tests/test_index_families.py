@@ -25,6 +25,7 @@ from cl13.algebra import (
 from cl13.fields import (
     SOURCE_COUPLING,
     ZERO_FIELD,
+    BracketField,
     ConstantField,
     PointSet,
     ProductField,
@@ -76,7 +77,7 @@ def _reduced(model, m):
     m4 = m / 4.0
     ih_lower = [(1j * METRIC_DIAG[mu]) * model["h"][mu] for mu in range(4)]
     b = [SumField(((1, model["c"][mu]), (-m4, ih_lower[mu]))) for mu in range(4)]
-    g = [[-(m4**2) * commutator(ih_lower[mu], ih_lower[nu]) for nu in range(4)] for mu in range(4)]
+    g = [[-(m4**2) * BracketField(ih_lower[mu], ih_nu) for ih_nu in ih_lower] for mu in range(4)]
     return {**model, "b": b, "g": g, "mass": m}
 
 

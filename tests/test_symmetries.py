@@ -5,6 +5,7 @@ import pytest
 
 from cl13.algebra import (
     E,
+    E0,
     GENERATORS,
     J,
     CliffordElement,
@@ -222,6 +223,33 @@ def test_the_t_laws_move_the_plain_idempotent(t2):
     # U(x) in G(t) commutes with t, so a gauge unitary keeps it.
     gauged = apply_transformation(fs, random_transformation("gauge_unitary", 100, t2))
     assert gauged.t is t2
+
+
+ADMISSIBLE = [fixed_idempotent(label) for label in ("t1", "t2", "t3", "t4")] + [(E - E0) * 0.5]
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+def test_every_transformation_maps_an_admissible_t_to_an_admissible_t(kind):
+    # t' is a Hermitian idempotent with conj(t') J = J t', and phi' stays in
+    # its ideal: phi' t' = phi'.  A global unitary keeps the J condition only
+    # because its exponent g satisfies g = J^{-1} conj(g) J.
+    for t in ADMISSIBLE:
+        fs = random_two_yang_mills_set(41, t, 1.0)
+        for seed in range(100, 104):
+            moved = apply_transformation(fs, random_transformation(kind, seed, t))
+            residuals = hermitian_idempotent_residuals(moved.t)
+            assert max(residuals.values()) <= 1e-15, (kind, seed, residuals)
+            assert not moved.t.is_zero(MEMBERSHIP_TOL)
+            phi = moved.phi.value(PTS)
+            assert np.max((phi * moved.t - phi).norm()) <= 1e-14 * np.max(phi.norm())
+
+
+def test_a_global_unitary_exponent_commutes_with_the_j_twist():
+    for seed in range(100, 140):
+        spec = random_transformation("global_unitary", seed, fixed_idempotent("t2"))
+        g = spec.family.factors[0][0]
+        assert (g + g.herm_conj()).is_zero()
+        assert np.array_equal(gamma_rep(J * -1 * g.conj() * J), gamma_rep(g))
 
 
 # -- bilinear forms ---------------------------------------------------------------

@@ -244,6 +244,14 @@ def test_cli_malformed_family_file(tmp_path):
     assert main(["verify", "reduction", "--family", str(fam_path)]) == 2
 
 
+@pytest.mark.parametrize("flag, what", [("--config", "config"), ("--family", "family")])
+def test_a_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, flag, what):
+    path = tmp_path / "file.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["verify", "algebra", flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {what} file: ")
+
+
 def test_cli_nan_tolerance():
     assert main(["verify", "idempotents", "--tol", "nan"]) == 2
 
@@ -288,6 +296,16 @@ def test_an_idempotent_too_large_to_square_is_a_config_error_without_warnings(tm
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["verify", "idempotents", "--config", str(cfg_path)]) == 2
+
+
+def test_an_idempotent_whose_matrix_overflows_is_a_config_error_without_warnings(tmp_path, capsys):
+    # Both coefficients are finite, but the Dirac matrix entry e + e0 is not.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"idempotent": {"e": [1.7e308, 0], "e0": [1.7e308, 0]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "idempotents", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad idempotent")
 
 
 def test_cli_unknown_idempotent_label(capsys):
@@ -495,8 +513,8 @@ def test_a_reduction_report_evaluates_the_brackets_once_for_every_mass(monkeypat
     counts = _count_evaluations(monkeypatch, classes)
     work = _count_element_operations(monkeypatch)
     run_scenario(ScenarioConfig(suite="reduction", seed=1, sample_count=128))
-    assert sum(counts.values()) <= 1640
-    assert work["products"] <= 683 and work["operations"] <= 2397
+    assert sum(counts.values()) <= 1592
+    assert work["products"] <= 677 and work["operations"] <= 2373
     brackets = _bracket_evaluations(counts)
     assert brackets and set(brackets.values()) == {1}
     counts.clear()
@@ -510,7 +528,7 @@ def test_a_convergence_report_evaluates_each_fd_pass_on_one_stencil(monkeypatch)
     classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
     counts = _count_evaluations(monkeypatch, classes)
     run_scenario(ScenarioConfig(suite="convergence", seed=1))
-    assert sum(counts.values()) <= 800
+    assert sum(counts.values()) <= 692
 
 
 def test_a_symmetries_report_evaluates_each_exponential_once_per_point_array(monkeypatch):
@@ -528,8 +546,8 @@ def test_a_symmetries_report_evaluates_the_nonsolution_residuals_once(monkeypatc
     counts = _count_evaluations(monkeypatch, classes)
     work = _count_element_operations(monkeypatch)
     run_scenario(ScenarioConfig(suite="symmetries", seed=42))
-    assert sum(counts.values()) <= 2533
-    assert work["products"] <= 1620
+    assert sum(counts.values()) <= 2413
+    assert work["products"] <= 1067
 
 
 def test_source_nonzero_fails_when_one_point_has_no_source(monkeypatch):
