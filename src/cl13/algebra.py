@@ -402,15 +402,16 @@ class CliffordElement:
     # -- metrics -------------------------------------------------------------
 
     def norm(self):
-        """Euclidean norm of the 16 coefficients (one per element of a stack);
-        an exact norm is correctly rounded, and inf past the double range."""
+        """Euclidean norm of the 16 coefficients (one per element of a stack); an exact
+        norm is correctly rounded, inf past the double range, and nonzero if the element is."""
         if self.exact:
             re, im, den = self._num
             sq, den_sq = sum(x * x for x in re + im), den * den
             # The quotient is taken near 1 over 4^s, exactly, and its root scaled back by 2^s.
             s = (sq.bit_length() - den_sq.bit_length()) // 2
             root = math.sqrt((sq << max(0, -2 * s)) / (den_sq << max(0, 2 * s)))
-            return math.ldexp(root, s) if math.frexp(root)[1] + s <= 1024 else math.inf
+            norm = math.ldexp(root, s) if math.frexp(root)[1] + s <= 1024 else math.inf
+            return norm or math.ulp(0.0) * bool(sq)  # an underflow reads the smallest subnormal
         return np.linalg.norm(self._mat, axis=(-2, -1)) / 2  # |M|_F / 2 of the Dirac matrix
 
     def is_zero(self, tol: float = 0.0) -> bool:

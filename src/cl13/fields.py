@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 
@@ -418,25 +418,18 @@ def fd_derivative(func, points: PointSet, mu: int):
 # -- families of group-valued fields -------------------------------------------
 
 
-@dataclass(frozen=True)
 class FieldFamily:
     """W(x) = prod_j exp(v_j * s_j(x)), evaluated left to right.
 
-    The generators v_j are arbitrary constant elements; pure-gauge
-    constructions require them in sp(cl(1,3)) (``validate_symplectic``).
+    ``w`` and ``winv`` are the trees of W and W^-1, built once and shared by every
+    use.  Pure-gauge constructions require each v_j in sp(cl(1,3)) (``validate_symplectic``).
     """
 
-    factors: tuple[tuple[CliffordElement, Shape], ...]
-    _fields: tuple[CliffordField, CliffordField] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        factors = tuple((v.to_float(), s) for v, s in self.factors)
-        object.__setattr__(self, "factors", factors)
-        # W and W^-1 are built once, so every use of the family shares their nodes.
-        w = [ExpField(v, s) for v, s in factors]
-        winv = [ExpField(-v, s) for v, s in reversed(factors)]
-        trees = (reduce(ProductField, t) if t else ConstantField(E) for t in (w, winv))
-        object.__setattr__(self, "_fields", tuple(trees))
+    def __init__(self, factors: tuple[tuple[CliffordElement, Shape], ...]):
+        self.factors = tuple((v.to_float(), s) for v, s in factors)
+        w = [ExpField(v, s) for v, s in self.factors]
+        winv = [ExpField(-v, s) for v, s in reversed(self.factors)]
+        self.w, self.winv = (reduce(ProductField, t) if t else ConstantField(E) for t in (w, winv))
 
     def validate_symplectic(self) -> None:
         for v, _ in self.factors:
@@ -462,15 +455,6 @@ class FieldFamily:
 
         with np.errstate(over="ignore"):
             return sum(float(v.norm()) * peak(s) for v, s in self.factors)
-
-    def group_field(self) -> CliffordField:
-        return self._fields[0]
-
-    def inverse_field(self) -> CliffordField:
-        return self._fields[1]
-
-    def value(self, x) -> CliffordElement:
-        return self.group_field().value(x)
 
     def to_json_obj(self) -> dict:
         return {
@@ -515,7 +499,7 @@ def random_family(seed: int, n_factors: int = 2, scale: float = 0.5) -> FieldFam
     return FieldFamily(tuple(factors))
 
 
-def sample_points(seed: int, count: int = 20) -> np.ndarray:
+def sample_points(seed: int, count: int) -> np.ndarray:
     """Deterministic sample points in the [0,1]^4 box."""
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 1.0, size=(count, 4))
@@ -575,8 +559,7 @@ def build_pure_gauge(family: FieldFamily, t: CliffordElement, mass: float) -> Mo
     equation is the Maurer-Cartan identity of W.
     """
     family.validate_symplectic()
-    w = family.group_field()
-    winv = family.inverse_field()
+    w, winv = family.w, family.winv
     h = ProductField(ProductField(winv, ConstantField(stack(GENERATORS))), w)
     c = StackField(-ProductField(winv, w.partial(mu)) for mu in range(4))
     zero = ZERO_FIELD
@@ -835,11 +818,7 @@ def bianchi_current_check(a: CliffordField, points) -> dict[str, np.ndarray]:
     return {"current_conservation": _peak(conservation.value(x), x)}
 
 
-def convergence_slope(
-    fs: TwoYangMillsFieldSet,
-    points,
-    steps=(1e-2, 5e-3, 2.5e-3),
-) -> tuple[float, list[float]]:
+def convergence_slope(fs: TwoYangMillsFieldSet, points, steps) -> tuple[float, list[float]]:
     """Log-log slope of the max FD residual versus step.
 
     Central differences carry an O(step^2) error, so a reduced pure-gauge

@@ -13,6 +13,12 @@ import numpy as np
 from .exactnum import is_finite_real, is_int, known_keys
 
 
+def _powers(powers) -> tuple[int, int, int, int]:
+    if len(powers) != 4 or not all(is_int(p) and p >= 0 for p in powers):
+        raise ValueError(f"bad power tuple {powers}")
+    return tuple(map(int, powers))
+
+
 class PolyShape:
     """Sum of c * x0^p0 x1^p1 x2^p2 x3^p3 terms; powers are 4-tuples of
     non-negative integers (a float or a bool power raises ValueError)."""
@@ -20,15 +26,9 @@ class PolyShape:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int, int, int], float]):
-        clean = {}
-        for powers, c in terms.items():
-            if len(powers) != 4 or not all(is_int(p) and p >= 0 for p in powers):
-                raise ValueError(f"bad power tuple {powers}")
-            powers = tuple(int(p) for p in powers)
-            c = float(c)
-            if c != 0.0:
-                clean[powers] = clean.get(powers, 0.0) + c
-        self.terms = {p: c for p, c in clean.items() if c != 0.0}
+        # Distinct keys stay distinct as ints (an np.integer power equals its int), so none merge.
+        pairs = ((_powers(p), float(c)) for p, c in terms.items())
+        self.terms = {p: c for p, c in pairs if c != 0.0}
 
     def value(self, x):
         """Value at a point, or one value per row of an (N, 4) point set."""
@@ -43,16 +43,10 @@ class PolyShape:
         return total
 
     def deriv(self, axis: int) -> "PolyShape":
-        out: dict[tuple[int, int, int, int], float] = {}
-        for powers, c in self.terms.items():
-            p = powers[axis]
-            if p == 0:
-                continue
-            new = list(powers)
-            new[axis] = p - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0.0) + c * p
-        return PolyShape(out)
+        return PolyShape({
+            (*p[:axis], p[axis] - 1, *p[axis + 1 :]): c * p[axis]
+            for p, c in self.terms.items() if p[axis]
+        })
 
     def bound(self, step: float) -> float:
         """An upper bound of |value| on the box [-step, 1 + step]^4."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable
@@ -180,19 +180,18 @@ def _steps(kind: str, family: FieldFamily | None) -> tuple:
         return (_CONJUGATION,)
     if kind == "discrete_J":
         return (_CONJUGATION, _J_TWIST)
-    u, uinv = family.group_field(), family.inverse_field()
+    u, uinv = family.w, family.winv
     if kind == "gauge_symplectic":
         return (_Symplectic(u, uinv),)
     if kind == "gauge_unitary":  # U(x) in G(t) commutes with t
         return (_Unitary(u, uinv),)
 
     # A constant U moves t to U^{-1} t U; U is read at the origin once.
-    u0 = family.value((0.0, 0.0, 0.0, 0.0))
+    u0 = u.value((0.0, 0.0, 0.0, 0.0))
     u0inv = inverse(u0)
     return (_Unitary(u, uinv, lambda t: u0inv * t * u0),)
 
 
-@dataclass(frozen=True)
 class TransformationSpec:
     """A transformation kind plus its payload, and the steps they make.
 
@@ -201,12 +200,8 @@ class TransformationSpec:
     take no payload.
     """
 
-    kind: str
-    family: FieldFamily | None = None
-    steps: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", _steps(self.kind, self.family))
+    def __init__(self, kind: str, family: FieldFamily | None = None):
+        self.kind, self.family, self.steps = kind, family, _steps(kind, family)
 
 
 def random_transformation(kind: str, seed: int, t: CliffordElement) -> TransformationSpec:

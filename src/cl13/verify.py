@@ -130,12 +130,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; expected {SUITE_NAMES}")
         if self.format not in ("json", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
-        if not is_int(self.seed) or not 0 <= self.seed <= _SEED_LIMIT:
-            raise ConfigError(f"seed must be an integer in [0, {_SEED_LIMIT}], got {self.seed!r}")
-        if not is_int(self.sample_count) or not 1 <= self.sample_count <= _SAMPLE_LIMIT:
-            raise ConfigError(
-                f"sample_count must be an integer in [1, {_SAMPLE_LIMIT}], got {self.sample_count!r}"
-            )
+        for key, low, high in (("seed", 0, _SEED_LIMIT), ("sample_count", 1, _SAMPLE_LIMIT)):
+            value = getattr(self, key)
+            if not is_int(value) or not low <= value <= high:
+                raise ConfigError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
         for key in ("m_values", "grid_steps"):
             values = getattr(self, key)
             if not isinstance(values, (list, tuple)) or not all(map(is_finite_real, values)):

@@ -219,8 +219,8 @@ def test_criterion_11_bilinear_forms(t2, families):
     rng = np.random.default_rng(SEED + 999)
     x = np.array([0.3, 0.1, 0.7, 0.2])
     fam = families[0]
-    w = fam.value(x)
-    winv = fam.inverse_field().value(x)
+    w = fam.w.value(x)
+    winv = fam.winv.value(x)
     h_vals = [winv * g * w for g in GENERATORS]
     worst_herm = 0.0
     worst_member = 0.0

@@ -260,6 +260,13 @@ def test_an_exact_norm_below_the_square_range_is_not_zero(coeffs, want):
     assert CliffordElement.from_coeff_map(coeffs).lift().norm() == want
 
 
+def test_an_exact_norm_past_the_subnormal_range_reads_the_smallest_subnormal():
+    # 1e-400 lies below 2^-1074, yet the element is not zero.
+    tiny = (E * 1e-200).lift() * (E * 1e-200).lift()
+    assert not tiny.is_zero() and tiny.norm() == math.ulp(0.0) > 0.0
+    assert CliffordElement.zero().lift().norm() == 0.0
+
+
 def test_equal_exact_and_python_numbers_hash_equal(rng):
     values = [1, 0, -1, 0.5, Fraction(3, 4), 2**70, 0.5 + 2j, -2j, 1e300 - 1e-300j]
     values += list(rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200))

@@ -3,6 +3,7 @@
 import gc
 import operator
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cl13.algebra import (
     E,
     E0,
     GENERATORS,
+    METRIC_DIAG,
     CliffordElement,
     commutator,
     stack,
@@ -62,14 +64,14 @@ X0 = np.array([0.37, 0.11, 0.62, 0.85])
 
 
 def test_eval_family_empty():
-    w_field = FieldFamily(()).group_field()
+    w_field = FieldFamily(()).w
     assert w_field.value(X0).equals(E, 0.0)
     assert all(w_field.partial(mu).value(X0).is_zero() for mu in range(4))
 
 
 def test_eval_family_single_factor_linear_shape():
     v = sample("sp_cl", seed=2, scale=0.5)
-    w_field = FieldFamily(((v, PolyShape({(1, 0, 0, 0): 1.0})),)).group_field()
+    w_field = FieldFamily(((v, PolyShape({(1, 0, 0, 0): 1.0})),)).w
     w = w_field.value(X0)
     dw = [w_field.partial(mu).value(X0) for mu in range(4)]
     # One-parameter subgroup: d0 W = v W and the other partials vanish.
@@ -80,7 +82,7 @@ def test_eval_family_single_factor_linear_shape():
 
 def test_eval_family_derivatives_match_fd_oracle():
     fam = random_family(21, n_factors=2)
-    w_field = fam.group_field()
+    w_field = fam.w
     w = w_field.value(X0)
     dw = [w_field.partial(mu).value(X0) for mu in range(4)]
     d2w = [[w_field.partial(mu).partial(nu).value(X0) for nu in range(4)] for mu in range(4)]
@@ -97,15 +99,15 @@ def test_eval_family_derivatives_match_fd_oracle():
 
 def test_family_inverse_field():
     fam = random_family(8)
-    w = fam.value(X0)
-    winv = fam.inverse_field().value(X0)
+    w = fam.w.value(X0)
+    winv = fam.winv.value(X0)
     assert (w * winv - E).norm() <= 1e-12
 
 
 def test_family_json_roundtrip():
     fam = random_family(5)
     again = FieldFamily.from_json_obj(fam.to_json_obj())
-    assert again.value(X0).equals(fam.value(X0), 1e-12)
+    assert again.w.value(X0).equals(fam.w.value(X0), 1e-12)
 
 
 def test_fd_derivative_cases():
@@ -128,7 +130,7 @@ def test_fd_derivative_equals_the_two_shift_formula(where):
     # shifted passes, bit for bit; one stencil evaluation serves all axes.
     x = X0 if where == "one point" else sample_points(6, 8)
     fields = (
-        random_family(21).group_field(),
+        random_family(21).w,
         ShapeField(PolyShape({(0, 1, 0, 0): 1.0}), E0),
         ConstantField(E0),  # its value is one 4x4 matrix on any points
     )
@@ -156,7 +158,7 @@ def test_pure_gauge_empty_family(t2):
 
 
 def test_a_known_zero_folds_where_it_is_built(family, t2):
-    w = family.group_field()
+    w = family.w
     zero_rows = StackField((ZERO_FIELD,) * 4)
     folded = [
         ProductField(ZERO_FIELD, w),
@@ -327,6 +329,51 @@ def test_the_reduction_turns_the_b_term_into_the_mass_term_off_shell(label):
             assert np.max((reduced["dirac"] - model).norm()) <= 1e-13 * peak, (seed, mass)
 
 
+@pytest.mark.parametrize("label", ["t1", "t2", "t3", "t4"])
+def test_the_reduced_b_pair_follows_the_transport_residual_off_shell(label):
+    # For a pure-gauge h (so h obeys the Clifford relations), any potential C,
+    # k = m/4 and R[mu, nu] = d_mu h^nu - [C_mu, h^nu] (``h_transport``), the
+    # reduction B = C - k i h_mu, G = -k^2 [i h_mu, i h_nu] leaves
+    #   curvature_b[mu nu] = curv(C)_{mu nu} - k i (eta^{nu nu} R[mu, nu] - eta^{mu mu} R[nu, mu]),
+    #   source_b^nu = k^2 sum_mu ([R[mu, mu], h^nu] + [h^mu, R[mu, nu]]):
+    # the cubic term of G's divergence cancels (3/16) m^3 i h^nu through
+    # sum_mu [h^mu, [h_mu, h^nu]] = 12 h^nu.
+    t = fixed_idempotent(label)
+    bump = random_two_yang_mills_set(5, t, 1.0).b  # a random sp(cl(1,3)) potential
+    pairs, eta = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)], METRIC_DIAG
+    for seed in (3, 8, 48):
+        pts = PointSet(sample_points(seed, 20))
+        pure = build_pure_gauge(random_family(seed), t, 0.0)
+        c = pure.c + bump
+        h, cv = pure.h.value(pts), [c[mu].value(pts) for mu in range(4)]
+        curv_c = [
+            c[nu].partial(mu).value(pts) - c[mu].partial(nu).value(pts) - commutator(cv[mu], cv[nu])
+            for mu, nu in pairs
+        ]
+        for mass in (0.0, -1.5, 0.5, 2.0):
+            fs, k = replace(pure, mass=mass, c=c), mass / 4.0
+            r = model_residual_components(fs, pts)["h_transport"]
+            assert np.max(r.norm()) > 1.0
+            law = {
+                "curvature_b": stack([
+                    curv_c[i] - (r[mu, nu] * eta[nu] - r[nu, mu] * eta[mu]) * (1j * k)
+                    for i, (mu, nu) in enumerate(pairs)
+                ]),
+                "source_b": stack([
+                    reduce(operator.add, (
+                        commutator(r[mu, mu], h[nu]) + commutator(h[mu], r[mu, nu])
+                        for mu in range(4)
+                    )) * k**2
+                    for nu in range(4)
+                ]),
+            }
+            reduced = two_yang_mills_residual_components(reduce_to_two_yang_mills(fs), pts)
+            for eq, want in law.items():
+                peak = np.max(reduced[eq].norm())
+                diff = np.max((reduced[eq] - want).norm())
+                assert diff <= 1e-13 * max(1.0, peak), (eq, seed, mass)
+
+
 def test_reduced_set_memberships(reduced, points):
     for x in points:
         for mu in range(4):
@@ -359,7 +406,7 @@ def test_point_set_rejects_a_step_that_is_not_positive(step):
 def test_convergence_slope_is_nan_where_central_differences_are_exact(t2):
     # Constant fields: every FD residual is exactly zero, so there is no slope.
     red = reduce_to_two_yang_mills(build_pure_gauge(FieldFamily(()), t2, 1.0))
-    slope, residuals = convergence_slope(red, sample_points(2, 3))
+    slope, residuals = convergence_slope(red, sample_points(2, 3), (1e-2, 5e-3, 2.5e-3))
     assert np.isnan(slope) and residuals == [0.0, 0.0, 0.0]
 
 
@@ -430,7 +477,7 @@ def test_a_bracket_differentiates_by_the_leibniz_rule(t2):
 def test_weighted_sum_equals_the_element_arithmetic():
     x1, x2 = PolyShape({(0, 1, 0, 0): 1.0}), PolyShape({(0, 0, 1, 0): 1.0})
     a = ShapeField(x1, CliffordElement.from_blade("e01", 0.7 - 0.2j))
-    b = FieldFamily(((sample("sp_cl", seed=4, scale=0.5), x2),)).group_field()
+    b = FieldFamily(((sample("sp_cl", seed=4, scale=0.5), x2),)).w
     pts = sample_points(5, 4)
     cases = [
         (a - 2.5j * b, lambda u, v: u - v * 2.5j),
@@ -537,7 +584,7 @@ def test_model_components_shape(pure_gauge, points, t2):
 
 def test_point_set_values_equal_stacked_point_values(family, reduced, t2, points):
     # Oracle: the same trees evaluated one point at a time.
-    for f in (family.group_field(), reduced.g[0][1].partial(2)):
+    for f in (family.w, reduced.g[0][1].partial(2)):
         stacked = np.stack([gamma_rep(f.value(x)) for x in points])
         assert np.max(np.abs(gamma_rep(f.value(points)) - stacked)) <= 1e-12
     fs = random_two_yang_mills_set(31, t2, 1.0)

@@ -67,7 +67,7 @@ def _antisymmetric(components):
 
 
 def _pure_gauge(family):
-    w, winv = family.group_field(), family.inverse_field()
+    w, winv = family.w, family.winv
     h = [ProductField(ProductField(winv, ConstantField(g)), w) for g in GENERATORS]
     c = [-ProductField(winv, w.partial(mu)) for mu in range(4)]
     return {"phi": ZERO_FIELD, "h": h, "a": [ZERO_FIELD] * 4, "f": [[ZERO_FIELD] * 4] * 4, "c": c}

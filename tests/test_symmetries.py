@@ -60,7 +60,7 @@ def test_spec_validation():
 
 def test_payload_membership(t2):
     def payload(kind):
-        return random_transformation(kind, 51, t2).family.value(PTS)
+        return random_transformation(kind, 51, t2).family.w.value(PTS)
 
     u = payload("global_unitary")
     assert np.max((u.herm_conj() * u - E).norm()) <= 1e-9
@@ -197,7 +197,7 @@ def test_discrete_j_is_conjugation_then_the_constant_unitary_j():
     # is the constant J up to rounding.
     fs = random_two_yang_mills_set(41, fixed_idempotent("t1"), 1.0)
     j_family = FieldFamily(((J * (np.pi / 2), constant_shape(1.0)),))
-    assert (j_family.value(PTS[0]) - J).norm() <= 1e-15
+    assert (j_family.w.value(PTS[0]) - J).norm() <= 1e-15
     twisted = apply_transformation(fs, TransformationSpec("discrete_J"))
     conj = apply_transformation(fs, TransformationSpec("conjugation"))
     composed = apply_transformation(conj, TransformationSpec("global_unitary", j_family))
@@ -215,7 +215,7 @@ def test_the_t_laws_move_the_plain_idempotent(t2):
     assert np.array_equal(gamma_rep(conj.t), gamma_rep(t2.conj()))
     # A constant U moves t to U0^{-1} t U0, with U0 read at the origin.
     spec = random_transformation("global_unitary", 100, t2)
-    u0 = spec.family.value((0, 0, 0, 0))
+    u0 = spec.family.w.value((0, 0, 0, 0))
     moved = apply_transformation(fs, spec).t
     assert np.array_equal(gamma_rep(moved), gamma_rep(inverse(u0) * t2 * u0))
     residuals = hermitian_idempotent_residuals(moved)
@@ -293,8 +293,8 @@ def test_antisymmetrized_product_normalization():
 
 def test_bilinear_form_hermitian_and_in_l(rng, t2, family):
     x = np.array([0.2, 0.8, 0.4, 0.6])
-    w = family.value(x)
-    winv = family.inverse_field().value(x)
+    w = family.w.value(x)
+    winv = family.winv.value(x)
     h_vals = [winv * g * w for g in GENERATORS]
     for _ in range(5):
         phi = random_element(rng, 0.8) * t2
