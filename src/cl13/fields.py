@@ -249,15 +249,15 @@ class SumField(CliffordField):
     """sum_k w_k f_k over (weight, field) terms, added left to right.
 
     A term of weight 1 is added and one of weight -1 subtracted, so neither
-    is multiplied and each keeps the rounding of its field's value.  Zero
-    terms are dropped: a sum with none left is ``ZERO_FIELD``, and one
-    whose only term has weight 1 is that term's field.
+    is multiplied and each keeps the rounding of its field's value.  A term
+    of weight 0 or field ``ZERO_FIELD`` is dropped: a sum with none left is
+    ``ZERO_FIELD``, and one whose only term has weight 1 is that term's field.
     """
 
     __slots__ = ("terms",)
 
     def __new__(cls, terms):
-        terms = tuple((complex(w), f) for w, f in terms if f is not ZERO_FIELD)
+        terms = tuple((complex(w), f) for w, f in terms if w != 0 and f is not ZERO_FIELD)
         if not terms:
             return ZERO_FIELD
         if len(terms) == 1 and terms[0][0] == 1:
@@ -591,9 +591,9 @@ def reductions(fs: ModelFieldSet, masses):
     """Yield the reduced set of fs at each mass in turn:
     B_mu = C_mu - (m/4) i h_mu and G_{mu nu} = -(m/4)^2 [i h_mu, i h_nu].
 
-    The mass enters only as a weight, so i h_mu and their bracket rows are
-    built once and shared by every set yielded; they live as long as this
-    generator or one of those sets, and a pass keeps their values as long.
+    The mass enters only as a weight (at m = 0 it folds: B stacks C's rows, G is ZERO_FIELD),
+    so i h_mu and their bracket rows are built once and shared by every set yielded; they
+    live as long as this generator or one of those sets, and a pass keeps their values as long.
     """
     ih_lower = MappedField(fs.h, partial(_by_index, weights=1j * _ETA))
     brackets = [BracketField(ih_lower[mu], ih_lower) for mu in range(4)]
@@ -613,11 +613,11 @@ def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
 #
 # Every residual is one root node built from three covariant operators of a
 # potential P and the derivative rule ``d`` of its pass (``_derivative``):
-# the curvature, the covariant derivative and the metric-signed divergence,
-# each commutator one BracketField.  A residual function builds the roots of
-# its equations one at a time, evaluates each and lets it go, so a root's own
-# nodes leave the pass with it while the field set's nodes stay; a root whose
-# terms all fold is ZERO_FIELD.  A sum over an index is folded left to right.
+# the curvature, the covariant derivative (whose trace is a conservation law)
+# and the metric-signed divergence, each commutator one BracketField.  A
+# residual function builds its roots one at a time, evaluates each and lets it
+# go, so a root's own nodes leave the pass with it while the field set's nodes
+# stay; a root whose terms all fold is ZERO_FIELD.  Index sums fold left to right.
 
 _RAISE = np.outer(_ETA, METRIC_DIAG)  # eta^{mu mu} eta^{nu nu} raises both indices of X_{mu nu}
 # Where X_{mu nu} of an antisymmetric family sits in the stack [u, -u, 0] of
@@ -630,6 +630,11 @@ _ROW[_ROWS, _COLS] = _ROW[_COLS, _ROWS] = range(6)
 def _index_sum(u: CliffordElement) -> CliffordElement:
     """sum_mu u[mu] over the leading index axis."""
     return _total(u[mu] for mu in range(4))
+
+
+def _trace(u: CliffordElement) -> CliffordElement:
+    """sum_mu u[mu, mu] over the two leading index axes."""
+    return _total(u[mu, mu] for mu in range(4))
 
 
 def _antisymmetric(u: CliffordElement) -> CliffordElement:
@@ -655,16 +660,11 @@ def _transport(pot, f, d) -> CliffordField:
     return StackField(d(f, mu) for mu in range(4)) - BracketField(pot[:, None], f)
 
 
-def _row_sum(pot, family, d, total) -> CliffordField:
-    """total, over mu, of d_mu R_mu - [P_mu, R_mu] for the rows R_mu of a
-    family; ``pot`` holds each P_mu broadcast against its row."""
-    dr = StackField(d(r, mu) for mu, r in enumerate(family))
-    return MappedField(dr - BracketField(pot, family), total)
-
-
 def _divergence(pot, strength, d) -> CliffordField:
     """d_mu X^{mu nu} - [P_mu, X^{mu nu}] over nu for a lower-index strength X_{mu nu}."""
-    return _row_sum(pot[:, None], strength, d, lambda u: _index_sum(_by_index(u, _RAISE)))
+    dx = StackField(d(row, mu) for mu, row in enumerate(strength))
+    terms = dx - BracketField(pot[:, None], strength)
+    return MappedField(terms, lambda u: _index_sum(_by_index(u, _RAISE)))
 
 
 def _yang_mills_pair(name, pot, strength, rhs, d):
@@ -784,10 +784,10 @@ def check_h_identities(h: CliffordElement) -> dict[str, np.ndarray]:
 
 
 def _reduction_identities(fs: TwoYangMillsFieldSet, x: PointSet):
-    d, ih = _derivative(x), 1j * fs.h
+    transport, ih = _transport(fs.b, fs.h, _derivative(x)), 1j * fs.h
     bracket = BracketField(MappedField(ih, partial(_by_index, weights=_ETA))[:, None], ih)
-    yield "h_b_transport", SumField(((1j, _transport(fs.b, fs.h, d)), (-fs.mass / 4.0, bracket)))
-    yield "h_conservation", _row_sum(fs.b, fs.h, d, _index_sum)
+    yield "h_b_transport", SumField(((1j, transport), (-fs.mass / 4.0, bracket)))
+    yield "h_conservation", MappedField(transport, _trace)
 
 
 def check_reduction_identities(fs: TwoYangMillsFieldSet, points) -> dict[str, np.ndarray]:
@@ -808,13 +808,13 @@ def bianchi_current_check(a: CliffordField, points) -> dict[str, np.ndarray]:
 
     F is the curvature of the potential, the current i J^nu its divergence
     d_mu F^{mu nu} - [A_mu, F^{mu nu}]; antisymmetry of F then forces
-    d_nu J^nu - [A_nu, J^nu] = 0, which is evaluated here.  F and J are
-    differentiated structurally, the conservation sum by the rule of the pass.
+    d_nu J^nu - [A_nu, J^nu] = 0, evaluated here as the trace of J's transport.
+    F and J are differentiated structurally, the transport by the rule of the pass.
     """
     x = _as_points(points)
     f = MappedField(_curvature(a, CliffordField.partial), _antisymmetric)
     j = _divergence(a, f, CliffordField.partial)
-    conservation = _row_sum(a, j, _derivative(x), _index_sum)
+    conservation = MappedField(_transport(a, j, _derivative(x)), _trace)
     return {"current_conservation": _peak(conservation.value(x), x)}
 
 

@@ -15,11 +15,13 @@ from cl13.algebra import (
     METRIC_DIAG,
     CliffordElement,
     commutator,
+    random_element,
     stack,
 )
 from cl13.fields import (
     ZERO_FIELD,
     BracketField,
+    CliffordField,
     ConstantField,
     DifferenceField,
     ExpField,
@@ -46,6 +48,7 @@ from cl13.fields import (
     reductions,
     sample_points,
     source_norm,
+    two_yang_mills_equations,
     two_yang_mills_residual_components,
     two_yang_mills_residuals,
     worst,
@@ -182,6 +185,9 @@ def test_a_known_zero_folds_where_it_is_built(family, t2):
     # A sum keeps its other terms, and one term of weight 1 is that term.
     assert SumField(((1, ZERO_FIELD), (0.5, w))).terms == ((0.5, w),)
     assert SumField(((1, w), (-1, ZERO_FIELD))) is w
+    # A term of weight 0 is dropped as a ZERO_FIELD term is.
+    assert SumField(((0.0, w),)) is ZERO_FIELD
+    assert SumField(((1, w), (0, family.winv))) is w
     fs = build_pure_gauge(family, t2, 1.0)
     assert fs.phi is ZERO_FIELD and fs.a is ZERO_FIELD and fs.f is ZERO_FIELD
 
@@ -264,6 +270,11 @@ def test_reduce_zero_mass(pure_gauge, points):
         assert (red.b[mu].value(x) - pure_gauge.c[mu].value(x)).is_zero(1e-15)
         for nu in range(4):
             assert red.g[mu][nu].value(x).is_zero(1e-15)
+    # The zero weights fold: B stacks C's own rows, and G and the sourced
+    # equation of B, both sides zero, are ZERO_FIELD.
+    assert all(red.b[mu] is pure_gauge.c[mu] for mu in range(4))
+    assert red.g is ZERO_FIELD
+    assert dict(two_yang_mills_equations(red, PointSet(points[:3])))["source_b"] is ZERO_FIELD
     rec = two_yang_mills_residuals(red, points[:3])
     assert worst(rec.values()) <= 1e-10
     assert np.all(source_norm(red, points[:3]) == 0.0)
@@ -327,6 +338,45 @@ def test_the_reduction_turns_the_b_term_into_the_mass_term_off_shell(label):
             peak = np.max(model.norm())
             assert peak > 1.0
             assert np.max((reduced["dirac"] - model).norm()) <= 1e-13 * peak, (seed, mass)
+
+
+def _plane_wave(psi: CliffordElement, k) -> CliffordField:
+    """psi e^{-i k.x}, with k.x = sum_mu x^mu k_mu, so d_mu of it is -i k_mu times it."""
+    return ShapeField(TrigShape("cos", 1.0, k), psi) + ShapeField(TrigShape("sin", 1.0, k), psi * -1j)
+
+
+@pytest.mark.parametrize("label", ["t1", "t2", "t3", "t4"])
+def test_the_reduced_dirac_equation_is_the_mass_shell_of_a_plane_wave(label):
+    # For phi = W^-1 (kslash + m e) chi t e^{-i k.x} over a pure-gauge (h, C),
+    # with kslash = k_mu e^mu: d_mu phi - C_mu phi = W^-1 d_mu(...), so both
+    # Dirac residuals are W^-1 (kslash - m)(kslash + m) chi t e^{-i k.x}
+    # = (k^2 - m^2) W^-1 chi t e^{-i k.x}, zero exactly on the mass shell.
+    t = fixed_idempotent(label)
+    rng = np.random.default_rng(26)
+    pts = PointSet(sample_points(7, 20))
+    for family in (FieldFamily(()), random_family(3), random_family(8), random_family(48)):
+        for m in (0.5, 2.0, -1.5, 0.0):
+            k_s = rng.uniform(-2.0, 2.0, 3)
+            chi_t = random_element(rng) * t
+            on_shell = np.sqrt(k_s @ k_s + m**2)
+            for k0 in (on_shell, 1.1 * on_shell):
+                k = (k0, *k_s)
+                kslash = reduce(operator.add, (g * k_mu for g, k_mu in zip(GENERATORS, k)))
+                phi = ProductField(family.winv, _plane_wave((kslash + E * m) * chi_t, k))
+                fs = replace(build_pure_gauge(family, t, m), phi=phi)
+                law = ProductField(family.winv, _plane_wave(chi_t, k)).value(pts)
+                law = law * (k0**2 - k_s @ k_s - m**2)
+                phi_val = phi.value(pts)
+                scale = np.max(phi_val.norm()) * (abs(m) + np.sum(np.abs(k)))
+                assert np.max((phi_val * t - phi_val).norm()) <= 1e-13 * scale
+                reduced = next(reductions(fs, (m,)))
+                for dirac in (
+                    model_residual_components(fs, pts)["dirac"],
+                    two_yang_mills_residual_components(reduced, pts)["dirac"],
+                ):
+                    assert np.max((dirac - law).norm()) <= 1e-13 * scale, (m, k0)
+                    if k0 != on_shell:
+                        assert np.max(dirac.norm()) >= 1e-2 * scale, (m, k0)
 
 
 @pytest.mark.parametrize("label", ["t1", "t2", "t3", "t4"])
@@ -701,6 +751,7 @@ def _reduction_results(fs: TwoYangMillsFieldSet, pts) -> dict:
 def test_reductions_share_brackets_and_equal_a_fresh_reduction_per_mass(points, seed, label):
     # Oracle: per mass, fresh i h_mu and fresh brackets, bit for bit, with
     # all masses in one shared pass and with each mass in a pass of its own.
+    # At m = 0, G folds to ZERO_FIELD and holds no bracket row.
     fs = build_pure_gauge(random_family(seed), fixed_idempotent(label), 1.0)
     masses = (0.0, -2.0, 0.5, 7.0)
     shared, shared_oracle = PointSet(points), PointSet(points)
@@ -708,7 +759,8 @@ def test_reductions_share_brackets_and_equal_a_fresh_reduction_per_mass(points, 
     for m, reduced in zip(masses, reductions(fs, masses), strict=True):
         assert reduced.mass == m
         oracle = _reduce_with_fresh_brackets(fs, m)
-        brackets.add(tuple(row.terms[0][1] for row in reduced.g))
+        if m != 0:
+            brackets.add(tuple(row.terms[0][1] for row in reduced.g))
         for got, want in (
             (_reduction_results(reduced, shared), _reduction_results(oracle, shared_oracle)),
             (

@@ -26,6 +26,7 @@ from cl13.fields import (
     SumField,
     random_family,
 )
+from cl13.rep import gamma_rep
 from cl13.shapes import TrigShape
 from cl13.subspaces import sample
 from cl13.verify import (
@@ -489,14 +490,17 @@ def _bracket_evaluations(counts):
 
 def _count_element_operations(monkeypatch):
     """Float products and float element operations: each call of ``__mul__``,
-    ``__add__``, ``__sub__``, ``__neg__`` and ``_scalar_mul`` on float operands."""
+    ``__add__``, ``__sub__``, ``__neg__`` and ``_scalar_mul`` on float operands;
+    ``zero_products`` counts the products with an all-zero operand."""
     counts = Counter()
 
     def counting(name, method):
         def counted(u, *args):
             if not (u.exact or any(isinstance(v, CliffordElement) and v.exact for v in args)):
                 counts["operations"] += 1
-                counts["products"] += name == "__mul__" and isinstance(args[0], CliffordElement)
+                if name == "__mul__" and isinstance(args[0], CliffordElement):
+                    counts["products"] += 1
+                    counts["zero_products"] += not (gamma_rep(u).any() and gamma_rep(args[0]).any())
             return method(u, *args)
 
         return counted
@@ -513,13 +517,25 @@ def test_a_reduction_report_evaluates_the_brackets_once_for_every_mass(monkeypat
     counts = _count_evaluations(monkeypatch, classes)
     work = _count_element_operations(monkeypatch)
     run_scenario(ScenarioConfig(suite="reduction", seed=1, sample_count=128))
-    assert sum(counts.values()) <= 1592
-    assert work["products"] <= 677 and work["operations"] <= 2373
+    assert sum(counts.values()) <= 1538
+    assert work["products"] <= 659 and work["operations"] <= 2337
     brackets = _bracket_evaluations(counts)
     assert brackets and set(brackets.values()) == {1}
     counts.clear()
     run_scenario(ScenarioConfig(suite="reduction", seed=1, sample_count=128, m_values=(0.5,)))
     assert len(_bracket_evaluations(counts)) == len(brackets)
+
+
+def test_a_massless_reduction_report_builds_no_mass_term(monkeypatch):
+    # At m = 0 every weight of the mass is 0 and folds: B is C's rows, and G,
+    # the sourced equation of B and the bracket term of the h transport
+    # identity are not built, so no product has an all-zero operand.
+    classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
+    counts = _count_evaluations(monkeypatch, classes)
+    work = _count_element_operations(monkeypatch)
+    run_scenario(ScenarioConfig(suite="reduction", seed=1, m_values=(0.0,)))
+    assert sum(counts.values()) <= 929
+    assert work["products"] <= 527 and work["zero_products"] == 0
 
 
 def test_a_convergence_report_evaluates_each_fd_pass_on_one_stencil(monkeypatch):
@@ -528,7 +544,7 @@ def test_a_convergence_report_evaluates_each_fd_pass_on_one_stencil(monkeypatch)
     classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
     counts = _count_evaluations(monkeypatch, classes)
     run_scenario(ScenarioConfig(suite="convergence", seed=1))
-    assert sum(counts.values()) <= 692
+    assert sum(counts.values()) <= 689
 
 
 def test_a_symmetries_report_evaluates_each_exponential_once_per_point_array(monkeypatch):
@@ -546,7 +562,7 @@ def test_a_symmetries_report_evaluates_the_nonsolution_residuals_once(monkeypatc
     counts = _count_evaluations(monkeypatch, classes)
     work = _count_element_operations(monkeypatch)
     run_scenario(ScenarioConfig(suite="symmetries", seed=42))
-    assert sum(counts.values()) <= 2413
+    assert sum(counts.values()) <= 2410
     assert work["products"] <= 1067
 
 
