@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .verify import (
@@ -88,10 +89,34 @@ def _resolve_out_path(path: str) -> str:
     return path
 
 
+def _keep_heap() -> None:
+    """Keep arrays below 32 MiB on a heap that is never trimmed; a no-op off glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's cap, above any array of a report
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD: a report reuses the pages of the last
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Attach a value argparse takes for a flag (-2,7 or -1e3) to its --m or --grid-steps."""
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--m", "--grid-steps") and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
+    return argv
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

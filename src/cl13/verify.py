@@ -103,9 +103,9 @@ _STEP_RANGE = (np.finfo(float).eps, 1.0)
 _FAMILY_LIMIT = 10.0
 # The suites draw int64 seed arrays from the seed plus offsets up to +6009.
 _SEED_LIMIT = 2**63 - 1 - 10**4
-# The reduction suite holds about 0.14 MiB per point (tracemalloc peaks of 46.2
-# MiB at 320 points and 282 MiB at 2000), so the roadmap's 2000 points fit in
-# about 340 MB of RSS; far larger counts exhaust memory or numpy's array sizes.
+# The reduction suite holds about 0.14 MiB per point (tracemalloc peaks of 46.2 MiB
+# at 320 points and 282 MiB at 2000), so 2000 points fit in about 335 MB of max RSS
+# under cl13.cli.main; far larger counts exhaust memory or numpy's array sizes.
 _SAMPLE_LIMIT = 2000
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,6 +23,8 @@ def test_a_tree_compared_with_itself_is_byte_identical(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "2 of 2 reports byte-identical"
     assert "max |delta residual| 0.000e+00  reduction/h-identities" in lines
+    usage = re.escape(src) + r": \d+\.\d\d s CPU \(user \+ system\), [1-9]\d* minor faults"
+    assert all(re.fullmatch(usage, line) for line in lines[-3:-1]), lines[-3:-1]
     count = scan_reports.nonblank_lines(src)
     assert lines[-1] == f"cl13/*.py non-blank lines: {count} -> {count}"
 

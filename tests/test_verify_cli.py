@@ -3,6 +3,8 @@
 import functools
 import importlib
 import json
+import os
+import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cl13
 from cl13 import algebra, subspaces, verify
 from cl13.algebra import BLADE_SIGNS, E, J, CliffordElement, random_element
 from cl13.cli import main
@@ -261,6 +264,84 @@ def test_cli_negative_exact_tolerance(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"tolerances": {"exact": -1.0}}))
     assert main(["verify", "idempotents", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "suite, m, masses",
+    [
+        ("reduction", "-2,7", [-2.0, 7.0]),
+        ("reduction", "-1e3", [-1000.0]),  # fails two-yang-mills-residuals: exit 1
+        ("reduction", "-.5,1", [-0.5, 1.0]),
+        ("convergence", "-2e0", [-2.0]),
+    ],
+)
+def test_a_negative_mass_that_argparse_reads_as_a_flag_runs(tmp_path, suite, m, masses):
+    out = tmp_path / "report.json"
+    assert main(["verify", suite, "--seed", "1", "--m", m, "--out", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["config"]["m_values"] == masses
+
+
+@pytest.mark.parametrize("args", [["--m", "1", "--bogus"], ["--m", "--bogus"], ["-2,7"]])
+def test_an_unknown_flag_still_exits_2(capsys, args):
+    assert main(["verify", "reduction", "--seed", "1", *args]) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _run_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(cl13.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_SECOND_REPORT_FAULTS = """
+import contextlib, io, resource
+from cl13.cli import main
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "reduction", "--seed", "1", "--sample-count", "128"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap policy is set on glibc only")
+def test_a_second_128_point_report_faults_in_almost_no_pages():
+    # Without the CLI's malloc thresholds glibc trims the heap and maps the
+    # large temporaries afresh: about 21,000 minor faults per report.
+    assert int(_run_python(_SECOND_REPORT_FAULTS)) < 2000
+
+
+def test_importing_the_cli_does_not_import_ctypes():
+    # numpy imports ctypes itself, so drop it after numpy to see cl13's imports.
+    code = (
+        "import sys, numpy; del sys.modules['ctypes']; import cl13.cli; "
+        "print('ctypes' in sys.modules)"
+    )
+    assert _run_python(code).strip() == "False"
+
+
+def test_the_heap_policy_is_a_no_op_where_confstr_has_no_glibc_name(monkeypatch):
+    import ctypes
+
+    def no_such_name(name):
+        raise ValueError("unrecognized configuration name")
+
+    def no_library(*args, **kwargs):
+        raise AssertionError("the heap policy loaded a library off glibc")
+
+    monkeypatch.setattr(os, "confstr", no_such_name)
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert main(["verify", "algebra", "--seed", "1"]) == 0
 
 
 def test_cli_nan_grid_step():
@@ -596,6 +677,7 @@ def test_cli_negative_seed_flag():
         ["convergence", "--grid-steps", "1e-3,1e-3"],
         ["convergence", "--grid-steps", "1e300,1e-3"],  # exp overflows off the box
         ["convergence", "--grid-steps", "5e-324,1e-3"],  # 0.5 / step is infinite
+        ["convergence", "--grid-steps", "-1e-2,1e-2"],  # a config error, not a usage one
         ["reduction", "--m", "1e60"],  # residual norms overflow
         # seed + offset up to 6009 must fit the suites' int64 seed arrays
         ["subspaces", "--seed", "9223372036854775000"],

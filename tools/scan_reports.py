@@ -31,8 +31,10 @@ subprocess of its own whose PYTHONPATH is that tree:
 The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
 |residual difference| over the scan, with the report where it is largest
-when the residual moved.  Its last line gives the non-blank
-line count of ``cl13/*.py`` in each tree.  It exits 1 on any status or exit-code
+when the residual moved.  Then one line per tree gives the user + system
+CPU seconds and minor page faults of its subprocess (not part of the
+byte-identity count), and the last line the non-blank line count of
+``cl13/*.py`` in each tree.  It exits 1 on any status or exit-code
 change and 0 otherwise.
 """
 
@@ -43,6 +45,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import traceback
@@ -73,7 +76,8 @@ SCAN = (
 
 def _worker() -> None:
     """Run ``cl13 verify`` on each argument list read from stdin and write
-    [exit code, stdout, stderr] per report to stdout, as one JSON list.  A
+    to stdout, as one JSON object, [exit code, stdout, stderr] per report
+    and this process's CPU seconds (user + system) and minor faults.  A
     report that raises gets what the command would give: exit code 1 and
     the traceback on stderr."""
     from cl13.cli import main
@@ -88,7 +92,9 @@ def _worker() -> None:
                 traceback.print_exc()
                 code = 1
         out.append([code, stdout.getvalue(), stderr.getvalue()])
-    json.dump(out, sys.stdout)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    cpu_s = usage.ru_utime + usage.ru_stime
+    json.dump({"reports": out, "cpu_s": cpu_s, "minor_faults": usage.ru_minflt}, sys.stdout)
 
 
 def _start(src: str, scan) -> subprocess.Popen:
@@ -105,9 +111,10 @@ def _start(src: str, scan) -> subprocess.Popen:
     return proc
 
 
-def run_reports(sources, scan=SCAN) -> list[list]:
-    """Per source tree, [exit code, stdout, stderr] of every report of the
-    scan; the trees run at once, one subprocess each."""
+def run_reports(sources, scan=SCAN) -> list[dict]:
+    """Per source tree, what its worker wrote: the reports of the scan and
+    the worker's CPU seconds and minor faults; the trees run at once, one
+    subprocess each."""
     procs = [_start(src, scan) for src in sources]
     results = []
     for proc, src in zip(procs, sources):
@@ -176,8 +183,11 @@ def main(argv=None, scan=SCAN) -> int:
         return 0
     if args.change_src is None:
         parser.error("PARENT_SRC and CHANGE_SRC are required")
-    before, after = run_reports([args.parent_src, args.change_src], scan)
-    lines, changed = compare(scan, before, after)
+    runs = run_reports([args.parent_src, args.change_src], scan)
+    lines, changed = compare(scan, runs[0]["reports"], runs[1]["reports"])
+    for src, run in zip((args.parent_src, args.change_src), runs):
+        cpu_s, faults = run["cpu_s"], run["minor_faults"]
+        lines.append(f"{src}: {cpu_s:.2f} s CPU (user + system), {faults} minor faults")
     counts = [nonblank_lines(src) for src in (args.parent_src, args.change_src)]
     lines.append("cl13/*.py non-blank lines: {} -> {}".format(*counts))
     print("\n".join(lines))
