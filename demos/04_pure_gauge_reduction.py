@@ -38,13 +38,13 @@ for j in range(3):
 
 print("\n== reduction for several masses ==")
 # W, h and C do not depend on m, and neither do the i h_mu and their
-# brackets that ``reductions`` builds once for every mass: one pass
-# evaluates them all once.  A pass keeps a node's value while the node
-# exists, so each mass's own nodes (B, G) leave it when the next reduced
-# set replaces them.
+# brackets that ``reductions`` builds once for every mass.  Each call below
+# counts the reads of its own roots in the pass before it reads them, so
+# it evaluates each node it reads once and leaves no value behind; the
+# reduction suite counts every mass's roots in one batch instead, so each
+# node of a family is evaluated once for all masses.
 model = build_pure_gauge(random_family(42), t, 1.0)
 shared = PointSet(points)
-model_residuals(model, shared)
 for reduced in reductions(model, (0.5, 1.0, 2.0)):
     m = reduced.mass
     residuals = two_yang_mills_residuals(reduced, shared)

@@ -30,13 +30,14 @@ points = sample_points(23, 6)
 solution = reduce_to_two_yang_mills(build_pure_gauge(random_family(42), t, 1.0))
 nonsolution = random_two_yang_mills_set(53, t, 1.0)
 
-# One pass for both field sets: each transformation's payload is evaluated
-# once there, and the residual roots of each set once for all five specs;
-# the check returns the non-solution's own residuals too.
+# One batch for both field sets: each transformation's payload is evaluated
+# once, and the residual roots of each set once for all five specs; the
+# check returns the non-solution's own residuals too.
 shared = PointSet(points)
 specs = [random_transformation(kind, 100 + k, t) for k, kind in enumerate(TRANSFORM_KINDS)]
-_, on_solution = covariance_check(solution, specs, shared)
-residuals, on_nonsolution = covariance_check(nonsolution, specs, shared)
+(_, on_solution), (residuals, on_nonsolution) = covariance_check(
+    (solution, nonsolution), specs, shared
+)
 scale = worst(residuals.values())
 
 print(f"== residual transformation laws (non-solution residual scale {scale:.2f}) ==")

@@ -105,10 +105,12 @@ def _keep_heap() -> None:
 
 
 def _attach_values(argv: list[str]) -> list[str]:
-    """Attach a value argparse takes for a flag (-2,7 or -1e3) to its --m or --grid-steps."""
+    """Attach a flag-like value (-2,7 or -1e3) to --m, --grid-steps, --tol or an abbreviation."""
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--m", "--grid-steps") and re.match(r"-\.?\d", argv[i]):
-            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
+        flag = argv[i - 1]
+        numeric = flag[2:] and any(f.startswith(flag) for f in ("--m", "--grid-steps", "--tol"))
+        if numeric and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [flag + "=" + argv[i]]
     return argv
 
 

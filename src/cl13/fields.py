@@ -82,15 +82,15 @@ _UNIT_POWERS = [tuple(int(mu == axis) for mu in range(4)) for axis in range(4)] 
 
 class PointSet:
     """One point (shape (4,)) or N points (shape (N, 4)), the derivative
-    rule of the pass over them, and the value of every live field node
-    evaluated on them so far.
+    rule of the pass over them, and the values still to be read there.
 
-    One pass owns one PointSet, so a node shared by its equations is
-    evaluated once; no node holds point values.  Values are keyed weakly
-    by node: a value stays in the pass exactly as long as its node exists,
-    so suites hand one pass to every field set on the same points and the
-    nodes of a field set they let go leave with it.  The pass
-    differentiates exactly when ``fd_step`` is None and by central
+    One pass owns one PointSet; no node holds point values.  Before reading
+    a batch of roots, a pass counts in ``reads`` every read they will make
+    of each node (``expect``), and a value stays in ``values`` until the
+    last: a node shared by the batch is evaluated once and no value outlives
+    its reads.  A read nobody counted counts its own tree first, so a lone
+    ``value`` call evaluates its tree once and leaves nothing behind.  The
+    pass differentiates exactly when ``fd_step`` is None and by central
     differences of that step otherwise, over its ``stencil``: the points
     moved by +step (shifts 0-3) and -step (shifts 4-7) along each axis, one
     pass of shape (..., 8, 4) that serves every axis.
@@ -101,20 +101,41 @@ class PointSet:
     and is one matrix if not; on a stencil the last point axis holds the shifts.
     """
 
-    __slots__ = ("x", "fd_step", "values", "stencil")
+    __slots__ = ("x", "fd_step", "values", "reads", "stencil")
 
     def __init__(self, x, fd_step: float | None = None):
         if fd_step is not None and not 0 < fd_step < np.inf:
             raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
         self.x = np.asarray(x, dtype=float)
         self.fd_step = fd_step
-        self.values: weakref.WeakKeyDictionary[CliffordField, CliffordElement] = (
-            weakref.WeakKeyDictionary()
-        )
+        self.values: dict[CliffordField, CliffordElement] = {}
+        self.reads: dict[CliffordField, int] = {}
         self.stencil = None
         if fd_step is not None:
             shifts = np.concatenate((np.eye(4), -np.eye(4))) * fd_step
             self.stencil = PointSet(self.x[..., None, :] + shifts)
+
+    def expect(self, nodes) -> None:
+        """Count one read of each of ``nodes`` (a node may repeat) and the
+        reads its evaluation makes: the first read of a node reads each
+        operand once, and each read of a stack, which no pass stores, reads
+        every row.  A constant holds its own value and is not counted."""
+        pending = [(node, self) for node in nodes]
+        while pending:
+            node, points = pending.pop()
+            if not isinstance(node, ConstantField):
+                n = points.reads[node] = points.reads.get(node, 0) + 1
+                if n == 1 or isinstance(node, StackField):
+                    pending += node._reads(points)
+
+    def read(self, node) -> int:
+        """Take one read of node, counted first if none is; the reads left."""
+        if node not in self.reads:
+            self.expect((node,))
+        left = self.reads.pop(node) - 1
+        if left:
+            self.reads[node] = left
+        return left
 
 
 def _as_points(x) -> PointSet:
@@ -136,8 +157,8 @@ class CliffordField:
 
     ``value`` takes one point, an (N, 4) array of points or a PointSet and
     returns one element or a stack of N; the PointSet keeps the value while
-    this node exists.  ``partial`` nodes are built once and shared, so
-    repeated evaluation across equations reuses subexpressions.
+    counted reads of this node remain (see ``PointSet``).  ``partial`` nodes
+    are built once and shared, so the equations of a batch share subexpressions.
 
     A Lorentz index family is one node with index axes before the point axes
     (see ``PointSet``); ``f[key]`` is an index view (row mu, ``[:, None]``,
@@ -151,8 +172,8 @@ class CliffordField:
     Nodes form no reference cycle: a node holds its operands and its
     partials, and the nodes that a partial of theirs holds back (see
     ``ExpField``) hold their partials weakly.  So reference counting frees
-    a node, and its values in every pass, as soon as the last holder lets
-    go.
+    a node as soon as the last holder lets go; a pass holds it only while
+    reads of it remain.
     """
 
     __slots__ = ("_partials", "__weakref__")
@@ -167,9 +188,12 @@ class CliffordField:
 
     def value(self, x) -> CliffordElement:
         points = _as_points(x)
-        val = points.values.get(self)
+        left = points.read(self)
+        val = points.values.pop(self, None)
         if val is None:
-            val = points.values[self] = self._evaluate(points)
+            val = self._evaluate(points)
+        if left:
+            points.values[self] = val
         return val
 
     def partial(self, mu: int) -> "CliffordField":
@@ -181,6 +205,10 @@ class CliffordField:
 
     def _evaluate(self, points: PointSet) -> CliffordElement:
         raise NotImplementedError
+
+    def _reads(self, points: PointSet) -> list:
+        """The (node, pass) reads that one evaluation of this node makes."""
+        return []
 
     def _differentiate(self, mu: int) -> "CliffordField":
         raise NotImplementedError
@@ -275,6 +303,9 @@ class SumField(CliffordField):
             total = total + val if w == 1 else total - val if w == -1 else total + val * w
         return total
 
+    def _reads(self, points):
+        return [(f, points) for _, f in self.terms]
+
     def _differentiate(self, mu):
         return SumField((w, f.partial(mu)) for w, f in self.terms)
 
@@ -289,6 +320,9 @@ class ProductField(CliffordField):
     def _evaluate(self, points):
         return self.left.value(points) * self.right.value(points)
 
+    def _reads(self, points):
+        return [(self.left, points), (self.right, points)]
+
     def _differentiate(self, mu):
         left, right = self.left, self.right
         return ProductField(left.partial(mu), right) + ProductField(left, right.partial(mu))
@@ -300,7 +334,7 @@ class BracketField(CliffordField):
 
     __slots__ = ("left", "right")
     _zero_operands = 2
-    __init__ = ProductField.__init__
+    __init__, _reads = ProductField.__init__, ProductField._reads
 
     def _evaluate(self, points):
         return commutator(self.left.value(points), self.right.value(points))
@@ -349,6 +383,9 @@ class MappedField(CliffordField):
     def _evaluate(self, points):
         return self.op(self.inner.value(points))
 
+    def _reads(self, points):
+        return [(self.inner, points)]
+
     def _differentiate(self, mu):
         return MappedField(self.inner.partial(mu), self.op)
 
@@ -356,7 +393,7 @@ class MappedField(CliffordField):
 class StackField(CliffordField):
     """The family that stacks its rows' trees on a new leading axis; its partial
     stacks theirs, ``f[mu]`` is row mu's own tree, and a pass holds the rows'
-    values, not their stack."""
+    values, not their stack, so each read of it reads every row."""
 
     __slots__ = ("rows",)
 
@@ -373,8 +410,12 @@ class StackField(CliffordField):
 
     def value(self, x):
         points = _as_points(x)
+        points.read(self)
         out = stack([f.value(points) for f in self.rows])
         return _at_points(out, points.x.ndim - 1) if gamma_rep(out).ndim == 3 else out
+
+    def _reads(self, points):
+        return [(f, points) for f in self.rows]
 
     def _differentiate(self, mu):
         return StackField(f.partial(mu) for f in self.rows)
@@ -392,6 +433,9 @@ class DifferenceField(CliffordField):
 
     def _evaluate(self, points):
         return fd_derivative(self.inner.value, points, self.mu)
+
+    def _reads(self, points):
+        return [(self.inner, points.stencil)]
 
 
 ZERO_FIELD = ConstantField(_ZERO)
@@ -592,8 +636,8 @@ def reductions(fs: ModelFieldSet, masses):
     B_mu = C_mu - (m/4) i h_mu and G_{mu nu} = -(m/4)^2 [i h_mu, i h_nu].
 
     The mass enters only as a weight (at m = 0 it folds: B stacks C's rows, G is ZERO_FIELD),
-    so i h_mu and their bracket rows are built once and shared by every set yielded; they
-    live as long as this generator or one of those sets, and a pass keeps their values as long.
+    so i h_mu and their bracket rows are built once and shared by every set yielded; a pass
+    that counts the roots of all those sets in one batch evaluates them once.
     """
     ih_lower = MappedField(fs.h, partial(_by_index, weights=1j * _ETA))
     brackets = [BracketField(ih_lower[mu], ih_lower) for mu in range(4)]
@@ -615,9 +659,10 @@ def reduce_to_two_yang_mills(fs: ModelFieldSet) -> TwoYangMillsFieldSet:
 # potential P and the derivative rule ``d`` of its pass (``_derivative``):
 # the curvature, the covariant derivative (whose trace is a conservation law)
 # and the metric-signed divergence, each commutator one BracketField.  A
-# residual function builds its roots one at a time, evaluates each and lets it
-# go, so a root's own nodes leave the pass with it while the field set's nodes
-# stay; a root whose terms all fold is ZERO_FIELD.  Index sums fold left to right.
+# residual function builds all its roots and counts their reads in its pass
+# (``batch``) before it reads any, so a node they share is evaluated once and
+# each value leaves the pass at its last read; a root whose terms all fold is
+# ZERO_FIELD.  Index sums fold left to right.
 
 _RAISE = np.outer(_ETA, METRIC_DIAG)  # eta^{mu mu} eta^{nu nu} raises both indices of X_{mu nu}
 # Where X_{mu nu} of an antisymmetric family sits in the stack [u, -u, 0] of
@@ -686,7 +731,8 @@ def current_vector(phi: CliffordField, h: CliffordField) -> CliffordField:
     return ProductField(ProductField(ProductField(conj, ConstantField(BETA)), 1j * h), phi)
 
 
-def _model_equations(fs: ModelFieldSet, x: PointSet):
+def model_equations(fs: ModelFieldSet, x: PointSet):
+    """Yield (equation, residual root) of the model system (see ``two_yang_mills_equations``)."""
     d = _derivative(x)
     yield "dirac", _dirac(fs, fs.c, d) - fs.mass * fs.phi
     yield from _yang_mills_pair("a", fs.a, fs.f, current_vector(fs.phi, fs.h), d)
@@ -695,7 +741,7 @@ def _model_equations(fs: ModelFieldSet, x: PointSet):
 
 def two_yang_mills_equations(fs: TwoYangMillsFieldSet, x: PointSet):
     """Yield (equation, residual root) in turn, differentiated by the rule
-    of the pass x; each root is built when the previous one is let go."""
+    of the pass x."""
     d = _derivative(x)
     yield "dirac", _dirac(fs, fs.b, d)
     yield from _yang_mills_pair("a", fs.a, fs.f, current_vector(fs.phi, fs.h), d)
@@ -703,17 +749,24 @@ def two_yang_mills_equations(fs: TwoYangMillsFieldSet, x: PointSet):
     yield from _yang_mills_pair("b", fs.b, fs.g, (1j * m3) * fs.h, d)
 
 
+def batch(roots, x: PointSet) -> dict:
+    """The (name, root) pairs ``roots`` as a dict, one read of each counted in the pass x."""
+    roots = dict(roots)
+    x.expect(roots.values())
+    return roots
+
+
 def model_residual_components(fs: ModelFieldSet, x) -> dict[str, CliffordElement]:
     """Per equation, one stacked element: index shape (), (6,) pairs, (4,) or
     (4, 4), or one zero element for an equation that folds to ZERO_FIELD."""
     x = _as_points(x)
-    return {eq: root.value(x) for eq, root in _model_equations(fs, x)}
+    return {eq: root.value(x) for eq, root in batch(model_equations(fs, x), x).items()}
 
 
 def two_yang_mills_residual_components(fs: TwoYangMillsFieldSet, x) -> dict[str, CliffordElement]:
     """Per equation, its residual as one stacked element (see ``model_residual_components``)."""
     x = _as_points(x)
-    return {eq: root.value(x) for eq, root in two_yang_mills_equations(fs, x)}
+    return {eq: root.value(x) for eq, root in batch(two_yang_mills_equations(fs, x), x).items()}
 
 
 def worst(residuals) -> float:
@@ -730,6 +783,11 @@ def _peak(r: CliffordElement, points: PointSet) -> np.ndarray:
     shape = points.x.shape[:-1]
     norm = r.norm()
     return np.broadcast_to(np.max(norm, axis=tuple(range(norm.ndim - len(shape)))), shape)
+
+
+def peaks(roots: dict, x: PointSet) -> dict[str, np.ndarray]:
+    """Read each root of a ``batch`` in turn, keeping its per-point peak, not its value."""
+    return {eq: _peak(root.value(x), x) for eq, root in roots.items()}
 
 
 def model_residuals(fs: ModelFieldSet, points) -> dict[str, np.ndarray]:
@@ -783,7 +841,8 @@ def check_h_identities(h: CliffordElement) -> dict[str, np.ndarray]:
     }
 
 
-def _reduction_identities(fs: TwoYangMillsFieldSet, x: PointSet):
+def reduction_identities(fs: TwoYangMillsFieldSet, x: PointSet):
+    """Yield (identity, residual root) of ``check_reduction_identities`` in turn."""
     transport, ih = _transport(fs.b, fs.h, _derivative(x)), 1j * fs.h
     bracket = BracketField(MappedField(ih, partial(_by_index, weights=_ETA))[:, None], ih)
     yield "h_b_transport", SumField(((1j, transport), (-fs.mass / 4.0, bracket)))
@@ -800,7 +859,7 @@ def check_reduction_identities(fs: TwoYangMillsFieldSet, points) -> dict[str, np
     is the curvature equation of B in ``two_yang_mills_residuals``.
     """
     x = _as_points(points)
-    return {eq: _peak(root.value(x), x) for eq, root in _reduction_identities(fs, x)}
+    return peaks(batch(reduction_identities(fs, x), x), x)
 
 
 def bianchi_current_check(a: CliffordField, points) -> dict[str, np.ndarray]:

@@ -50,8 +50,9 @@ from .fields import (
     StackField,
     TwoYangMillsFieldSet,
     _as_points,
-    _peak,
     _total,
+    batch,
+    peaks,
     random_family,
     two_yang_mills_equations,
 )
@@ -230,27 +231,27 @@ def apply_transformation(
     return reduce(lambda out, step: step.apply(out), spec.steps, fs)
 
 
-def covariance_check(fs: TwoYangMillsFieldSet, specs, points) -> tuple[dict, list[dict]]:
+def _mismatches(fs: TwoYangMillsFieldSet, spec: TransformationSpec, before: dict, x):
+    """Yield (equation, transformed root - the spec's laws applied to ``before``'s root)."""
+    for eq, after in two_yang_mills_equations(apply_transformation(fs, spec), x):
+        yield eq, after - reduce(lambda r, step: step.law(eq, r), spec.steps, before[eq])
+
+
+def covariance_check(sets, specs, points) -> list[tuple[dict, list[dict]]]:
     """Certify the residual transformation law of each transformation in
-    ``specs``: per spec and equation, |r_transformed - expected(r_original)|
-    at each point, where the expected root applies the law of each step of
-    the spec in order.  Returns the residuals of ``fs`` (as
-    ``two_yang_mills_residuals`` gives them) and the mismatches of each
-    spec.  The residual roots of ``fs`` are built once for every spec, so
-    each is evaluated once in the pass ``points``; each transformed set and
-    its roots leave the pass after its spec.  A caller that shares the pass
-    between field sets evaluates each node they share once there."""
+    ``specs`` on each field set of ``sets``: per spec and equation,
+    |r_transformed - expected(r_original)| at each point, where the expected
+    root applies the law of each step of the spec in order.  Returns, per
+    field set, its residuals (as ``two_yang_mills_residuals`` gives them)
+    and the mismatches of each spec.  The roots of every set and spec are
+    one batch of the pass ``points``, so each node they share, a payload or
+    a residual root of a set, is evaluated once there."""
     x = _as_points(points)
-    before = dict(two_yang_mills_equations(fs, x))
-    residuals = {eq: _peak(root.value(x), x) for eq, root in before.items()}
-    out = []
-    for spec in specs:
-        mismatch = (
-            (eq, after - reduce(lambda r, step: step.law(eq, r), spec.steps, before[eq]))
-            for eq, after in two_yang_mills_equations(apply_transformation(fs, spec), x)
-        )
-        out.append({eq: _peak(root.value(x), x) for eq, root in mismatch})
-    return residuals, out
+    roots = []
+    for fs in sets:
+        before = batch(two_yang_mills_equations(fs, x), x)
+        roots.append((before, [batch(_mismatches(fs, spec, before, x), x) for spec in specs]))
+    return [(peaks(before, x), [peaks(m, x) for m in after]) for before, after in roots]
 
 
 # -- bilinear covariants --------------------------------------------------------

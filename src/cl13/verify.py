@@ -36,17 +36,20 @@ from .fields import (
     StackField,
     bianchi_current_check,
     build_pure_gauge,
+    batch,
     check_h_identities,
-    check_reduction_identities,
     convergence_slope,
     current_vector,
-    model_residuals,
+    model_equations,
+    peaks,
     random_family,
     random_two_yang_mills_set,
     reduce_to_two_yang_mills,
+    reduction_identities,
     reductions,
     sample_points,
     source_norm,
+    two_yang_mills_equations,
     two_yang_mills_residuals,
     worst,
 )
@@ -103,8 +106,8 @@ _STEP_RANGE = (np.finfo(float).eps, 1.0)
 _FAMILY_LIMIT = 10.0
 # The suites draw int64 seed arrays from the seed plus offsets up to +6009.
 _SEED_LIMIT = 2**63 - 1 - 10**4
-# The reduction suite holds about 0.14 MiB per point (tracemalloc peaks of 46.2 MiB
-# at 320 points and 282 MiB at 2000), so 2000 points fit in about 335 MB of max RSS
+# The reduction suite holds about 0.045 MiB per point (tracemalloc peaks of 14.3 MiB
+# at 320 points and 87 MiB at 2000), so 2000 points fit in about 156 MB of max RSS
 # under cl13.cli.main; far larger counts exhaust memory or numpy's array sizes.
 _SAMPLE_LIMIT = 2000
 
@@ -438,25 +441,30 @@ def _suite_reduction(s: _Suite) -> None:
     t = cfg.resolve_idempotent()
     points = sample_points(cfg.seed, cfg.sample_count)
 
-    # One pass per family: W, h and C do not depend on m, so the model set
-    # of the first mass serves the h identities and every reduced set, all
-    # in the family's pass.  ``reductions`` builds the i h_mu and their
-    # brackets once for every mass, so W, h, C, the brackets and all their
-    # partials are evaluated once; each mass's B and G leave the pass with
-    # the reduced set, and each residual root once its equation is read.
+    # One pass and one batch per family: W, h and C do not depend on m, so
+    # the model set of the first mass serves the h identities and every
+    # reduced set, and ``reductions`` builds the i h_mu and their brackets
+    # once for every mass.  All roots, and the reads of h by the h identities
+    # and each nonzero mass's source norm, are counted before any is read, so
+    # each node is evaluated once and its value leaves at its last read.
     model, h_identities, two_ym, identities, sources = [], [], [], [], []
     for fam in cfg.resolve_families():
         fs = build_pure_gauge(fam, t, cfg.m_values[0])
         pts = PointSet(points)
-        model += model_residuals(fs, pts).values()
+        pts.expect([fs.h] * (1 + sum(m != 0 for m in cfg.m_values)))
+        model_roots = batch(model_equations(fs, pts), pts)
+        sets = list(reductions(fs, cfg.m_values))
+        equations = [batch(two_yang_mills_equations(r, pts), pts) for r in sets]
+        identity_roots = [batch(reduction_identities(r, pts), pts) for r in sets]
+        model += peaks(model_roots, pts).values()
         h_identities += check_h_identities(fs.h.value(pts)).values()
-        for reduced in reductions(fs, cfg.m_values):
-            res = two_yang_mills_residuals(reduced, pts)
+        for reduced, eqs, ids in zip(sets, equations, identity_roots):
+            res = peaks(eqs, pts)
             two_ym += res.values()
             if reduced.mass != 0:
                 sources.append(source_norm(reduced, pts))
             # The curvature equation of B is also the third reduction identity.
-            identities += [*check_reduction_identities(reduced, pts).values(), res["curvature_b"]]
+            identities += [*peaks(ids, pts).values(), res["curvature_b"]]
 
     s.add(
         "reduction/pure-gauge-model-residuals",
@@ -494,6 +502,7 @@ def _suite_reduction(s: _Suite) -> None:
     # Constant-field oracle: empty family, m = 1, both sides norm 3/16.
     fs0 = reduce_to_two_yang_mills(build_pure_gauge(FieldFamily(()), t, 1.0))
     pts0 = PointSet(points[:1])
+    pts0.expect([fs0.h])  # the source norm's read, so h is evaluated once
     s.add(
         "reduction/constant-source-norm",
         "constant fields: source norm = 3/16 at m = 1",
@@ -516,13 +525,13 @@ def _suite_symmetries(s: _Suite) -> None:
     nonsolution = random_two_yang_mills_set(cfg.seed + 11, t, cfg.m_values[0])
 
     # One pass shared by every check on these points.  The transformations
-    # are drawn once and checked against both field sets, so each payload
-    # is evaluated once and leaves the pass when they are let go.
+    # are drawn once and checked against both field sets in one batch, so
+    # each payload is evaluated once.
     pts = PointSet(points)
     specs = [random_transformation(k, cfg.seed + 100 + i, t) for i, k in enumerate(TRANSFORM_KINDS)]
-    _, on_solution = covariance_check(solution, specs, pts)
-    residuals, on_nonsolution = covariance_check(nonsolution, specs, pts)
-    del specs
+    (_, on_solution), (residuals, on_nonsolution) = covariance_check(
+        (solution, nonsolution), specs, pts
+    )
     s.add(
         "symmetries/covariance-on-solutions",
         "equivalence transformations preserve solutions",

@@ -195,8 +195,9 @@ def test_criterion_10_covariance(reduced_sets, t2):
     solution = reduced_sets[(0, 1.0)]
     nonsolution = random_two_yang_mills_set(SEED + 11, t2, 1.0)
     specs = [random_transformation(kind, SEED + 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
-    _, on_solution = covariance_check(solution, specs, pts)
-    residuals, on_law = covariance_check(nonsolution, specs, pts)
+    [(_, on_solution), (residuals, on_law)] = covariance_check(
+        (solution, nonsolution), specs, pts
+    )
     mismatch = worst(r for res in on_solution + on_law for r in res.values())
     ok = mismatch <= 1e-9 and worst(residuals.values()) > 1e-3
     _verdict(10, "covariance-five-kinds", ok)

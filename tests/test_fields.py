@@ -2,6 +2,7 @@
 
 import gc
 import operator
+from collections import Counter
 from dataclasses import replace
 from functools import reduce
 
@@ -34,6 +35,7 @@ from cl13.fields import (
     StackField,
     SumField,
     TwoYangMillsFieldSet,
+    batch,
     bianchi_current_check,
     build_pure_gauge,
     check_h_identities,
@@ -679,39 +681,104 @@ def test_worst_propagates_a_nan_wherever_it_stands(where):
     assert worst([0.5, np.array([1.0, 2.0]), 3.0]) == 3.0
 
 
-@pytest.mark.parametrize("fd_step", [None, 1e-3])
-def test_a_pass_forgets_a_node_once_the_node_is_gone(pure_gauge, t2, points, fd_step):
-    # The collector is off, so reference counting alone must free the nodes:
-    # a node caught in a reference cycle would keep its values in the pass.
+def _count_evaluations(monkeypatch) -> Counter:
+    """Per (node, pass), how often a node is evaluated; every pass seen is held."""
+    counts, passes = Counter(), []
+    classes = [cls for cls in CliffordField.__subclasses__() if "_evaluate" in vars(cls)]
+    for cls in classes:
+
+        def counted(self, points, evaluate=vars(cls)["_evaluate"]):
+            passes.append(points)
+            counts[self, id(points)] += 1
+            return evaluate(self, points)
+
+        monkeypatch.setattr(cls, "_evaluate", counted)
+    return counts
+
+
+@pytest.fixture()
+def no_collector():
+    """The collector is off, so no value may wait for it: a pass itself
+    lets each value go at the last read of its node."""
     enabled = gc.isenabled()
     gc.disable()
-    try:
-        pts = PointSet(points, fd_step)
-        model_residuals(pure_gauge, pts)
-        # A first reduced set, let go at once, leaves the model set's
-        # partials that it read (d_mu C_nu among them) in the pass.
-        two_yang_mills_residuals(reduce_to_two_yang_mills(pure_gauge), pts)
-        passes = [p for p in (pts, pts.stencil) if p is not None]
-        assert len(passes) == (1 if fd_step is None else 2)
-        model = [dict(p.values) for p in passes]
-        reduced = reduce_to_two_yang_mills(replace(pure_gauge, mass=2.0))
-        two_yang_mills_residuals(reduced, pts)
-        assert [p for p in (pts, pts.stencil) if p is not None] == passes
-        assert all(len(p.values) > len(before) for p, before in zip(passes, model))
-        del reduced
-        for p, before in zip(passes, model):
-            assert set(p.values) == set(before)
-            assert all(p.values[node] is val for node, val in before.items())
-        # A family's own nodes, the exponentials and their first and second
-        # partials among them, leave with the last set that holds them.
-        other = build_pure_gauge(random_family(8), t2, 1.0)
-        model_residuals(other, pts)
-        two_yang_mills_residuals(reduce_to_two_yang_mills(other), pts)
-        del other
-        assert [set(p.values) for p in passes] == [set(before) for before in model]
-    finally:
-        if enabled:
-            gc.enable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _holds_nothing(pts: PointSet) -> bool:
+    """Whether the pass and its stencil hold no value and no pending read."""
+    return all(not p.values and not p.reads for p in (pts, pts.stencil) if p is not None)
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-3])
+def test_a_lone_read_and_a_consumed_batch_leave_nothing_in_the_pass(
+    monkeypatch, no_collector, pure_gauge, points, fd_step
+):
+    counts = _count_evaluations(monkeypatch)
+    pts = PointSet(points, fd_step)
+    reduced = reduce_to_two_yang_mills(pure_gauge)
+    roots = dict(two_yang_mills_equations(reduced, pts))
+    # A lone read counts its own tree's reads, so the tree's shared nodes
+    # (W^-1, W and their partials) are evaluated once.
+    lone = roots["source_b"].value(pts)
+    assert counts and set(counts.values()) == {1}
+    assert _holds_nothing(pts)
+    counts.clear()
+    comps = two_yang_mills_residual_components(reduced, pts)
+    assert set(counts.values()) == {1}
+    assert np.array_equal(gamma_rep(comps["source_b"]), gamma_rep(lone))
+    assert _holds_nothing(pts)
+    model_residuals(pure_gauge, pts)
+    check_reduction_identities(reduced, pts)
+    assert _holds_nothing(pts)
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-3])
+def test_a_node_read_by_two_roots_of_a_batch_is_evaluated_once(
+    monkeypatch, no_collector, family, pure_gauge, points, fd_step
+):
+    counts = _count_evaluations(monkeypatch)
+    pts = PointSet(points, fd_step)
+    h = pure_gauge.h
+    d = CliffordField.partial if fd_step is None else DifferenceField
+    # h is read by three roots, twice by the first; C_0 reads W^-1 as h does.
+    roots = [("square", ProductField(h, h)), ("d0", d(h, 0)), ("d1", d(h, 1)), ("h", h)]
+    roots = batch(roots + [("c0", pure_gauge.c[0])], pts)
+    assert pts.reads[h] == 3
+    for name, root in roots.items():
+        root.value(pts)
+        if name == "square":
+            assert pts.reads[h] == 1 and h in pts.values
+        if name == "h":
+            assert h not in pts.values and h not in pts.reads
+            assert family.winv in pts.values and pts.reads[family.winv] == 1
+    assert _holds_nothing(pts)
+    assert set(counts.values()) == {1}
+    assert counts[h, id(pts)] == 1
+    if fd_step is not None:  # d0 and d1 read h on the stencil
+        assert counts[h, id(pts.stencil)] == 1
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-3])
+def test_a_stack_read_twice_reads_its_rows_twice_and_stores_no_stack(
+    monkeypatch, no_collector, pure_gauge, points, fd_step
+):
+    counts = _count_evaluations(monkeypatch)
+    pts = PointSet(points, fd_step)
+    d = CliffordField.partial if fd_step is None else DifferenceField
+    dh = StackField(d(pure_gauge.h, mu) for mu in range(4))
+    pts.expect([dh, dh])
+    assert pts.reads[dh] == 2 and all(pts.reads[row] == 2 for row in dh.rows)
+    first = dh.value(pts)
+    assert dh not in pts.values and pts.reads[dh] == 1
+    assert all(pts.reads[row] == 1 and row in pts.values for row in dh.rows)
+    second = dh.value(pts)
+    assert np.array_equal(gamma_rep(first), gamma_rep(second))
+    assert _holds_nothing(pts)
+    assert all(counts[row, id(pts)] == 1 for row in dh.rows)
+    assert set(counts.values()) == {1}  # on an FD pass, h once on the stencil for all rows
 
 
 @pytest.mark.parametrize("label", ["t1", "t2", "t3", "t4"])

@@ -111,7 +111,7 @@ def test_constant_symplectic_conjugation_preserves_h_relations(reduced, points):
 
 def test_covariance_on_solution(reduced, points, t2):
     specs = [random_transformation(kind, 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
-    _, mismatches = covariance_check(reduced, specs, points[:4])
+    [(_, mismatches)] = covariance_check([reduced], specs, points[:4])
     for spec, mismatch in zip(specs, mismatches, strict=True):
         assert worst(mismatch.values()) <= 1e-9, spec.kind
         # Transformed solutions stay solutions.
@@ -123,7 +123,7 @@ def test_covariance_on_solution(reduced, points, t2):
 def test_covariance_residual_law_on_nonsolutions(t2):
     fs = random_two_yang_mills_set(71, t2, 1.0)
     specs = [random_transformation(kind, 200 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
-    residuals, mismatches = covariance_check(fs, specs, PTS[:3])
+    [(residuals, mismatches)] = covariance_check([fs], specs, PTS[:3])
     assert worst(residuals.values()) > 1e-2
     for spec, mismatch in zip(specs, mismatches, strict=True):
         assert worst(mismatch.values()) <= 1e-9, spec.kind
@@ -134,7 +134,7 @@ def test_covariance_check_returns_the_residuals_of_its_field_set(reduced, t2):
     # gives them, on a non-solution and on a solution.
     specs = [random_transformation(kind, 100 + k, t2) for k, kind in enumerate(TRANSFORM_KINDS)]
     for fs in (random_two_yang_mills_set(71, t2, 1.0), reduced):
-        residuals, _ = covariance_check(fs, specs, PTS)
+        [(residuals, _)] = covariance_check([fs], specs, PTS)
         expected = two_yang_mills_residuals(fs, PTS)
         assert list(residuals) == list(expected)
         for eq, per_point in expected.items():
@@ -159,10 +159,10 @@ def test_covariance_and_current_arrays_hold_each_point_alone(t2):
     nonsolution = random_two_yang_mills_set(31, t2, 1.0)
     pts = sample_points(3, 24)
     for fs in (solution, nonsolution):
-        residuals, stacked = covariance_check(fs, specs, pts)
+        [(residuals, stacked)] = covariance_check([fs], specs, pts)
         stacked += [residuals, _current_laws(fs, pts)]
         for i, x in enumerate(pts):
-            residuals, alone = covariance_check(fs, specs, x)
+            [(residuals, alone)] = covariance_check([fs], specs, x)
             alone += [residuals, _current_laws(fs, x)]
             for whole, one in zip(stacked, alone):
                 for eq, per_point in whole.items():

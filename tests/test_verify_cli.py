@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -281,7 +282,9 @@ def test_a_negative_mass_that_argparse_reads_as_a_flag_runs(tmp_path, suite, m, 
     assert json.loads(out.read_text())["config"]["m_values"] == masses
 
 
-@pytest.mark.parametrize("args", [["--m", "1", "--bogus"], ["--m", "--bogus"], ["-2,7"]])
+@pytest.mark.parametrize(
+    "args", [["--m", "1", "--bogus"], ["--m", "--bogus"], ["-2,7"], ["--tolx", "-1e-3"]]
+)
 def test_an_unknown_flag_still_exits_2(capsys, args):
     assert main(["verify", "reduction", "--seed", "1", *args]) == 2
     assert "usage:" in capsys.readouterr().err
@@ -647,6 +650,19 @@ def test_a_symmetries_report_evaluates_the_nonsolution_residuals_once(monkeypatc
     assert work["products"] <= 1067
 
 
+def test_a_reduction_report_holds_each_value_only_until_its_last_read():
+    # Memory guard: a pass that kept every node value for its whole family
+    # peaked at 45.4 MiB here; values that leave at their last read, at 15.
+    cfg = ScenarioConfig(suite="reduction", seed=1, sample_count=320)
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
 def test_source_nonzero_fails_when_one_point_has_no_source(monkeypatch):
     # The 1e-6 floor holds at every sample point, not only the first.
     source_norm = verify.source_norm
@@ -678,6 +694,8 @@ def test_cli_negative_seed_flag():
         ["convergence", "--grid-steps", "1e300,1e-3"],  # exp overflows off the box
         ["convergence", "--grid-steps", "5e-324,1e-3"],  # 0.5 / step is infinite
         ["convergence", "--grid-steps", "-1e-2,1e-2"],  # a config error, not a usage one
+        ["convergence", "--grid", "-1e-2,1e-2"],  # an abbreviation argparse accepts
+        ["convergence", "--tol", "-1e-3"],
         ["reduction", "--m", "1e60"],  # residual norms overflow
         # seed + offset up to 6009 must fit the suites' int64 seed arrays
         ["subspaces", "--seed", "9223372036854775000"],

@@ -32,8 +32,8 @@ The scan prints how many reports are byte-identical, every check whose
 status changed and every changed exit code, and per check the largest
 |residual difference| over the scan, with the report where it is largest
 when the residual moved.  Then one line per tree gives the user + system
-CPU seconds and minor page faults of its subprocess (not part of the
-byte-identity count), and the last line the non-blank line count of
+CPU seconds, minor page faults and max RSS of its subprocess (not part of
+the byte-identity count), and the last line the non-blank line count of
 ``cl13/*.py`` in each tree.  It exits 1 on any status or exit-code
 change and 0 otherwise.
 """
@@ -77,9 +77,9 @@ SCAN = (
 def _worker() -> None:
     """Run ``cl13 verify`` on each argument list read from stdin and write
     to stdout, as one JSON object, [exit code, stdout, stderr] per report
-    and this process's CPU seconds (user + system) and minor faults.  A
-    report that raises gets what the command would give: exit code 1 and
-    the traceback on stderr."""
+    and this process's CPU seconds (user + system), minor faults and max
+    RSS.  A report that raises gets what the command would give: exit code
+    1 and the traceback on stderr."""
     from cl13.cli import main
 
     out = []
@@ -94,7 +94,11 @@ def _worker() -> None:
         out.append([code, stdout.getvalue(), stderr.getvalue()])
     usage = resource.getrusage(resource.RUSAGE_SELF)
     cpu_s = usage.ru_utime + usage.ru_stime
-    json.dump({"reports": out, "cpu_s": cpu_s, "minor_faults": usage.ru_minflt}, sys.stdout)
+    maxrss_mb = usage.ru_maxrss / 1000  # kilobytes on Linux
+    json.dump(
+        {"reports": out, "cpu_s": cpu_s, "minor_faults": usage.ru_minflt, "maxrss_mb": maxrss_mb},
+        sys.stdout,
+    )
 
 
 def _start(src: str, scan) -> subprocess.Popen:
@@ -113,8 +117,8 @@ def _start(src: str, scan) -> subprocess.Popen:
 
 def run_reports(sources, scan=SCAN) -> list[dict]:
     """Per source tree, what its worker wrote: the reports of the scan and
-    the worker's CPU seconds and minor faults; the trees run at once, one
-    subprocess each."""
+    the worker's CPU seconds, minor faults and max RSS; the trees run at
+    once, one subprocess each."""
     procs = [_start(src, scan) for src in sources]
     results = []
     for proc, src in zip(procs, sources):
@@ -186,8 +190,10 @@ def main(argv=None, scan=SCAN) -> int:
     runs = run_reports([args.parent_src, args.change_src], scan)
     lines, changed = compare(scan, runs[0]["reports"], runs[1]["reports"])
     for src, run in zip((args.parent_src, args.change_src), runs):
-        cpu_s, faults = run["cpu_s"], run["minor_faults"]
-        lines.append(f"{src}: {cpu_s:.2f} s CPU (user + system), {faults} minor faults")
+        cpu_s, faults, rss = run["cpu_s"], run["minor_faults"], run["maxrss_mb"]
+        lines.append(
+            f"{src}: {cpu_s:.2f} s CPU (user + system), {faults} minor faults, {rss:.1f} MB max RSS"
+        )
     counts = [nonblank_lines(src) for src in (args.parent_src, args.change_src)]
     lines.append("cl13/*.py non-blank lines: {} -> {}".format(*counts))
     print("\n".join(lines))
